@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -80,18 +81,23 @@ class DeliveryCollector:
 
 
 def rss_mb() -> float:
-    """Best-effort resident set size of this process, in megabytes."""
+    """Best-effort current resident set size of this process, in megabytes.
+
+    Without psutil it reads /proc/self/statm, not the peak that getrusage
+    reports; where neither is available it returns 0.0.
+    """
     try:
         import psutil
 
         return psutil.Process().memory_info().rss / 1e6
-    except Exception:
-        try:
-            import resource
-
-            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3
-        except Exception:
-            return 0.0
+    except ImportError:
+        pass
+    try:
+        with open("/proc/self/statm", encoding="ascii") as statm:
+            resident_pages = int(statm.read().split()[1])
+        return resident_pages * os.sysconf("SC_PAGE_SIZE") / 1e6
+    except (OSError, ValueError, IndexError):
+        return 0.0
 
 
 def _fmt(x: float) -> str:

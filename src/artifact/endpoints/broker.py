@@ -154,9 +154,7 @@ class _MqProducer(Producer):
         self._topic = topic
 
     def send(self, message: Message) -> None:
-        out = message.copy()
-        out.body = render_value(message.body)
-        self._broker.publish(self._topic, out)
+        self._broker.publish(self._topic, message.with_body(render_value(message.body)))
 
 
 class MqComponent(Component):

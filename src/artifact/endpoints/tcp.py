@@ -24,6 +24,7 @@ log = logging.getLogger(__name__)
 
 BACKOFF_INITIAL_S = 0.05
 BACKOFF_CAP_S = 5.0
+ACCEPT_JOIN_S = 5.0
 
 _WAKE = object()
 
@@ -143,6 +144,9 @@ class LineServer:
                 sock, peer = self._listener.accept()
             except OSError:
                 return
+            if self._stopped:
+                shutdown_socket(sock)
+                return
             conn = ServerConnection(self, sock, peer)
             with self._lock:
                 self._conns.append(conn)
@@ -192,11 +196,13 @@ class LineServer:
         return len(conns)
 
     def stop(self) -> None:
+        """Stop accepting, wait for the accept thread, then drop every peer."""
         self._stopped = True
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        # close() alone leaves the accept thread blocked in accept() for good.
+        shutdown_socket(self._listener)
+        self._accept_thread.join(ACCEPT_JOIN_S)
+        if self._accept_thread.is_alive():
+            log.warning("%s accept thread did not exit within %.1fs", self.name, ACCEPT_JOIN_S)
         self.drop_connections()
 
 

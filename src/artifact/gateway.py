@@ -194,6 +194,7 @@ class GatewayArtifact(Artifact):
 
     def on_created(self):
         self._channels = gateway_channels(self.runtime)
+        self._channel = self._channels.channel(self.channel)
         self._channels.register(self.channel, self)
 
     def on_dispose(self):
@@ -281,7 +282,7 @@ class GatewayArtifact(Artifact):
         message = request.to_message(extra_headers)
         self.outgoing.put(message, timeout=timeout)
         self.stats.sent += 1
-        self._channels.channel(self.channel).notify()
+        self._channel.notify()
         return message
 
     def poll_outgoing(self, max_wait: float = 0.0) -> Message | None:
@@ -394,11 +395,22 @@ class _ChannelConsumer(Consumer):
     def __init__(self, channel: _Channel):
         self._channel = channel
         self._rr = 0
+        self._woken = False  # guarded by the channel's condition
+
+    def _take_wake(self) -> bool:
+        if self._woken:
+            self._woken = False
+            return True
+        return False
 
     def poll(self, timeout: float) -> Message | None:
+        """Next outgoing message of the channel; None on timeout or wake()."""
         deadline = None if timeout is None else time.monotonic() + timeout
+        cond = self._channel.cond
         while True:
-            with self._channel.cond:
+            with cond:
+                if self._take_wake():
+                    return None
                 version = self._channel.version
                 gateways = list(self._channel.gateways.values())
             count = len(gateways)
@@ -408,21 +420,26 @@ class _ChannelConsumer(Consumer):
                 if isinstance(message, Message):
                     self._rr = (self._rr + offset + 1) % count
                     return message
-            with self._channel.cond:
+            with cond:
+                if self._take_wake():
+                    return None
                 if self._channel.version != version:
                     continue
                 if deadline is None:
-                    self._channel.cond.wait()
+                    cond.wait()
                     continue
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return None
-                self._channel.cond.wait(remaining)
-                if self._channel.version == version:
+                cond.wait(remaining)
+                if self._take_wake() or self._channel.version == version:
                     return None
 
     def wake(self) -> None:
-        self._channel.notify()
+        """End the pending poll, or the next one, with None."""
+        with self._channel.cond:
+            self._woken = True
+            self._channel.cond.notify_all()
 
 
 class _ChannelProducer(Producer):

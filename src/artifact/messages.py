@@ -11,18 +11,17 @@ OPERATION_NAME_HEADER = "OperationName"
 
 @dataclass
 class Message:
-    """A routed unit: header map, payload body, optional named binary attachments."""
+    """A routed unit: header map and payload body."""
 
     headers: dict[str, Value] = field(default_factory=dict)
     body: Value = field(default_factory=list)
-    attachments: list[tuple[str, bytes]] | None = None
 
     def copy(self) -> "Message":
-        return Message(
-            headers={k: copy_value(v) for k, v in self.headers.items()},
-            body=copy_value(self.body),
-            attachments=list(self.attachments) if self.attachments is not None else None,
-        )
+        return self.with_body(copy_value(self.body))
+
+    def with_body(self, body: Value) -> "Message":
+        """A message with a private copy of these headers and `body` as is."""
+        return Message(headers={k: copy_value(v) for k, v in self.headers.items()}, body=body)
 
     def header(self, key: str, default: Value | None = None) -> Value | None:
         return self.headers.get(key, default)

@@ -348,11 +348,19 @@ class RoutingEngine:
         log.info("route %s started: %s -> %s", route.id, route.source, route.sink)
 
     def stop_route(self, route: Route, join_timeout: float = 10.0) -> None:
+        """Stop the route's loop and wait for it to exit.
+
+        Raises InvalidTransitionError, leaving the route STARTED, when the
+        loop is still running after `join_timeout`; calling again retries.
+        """
         with self._lock:
             if route.status != RouteStatus.STARTED:
                 raise InvalidTransitionError(f"{route.id} is not started")
             self._signal_stop(route)
-        self._join(route, join_timeout)
+        if not self._join(route, join_timeout):
+            raise InvalidTransitionError(
+                f"{route.id} loop did not exit within {join_timeout:.1f}s; still started"
+            )
         route.status = RouteStatus.STOPPED
         log.info("route %s stopped", route.id)
 
@@ -361,12 +369,15 @@ class RoutingEngine:
         if route._consumer is not None:
             route._consumer.wake()
 
-    def _join(self, route: Route, timeout: float) -> None:
+    def _join(self, route: Route, timeout: float) -> bool:
+        """Wait for the route's loop; False if it is still running."""
         thread = route._thread
         if thread is not None:
             thread.join(timeout)
             if thread.is_alive():
                 log.warning("route %s loop did not exit within %.1fs", route.id, timeout)
+                return False
+        return True
 
     def signal_all(self) -> None:
         """Ask every started route loop to stop, without waiting."""
@@ -383,8 +394,7 @@ class RoutingEngine:
                 if route.status == RouteStatus.STARTED:
                     self._signal_stop(route)
         for route in routes:
-            if route.status == RouteStatus.STARTED:
-                self._join(route, join_timeout)
+            if route.status == RouteStatus.STARTED and self._join(route, join_timeout):
                 route.status = RouteStatus.STOPPED
         for route in routes:
             for endpoint in (route._consumer, route._producer):

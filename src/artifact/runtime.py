@@ -14,7 +14,9 @@ from __future__ import annotations
 import inspect
 import logging
 import queue
+import sys
 import threading
+import types
 from dataclasses import dataclass
 from typing import Callable
 
@@ -92,6 +94,39 @@ def operation(fn: Callable) -> Callable:
     return fn
 
 
+def _positional_counts(member: Callable) -> range:
+    """The parameter counts with which `member(*params)` binds its signature.
+
+    Defaults lower the minimum, ``*args`` removes the maximum and a required
+    keyword-only parameter leaves no count that binds.
+    """
+    params = inspect.signature(member).parameters.values()
+    if any(p.kind is p.KEYWORD_ONLY and p.default is p.empty for p in params):
+        return range(0)
+    positional = [p for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    lowest = max((i + 1 for i, p in enumerate(positional) if p.default is p.empty), default=0)
+    if any(p.kind is p.VAR_POSITIONAL for p in params):
+        return range(lowest, sys.maxsize)
+    return range(lowest, len(positional) + 1)
+
+
+def _operation_table(cls: type) -> dict[str, range]:
+    """Map each public ``@operation`` of `cls`, inherited ones included, to
+    the parameter counts it accepts."""
+    table = {}
+    for name in dir(cls):
+        if name.startswith("_"):
+            continue
+        member = getattr(cls, name, None)
+        if not callable(member) or not getattr(member, "__artifact_operation__", False):
+            continue
+        if isinstance(inspect.getattr_static(cls, name), types.FunctionType):
+            # Instances call the bound method, which supplies `self`.
+            member = types.MethodType(member, cls)
+        table[name] = _positional_counts(member)
+    return table
+
+
 class CallbackObserver:
     """Observer identity backed by plain callables; both callbacks optional."""
 
@@ -126,7 +161,17 @@ class Artifact:
     :func:`operation`. Inside an executing operation the artifact may call
     :meth:`update_property` and :meth:`signal`; both take effect atomically
     when the operation commits.
+
+    The operations are read once, when the class is defined, into a table of
+    name -> accepted parameter counts; methods attached later are not
+    operations.
     """
+
+    _operations: dict[str, range] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._operations = _operation_table(cls)
 
     def __init__(self):
         self._runtime: "Runtime | None" = None
@@ -215,28 +260,19 @@ class Artifact:
             }
 
     def operation_names(self) -> list[str]:
-        names = []
-        for name in dir(self):
-            if name.startswith("_"):
-                continue
-            member = getattr(self, name, None)
-            if callable(member) and getattr(member, "__artifact_operation__", False):
-                names.append(name)
-        return sorted(names)
+        return sorted(self._operations)
 
     # -- execution machinery (runtime-internal) -------------------------------
 
     def _resolve_operation(self, name: str, params: tuple) -> Callable:
-        member = getattr(self, name, None)
-        if not callable(member) or not getattr(member, "__artifact_operation__", False):
+        counts = self._operations.get(name)
+        if counts is None:
             raise UnknownOperationError(f"{self._id} has no operation {name!r}")
-        try:
-            inspect.signature(member).bind(*params)
-        except TypeError:
+        if len(params) not in counts:
             raise UnknownOperationError(
                 f"{self._id} has no operation {name!r} taking {len(params)} parameter(s)"
-            ) from None
-        return member
+            )
+        return getattr(self, name)
 
     def _run_atomically(self, fn: Callable, params: tuple, op_name: str) -> OpResult:
         """Execute under the artifact lock; commit staged effects or roll back."""

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from artifact.bench import (
@@ -13,6 +15,7 @@ from artifact.bench import (
     run_scenario2,
 )
 from artifact.bench.cli import main
+from artifact.bench.metrics import rss_mb
 from artifact.bench.scenarios import DeliveryCollector
 from artifact.errors import NoDataError
 
@@ -143,3 +146,15 @@ def test_cli_route_file_option(tmp_path):
         "--op-work-ms", "0", "--routes", str(routes),
     ])
     assert code == 0
+
+
+def test_rss_mb_without_psutil_reads_current_not_peak(monkeypatch):
+    monkeypatch.setitem(sys.modules, "psutil", None)  # import psutil now fails
+    size_mb = 64
+    before = rss_mb()
+    buffer = b"\x01" * (size_mb * 10**6)  # written, so resident
+    held = rss_mb()
+    del buffer
+    after = rss_mb()
+    assert held - before > size_mb * 0.75
+    assert held - after > size_mb * 0.75

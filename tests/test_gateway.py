@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -20,6 +21,8 @@ from artifact import (
     parse_expr,
 )
 from artifact.errors import GatewayStoppedError, QueueFullError, RouteNotOwnedError
+from artifact.gateway import ArtifactComponent, ChannelRegistry
+from artifact.uri import parse_endpoint_uri
 
 from conftest import wait_until
 
@@ -326,3 +329,19 @@ def test_channel_shared_by_two_gateways_dispatches_by_header(env):
     s1.send_msg(OpRequest("s2", "recv", ["for-two"]))
     assert wait_until(lambda: s2.seen == ["for-two"])
     assert s1.seen == []
+
+
+def test_wake_ends_a_pending_channel_poll():
+    consumer = ArtifactComponent(ChannelRegistry()).create_consumer(
+        parse_endpoint_uri("artifact:quiet"), None
+    )
+    waker = threading.Timer(0.05, consumer.wake)
+    waker.start()
+    started = time.monotonic()
+    try:
+        assert consumer.poll(5.0) is None
+        assert time.monotonic() - started < 1.0
+    finally:
+        waker.cancel()
+        waker.join(5.0)
+    assert not waker.is_alive()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from artifact import Message, RouteStatus, SetHeader, Transform, parse_expr, process
@@ -10,7 +12,7 @@ from artifact.errors import (
     UnknownSchemeError,
     UnsupportedEndpointRoleError,
 )
-from artifact.routing import MessageQueue
+from artifact.routing import Component, Consumer, MessageQueue
 
 from conftest import wait_until
 
@@ -148,3 +150,38 @@ def test_message_queue_force_put_beats_capacity():
     q.force_put("sentinel")
     assert q.get() == "a"
     assert q.get() == "sentinel"
+
+
+class _DeafConsumer(Consumer):
+    """Blocks in poll until released, whatever the timeout; ignores wake()."""
+
+    def __init__(self):
+        self.release = threading.Event()
+
+    def poll(self, timeout):
+        self.release.wait(10.0)
+        return None
+
+
+class _DeafComponent(Component):
+    def __init__(self, consumer):
+        self.consumer = consumer
+
+    def create_consumer(self, uri, route):
+        return self.consumer
+
+
+def test_stop_route_that_does_not_exit_stays_started(env):
+    consumer = _DeafConsumer()
+    env.registry.register("deaf", _DeafComponent(consumer))
+    route = env.engine.define_route("deaf:x", [], "mq:deaf/out")
+    env.engine.start_route(route)
+    with pytest.raises(InvalidTransitionError):
+        env.engine.stop_route(route, join_timeout=0.1)
+    assert route.status == RouteStatus.STARTED
+    with pytest.raises(InvalidTransitionError):
+        env.engine.start_route(route)  # no second loop on the same consumer
+    consumer.release.set()
+    env.engine.stop_route(route, join_timeout=5.0)
+    assert route.status == RouteStatus.STOPPED
+    assert not route._thread.is_alive()

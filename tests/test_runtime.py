@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,7 +18,7 @@ from artifact.errors import (
     UnknownTemplateError,
     UnknownWorkspaceError,
 )
-from artifact.runtime import ArtifactId, LinkRef
+from artifact.runtime import Artifact, ArtifactId, LinkRef
 
 from conftest import CounterArtifact, RecordingObserver, wait_until
 
@@ -234,3 +235,75 @@ def test_runtime_registry_safe_for_concurrent_creation(runtime):
         t.join()
     assert not errors
     assert len(runtime.artifact_ids()) == 32
+
+
+class _MixinOps:
+    @operation
+    def from_mixin(self, a, b=2):
+        pass
+
+
+class _ParityBase(Artifact):
+    @operation
+    def plain(self, a, b):
+        pass
+
+    @operation
+    def defaults(self, a, b=1, c=2):
+        pass
+
+    @operation
+    def star(self, a, *rest):
+        pass
+
+    @operation
+    def keyword_required(self, a, *, key):
+        pass
+
+    @operation
+    def keyword_optional(self, a, *, key=0):
+        pass
+
+    @operation
+    def overridden(self, a):
+        pass
+
+    @staticmethod
+    @operation
+    def static(a):
+        pass
+
+
+class _Parity(_MixinOps, _ParityBase):
+    def overridden(self, a):  # undecorated: no longer an operation
+        pass
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["plain", "defaults", "star", "keyword_required", "keyword_optional", "static", "from_mixin"],
+)
+def test_operation_table_accepts_what_signature_binds(name):
+    art = _Parity()
+    for count in range(6):
+        params = tuple(range(count))
+        try:
+            inspect.signature(getattr(art, name)).bind(*params)
+            binds = True
+        except TypeError:
+            binds = False
+        try:
+            art._resolve_operation(name, params)
+            resolves = True
+        except UnknownOperationError:
+            resolves = False
+        assert resolves == binds, (name, count)
+
+
+def test_operation_names_come_from_the_table():
+    art = _Parity()
+    assert art.operation_names() == [
+        "defaults", "from_mixin", "keyword_optional", "keyword_required", "plain", "star", "static",
+    ]
+    with pytest.raises(UnknownOperationError):
+        art._resolve_operation("overridden", (1,))

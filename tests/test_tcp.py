@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import socket
+import threading
 import time
 
 import pytest
@@ -144,3 +145,24 @@ def test_server_role_endpoints(env):
         assert data == b"pong\n"
     finally:
         sock.close()
+
+
+def _accept_threads(server: LineServer) -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == f"{server.name}-accept"]
+
+
+@pytest.mark.parametrize("with_peer", [False, True])
+def test_no_accept_thread_outlives_stop(with_peer):
+    server = LineServer(name="stop-probe")
+    peer = None
+    try:
+        if with_peer:
+            peer = tcp_connect("127.0.0.1", server.port)
+            assert server.wait_for_connection(5.0)
+        assert len(_accept_threads(server)) == 1
+    finally:
+        server.stop()
+        if peer is not None:
+            peer.close()
+    assert _accept_threads(server) == []
+    assert server.connections() == []
