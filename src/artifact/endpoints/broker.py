@@ -100,11 +100,15 @@ class TopicBroker:
         with t.lock:
             return len(t.subscribers)
 
-    def publish(self, topic: str, message: Message) -> int:
-        """Deliver one copy to each current subscriber; returns the count."""
+    def publish(self, topic: "str | _Topic", message: Message) -> int:
+        """Deliver one copy to each current subscriber; returns the count.
+
+        `topic` is a topic name or a `_Topic` this broker made; topics are
+        never removed, so a producer may keep one instead of the name.
+        """
+        t = topic if isinstance(topic, _Topic) else self._topic(topic)
         if self._stopped:
-            raise BrokerStoppedError(topic)
-        t = self._topic(topic)
+            raise BrokerStoppedError(t.name)
         delivered = 0
         with t.lock:
             for sub in t.subscribers:
@@ -151,7 +155,7 @@ class _MqConsumer(Consumer):
 class _MqProducer(Producer):
     def __init__(self, broker: TopicBroker, topic: str):
         self._broker = broker
-        self._topic = topic
+        self._topic = broker._topic(topic)
 
     def send(self, message: Message) -> None:
         self._broker.publish(self._topic, message.with_body(render_value(message.body)))

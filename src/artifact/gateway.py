@@ -46,6 +46,7 @@ log = logging.getLogger(__name__)
 DEFAULT_POLL_INTERVAL_S = 0.001
 
 _STOP = object()
+_UNRESOLVED = object()
 
 REASON_MISSING_HEADER = "MissingHeader"
 REASON_UNKNOWN_ARTIFACT = "UnknownArtifact"
@@ -96,20 +97,32 @@ class _Channel:
         self.cond = threading.Condition()
         self.gateways: dict[str, "GatewayArtifact"] = {}
         self.version = 0
+        self.waiters = 0  # consumers blocked in poll, guarded by cond
 
     def notify(self) -> None:
+        """One more message is waiting: wake one blocked consumer, if any."""
+        with self.cond:
+            self.version += 1
+            if self.waiters:
+                self.cond.notify()
+
+    def notify_all(self) -> None:
+        """The set of gateways changed: every blocked consumer rescans."""
         with self.cond:
             self.version += 1
             self.cond.notify_all()
 
 
 class ChannelRegistry:
-    """Maps channel names to the gateways registered on them."""
+    """Maps channel names to the gateways registered on them, and gateway
+    names to their gateways."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._channels: dict[str, _Channel] = {}
         self._route_owners: dict[str, "GatewayArtifact"] = {}
+        # Gateways by name, in registration order; the first one answers.
+        self._by_name: dict[str, list["GatewayArtifact"]] = {}
 
     def channel(self, name: str) -> _Channel:
         with self._lock:
@@ -119,35 +132,39 @@ class ChannelRegistry:
 
     def register(self, channel_name: str, gateway: "GatewayArtifact") -> None:
         chan = self.channel(channel_name)
+        name = gateway.id.name
         with chan.cond:
-            chan.gateways[gateway.id.name] = gateway
-        chan.notify()
+            replaced = chan.gateways.get(name)
+            chan.gateways[name] = gateway
+        with self._lock:
+            self._unindex(name, replaced)
+            self._by_name.setdefault(name, []).append(gateway)
+        chan.notify_all()
 
     def unregister(self, channel_name: str, gateway: "GatewayArtifact") -> None:
         chan = self.channel(channel_name)
+        name = gateway.id.name
         with chan.cond:
-            chan.gateways.pop(gateway.id.name, None)
-        chan.notify()
+            removed = chan.gateways.pop(name, None)
+        with self._lock:
+            self._unindex(name, removed)
+        chan.notify_all()
+
+    def _unindex(self, name: str, gateway: "GatewayArtifact | None") -> None:
+        named = self._by_name.get(name)
+        if named and gateway in named:
+            named.remove(gateway)
+            if not named:
+                del self._by_name[name]
 
     def find_gateway(self, name: str) -> "GatewayArtifact | None":
         with self._lock:
-            channels = list(self._channels.values())
-        for chan in channels:
-            with chan.cond:
-                gateway = chan.gateways.get(name)
-            if gateway is not None:
-                return gateway
-        return None
+            named = self._by_name.get(name)
+            return named[0] if named else None
 
     def all_gateways(self) -> list["GatewayArtifact"]:
         with self._lock:
-            channels = list(self._channels.values())
-        seen: dict[str, "GatewayArtifact"] = {}
-        for chan in channels:
-            with chan.cond:
-                for name, gateway in chan.gateways.items():
-                    seen.setdefault(name, gateway)
-        return list(seen.values())
+            return [named[0] for named in self._by_name.values()]
 
     def set_route_owner(self, route_id: str, gateway: "GatewayArtifact") -> None:
         with self._lock:
@@ -191,6 +208,9 @@ class GatewayArtifact(Artifact):
         self._started = False
         self._poller: threading.Thread | None = None
         self._gw_lock = threading.Lock()
+        # (runtime generation, name -> link to a linked plain artifact or
+        # None); a table whose generation is not the runtime's is stale.
+        self._links_table: tuple[int, dict[str, LinkRef | None]] = (-1, {})
 
     def on_created(self):
         self._channels = gateway_channels(self.runtime)
@@ -329,19 +349,15 @@ class GatewayArtifact(Artifact):
         if not isinstance(name, str) or not isinstance(op, str) or not name or not op:
             return DeadLettered(REASON_MISSING_HEADER)
         body = message.body
-        params = list(body) if isinstance(body, list) else [body]
+        params = tuple(body) if isinstance(body, list) else (body,)
         request = OpRequest(name, op, params)
 
         if name == self.id.name:
             return self._invoke_self(request)
 
-        target = self.runtime.find_artifact(self.id.workspace, name)
-        if (
-            target is not None
-            and not isinstance(target, GatewayArtifact)
-            and self.runtime.linked(self.id, target.id)
-        ):
-            return self._invoke_linked(target.id, request)
+        link = self._linked_target(name)
+        if link is not None:
+            return self._invoke_linked(link, request)
 
         gateway = self._channels.find_gateway(name)
         if gateway is not None:
@@ -353,6 +369,29 @@ class GatewayArtifact(Artifact):
 
         return DeadLettered(REASON_UNKNOWN_ARTIFACT)
 
+    def _linked_target(self, name: str) -> LinkRef | None:
+        """The link to the plain artifact `name` in this workspace, or None
+        when there is no such artifact or it is not linked from here."""
+        generation = self.runtime.generation
+        stamp, table = self._links_table
+        if stamp != generation:
+            # Stamped with the generation read before resolving, so an entry
+            # never outlives a change that could alter it.
+            table = {}
+            self._links_table = (generation, table)
+        link = table.get(name, _UNRESOLVED)
+        if link is _UNRESOLVED:
+            target = self.runtime.find_artifact(self.id.workspace, name)
+            if target is None:
+                # Not kept: names come from message headers, so a table of
+                # absent names could grow without bound.
+                return None
+            link = None
+            if not isinstance(target, GatewayArtifact) and self.runtime.linked(self.id, target.id):
+                link = LinkRef(self.id, target.id)
+            table[name] = link
+        return link
+
     def _invoke_self(self, request: OpRequest) -> DispatchOutcome:
         try:
             result = self.runtime.exec_op(self.id, request, caller=f"gateway:{self.id.name}")
@@ -362,14 +401,14 @@ class GatewayArtifact(Artifact):
             return DeadLettered(f"{REASON_OPERATION_FAILED}: {exc}")
         return InvokedSelf(request.operation, result)
 
-    def _invoke_linked(self, target: ArtifactId, request: OpRequest) -> DispatchOutcome:
+    def _invoke_linked(self, link: LinkRef, request: OpRequest) -> DispatchOutcome:
         try:
-            self.runtime.exec_op(target, request, caller=LinkRef(self.id, target))
+            self.runtime.exec_op(link.target, request, caller=link)
         except UnknownOperationError:
             return DeadLettered(f"{REASON_UNKNOWN_OPERATION}: {request.operation}")
         except (OperationFailedError, UnknownArtifactError) as exc:
             return DeadLettered(f"{REASON_OPERATION_FAILED}: {exc}")
-        return Forwarded(target)
+        return Forwarded(link.target)
 
     def _dispatch_loop(self) -> None:
         # Exits only on the stop sentinel (queued once per started cycle) or a
@@ -426,13 +465,17 @@ class _ChannelConsumer(Consumer):
                 if self._channel.version != version:
                     continue
                 if deadline is None:
-                    cond.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                cond.wait(remaining)
-                if self._take_wake() or self._channel.version == version:
+                    remaining = None
+                else:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return None
+                self._channel.waiters += 1
+                try:
+                    cond.wait(remaining)
+                finally:
+                    self._channel.waiters -= 1
+                if self._take_wake():
                     return None
 
     def wake(self) -> None:

@@ -9,6 +9,15 @@ ARTIFACT_NAME_HEADER = "ArtifactName"
 OPERATION_NAME_HEADER = "OperationName"
 
 
+def _copy_headers(headers: dict[str, Value]) -> dict[str, Value]:
+    """A private header map; scalars are immutable, so only lists are copied."""
+    out = headers.copy()
+    for key, value in headers.items():
+        if isinstance(value, list):
+            out[key] = copy_value(value)
+    return out
+
+
 @dataclass
 class Message:
     """A routed unit: header map and payload body."""
@@ -17,11 +26,14 @@ class Message:
     body: Value = field(default_factory=list)
 
     def copy(self) -> "Message":
-        return self.with_body(copy_value(self.body))
+        body = self.body
+        if isinstance(body, list):
+            body = copy_value(body)
+        return Message(_copy_headers(self.headers), body)
 
     def with_body(self, body: Value) -> "Message":
         """A message with a private copy of these headers and `body` as is."""
-        return Message(headers={k: copy_value(v) for k, v in self.headers.items()}, body=body)
+        return Message(_copy_headers(self.headers), body)
 
     def header(self, key: str, default: Value | None = None) -> Value | None:
         return self.headers.get(key, default)
@@ -48,5 +60,5 @@ class OpRequest:
             OPERATION_NAME_HEADER: self.operation,
         }
         if extra_headers:
-            headers.update(extra_headers)
-        return Message(headers=headers, body=[copy_value(p) for p in self.params])
+            headers.update(_copy_headers(extra_headers))
+        return Message(headers, [copy_value(p) if isinstance(p, list) else p for p in self.params])

@@ -42,7 +42,14 @@ _ROUTE_POLL_S = 0.05
 
 
 class MessageQueue:
-    """Bounded multi-producer/multi-consumer FIFO with blocking put/get."""
+    """Bounded multi-producer/multi-consumer FIFO with blocking put/get.
+
+    Getters and putters wait on separate conditions over one lock, and each
+    side counts its blocked threads, so an item or a free slot wakes one
+    waiter, and only when there is one. A woken thread re-checks the deque
+    even when its wait timed out, because a notify can race the timeout and
+    would otherwise be lost.
+    """
 
     def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY, name: str = ""):
         if capacity < 1:
@@ -50,70 +57,90 @@ class MessageQueue:
         self.capacity = capacity
         self.name = name
         self._items: deque = deque()
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._not_empty = threading.Condition(self._lock)
+        self._not_full = threading.Condition(self._lock)
+        self._getters = 0  # threads blocked in get, guarded by _lock
+        self._putters = 0  # threads blocked in put, guarded by _lock
         self._closed = False
 
     def put(self, item, timeout: float | None = None) -> None:
         """Append; blocks while full. QueueFullError after `timeout` seconds."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
+        with self._lock:
             while len(self._items) >= self.capacity:
                 if self._closed:
                     raise QueueClosedError(self.name)
                 if deadline is None:
-                    self._cond.wait()
+                    remaining = None
                 else:
                     remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cond.wait(remaining):
+                    if remaining <= 0:
                         raise QueueFullError(self.name)
+                self._putters += 1
+                try:
+                    self._not_full.wait(remaining)
+                finally:
+                    self._putters -= 1
             if self._closed:
                 raise QueueClosedError(self.name)
             self._items.append(item)
-            self._cond.notify_all()
+            if self._getters:
+                self._not_empty.notify()
 
     def force_put(self, item) -> None:
         """Append ignoring capacity (control items such as stop sentinels)."""
-        with self._cond:
+        with self._lock:
             self._items.append(item)
-            self._cond.notify_all()
+            if self._getters:
+                self._not_empty.notify()
 
     def get(self, timeout: float | None = None):
         """Pop the oldest item or return None on timeout / when closed empty."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
+        with self._lock:
             while not self._items:
                 if self._closed:
                     return None
                 if deadline is None:
-                    self._cond.wait()
+                    remaining = None
                 else:
                     remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cond.wait(remaining):
+                    if remaining <= 0:
                         return None
+                self._getters += 1
+                try:
+                    self._not_empty.wait(remaining)
+                finally:
+                    self._getters -= 1
             item = self._items.popleft()
-            self._cond.notify_all()
+            if self._putters:
+                self._not_full.notify()
             return item
 
     def try_get(self):
-        with self._cond:
+        with self._lock:
             if not self._items:
                 return None
             item = self._items.popleft()
-            self._cond.notify_all()
+            if self._putters:
+                self._not_full.notify()
             return item
 
     def close(self) -> None:
-        with self._cond:
+        """Refuse further puts and wake every blocked getter and putter."""
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
+            self._not_empty.notify_all()
+            self._not_full.notify_all()
 
     @property
     def closed(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._closed
 
     def __len__(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._items)
 
 

@@ -89,8 +89,12 @@ class OpResult:
 
 
 def operation(fn: Callable) -> Callable:
-    """Mark a method as part of the artifact's operation interface."""
-    fn.__artifact_operation__ = True
+    """Mark a method as part of the artifact's operation interface.
+
+    Works above or below ``@staticmethod`` and ``@classmethod``: a descriptor
+    is returned as is, with the function it wraps marked.
+    """
+    getattr(fn, "__func__", fn).__artifact_operation__ = True
     return fn
 
 
@@ -326,6 +330,7 @@ class Runtime:
         self._default_workspace = default_workspace
         self._templates: dict[str, type[Artifact]] = {}
         self._links: set[tuple[ArtifactId, ArtifactId]] = set()
+        self._generation = 0
         self._events: queue.SimpleQueue = queue.SimpleQueue()
         self._closed = False
         self.services: dict[str, object] = {}
@@ -353,6 +358,12 @@ class Runtime:
                 pass
         self._events.put(_SHUTDOWN)
         self._dispatcher.join(timeout=5)
+
+    @property
+    def generation(self) -> int:
+        """Advances whenever an artifact is made or disposed or a link is
+        added; a lookup cached at one generation holds until it changes."""
+        return self._generation
 
     # -- workspaces and templates ----------------------------------------------
 
@@ -408,6 +419,7 @@ class Runtime:
             art._id = ArtifactId(ws, name)
             art._run_atomically(art.init, tuple(init_params), "init")
             registry[name] = art
+            self._generation += 1
         art.on_created()
         log.debug("created artifact %s (%s)", art._id, cls.__name__)
         return art._id
@@ -420,6 +432,7 @@ class Runtime:
             self._links = {
                 link for link in self._links if artifact_id not in link
             }
+            self._generation += 1
         with art._lock:
             art._disposed = True
             art._observers.clear()
@@ -457,6 +470,7 @@ class Runtime:
         self.lookup(target)
         with self._lock:
             self._links.add((source, target))
+            self._generation += 1
         return LinkRef(source, target)
 
     def linked(self, source: ArtifactId, target: ArtifactId) -> bool:
@@ -471,10 +485,16 @@ class Runtime:
 
     def exec_op(self, target: ArtifactId, request: OpRequest, caller=None) -> OpResult:
         """Execute an operation atomically; `caller` is an agent identity or LinkRef."""
-        art = self.lookup(target)
-        if isinstance(caller, LinkRef):
-            if caller.target != target or not self.linked(caller.source, caller.target):
-                raise NotLinkedError(f"{caller.source} is not linked to {target}")
+        with self._lock:
+            artifacts = self._workspaces.get(target.workspace)
+            art = artifacts.get(target.name) if artifacts is not None else None
+            linked = not isinstance(caller, LinkRef) or (
+                caller.target == target and (caller.source, target) in self._links
+            )
+        if art is None:
+            raise UnknownArtifactError(str(target))
+        if not linked:
+            raise NotLinkedError(f"{caller.source} is not linked to {target}")
         with art._lock:
             if art._disposed:
                 raise UnknownArtifactError(str(target))

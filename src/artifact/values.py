@@ -22,7 +22,7 @@ def is_value(v: Any) -> bool:
 
 def copy_value(v: Value) -> Value:
     if isinstance(v, list):
-        return [copy_value(x) for x in v]
+        return [copy_value(x) if isinstance(x, list) else x for x in v]
     return v
 
 
@@ -46,7 +46,7 @@ def render_value(v: Value) -> str:
     if isinstance(v, str):
         return v
     if isinstance(v, list):
-        return " ".join(render_value(x) for x in v)
+        return " ".join([render_value(x) for x in v])
     raise TypeError(f"not a value: {type(v).__name__}")
 
 

@@ -50,6 +50,19 @@ def test_subscribers_get_private_copies(broker):
     assert got_b.headers["k"] == [1]
 
 
+def test_list_headers_stay_private_through_copies_and_publish(broker):
+    original = Message(headers={"k": [1, [2]], "s": "v"}, body="text")
+    for copy in (original.copy(), original.with_body("other")):
+        copy.headers["k"].append(3)
+        copy.headers["k"][1].append(4)
+    sub = broker.subscribe("t")
+    broker.publish("t", original)
+    got = sub.poll(1.0)
+    got.headers["k"].append(5)
+    got.headers["k"][1].append(6)
+    assert original.headers == {"k": [1, [2]], "s": "v"}
+
+
 def test_stopped_broker_rejects(broker):
     broker.stop()
     with pytest.raises(BrokerStoppedError):

@@ -21,7 +21,7 @@ from artifact import (
     parse_expr,
 )
 from artifact.errors import GatewayStoppedError, QueueFullError, RouteNotOwnedError
-from artifact.gateway import ArtifactComponent, ChannelRegistry
+from artifact.gateway import ArtifactComponent, ChannelRegistry, gateway_channels
 from artifact.uri import parse_endpoint_uri
 
 from conftest import wait_until
@@ -71,10 +71,13 @@ def _gateway(env, name, template=Recorder, init=()):
 def test_send_msg_sets_headers_and_fifo(env):
     gateway = _gateway(env, "s1")
     gateway.start_listening()
-    first = gateway.send_msg(OpRequest("s1", "temp", [100.0]), {"trace": "t1"})
+    extra = {"trace": "t1", "hops": ["a"]}
+    first = gateway.send_msg(OpRequest("s1", "temp", [100.0]), extra)
     assert first.headers[ARTIFACT_NAME_HEADER] == "s1"
     assert first.headers[OPERATION_NAME_HEADER] == "temp"
     assert first.headers["trace"] == "t1"
+    first.headers["hops"].append("b")
+    assert extra["hops"] == ["a"]
     assert first.body == [100.0]
     gateway.send_msg(OpRequest("s1", "temp", [2.0]))
     assert gateway.poll_outgoing(1.0).body == [100.0]
@@ -157,6 +160,69 @@ def test_deliver_forwards_to_other_gateway_incoming(env):
     assert len(b.incoming) == 1
     b.start_listening()
     assert wait_until(lambda: b.seen == ["hi"])
+
+
+def test_linked_targets_follow_links_and_disposal(env):
+    router = _gateway(env, "router")
+    router.start_listening()
+
+    def deliver():
+        headers = {ARTIFACT_NAME_HEADER: "t1", OPERATION_NAME_HEADER: "recv"}
+        return router.deliver(Message(headers=headers, body=["x"]))
+
+    assert deliver() == DeadLettered("UnknownArtifact")  # no such artifact yet
+    target_id = env.runtime.make_artifact("main", "t1", PlainRecorder, [])
+    target = env.runtime.lookup(target_id)
+    assert deliver() == DeadLettered("UnknownArtifact")  # not linked yet
+    env.runtime.link_artifacts(router.id, target_id)
+    assert deliver() == Forwarded(target_id)
+    assert target.seen == ["x"]
+    env.runtime.dispose_artifact(target_id)
+    assert deliver() == DeadLettered("UnknownArtifact")
+    assert target.seen == ["x"]
+    assert router.stats.forwarded == 1
+    assert router.stats.dead_lettered == 3
+
+
+def test_gateway_name_index_across_channels(env):
+    a = _gateway(env, "a", Recorder, ["north"])
+    b = _gateway(env, "b", Recorder, ["south"])
+    registry = gateway_channels(env.runtime)
+    assert registry.find_gateway("a") is a
+    assert registry.find_gateway("b") is b
+    assert registry.find_gateway("north") is None  # a channel is not a gateway
+    assert sorted(g.id.name for g in registry.all_gateways()) == ["a", "b"]
+    registry.unregister("north", a)
+    assert registry.find_gateway("a") is None
+    assert registry.find_gateway("b") is b
+    assert [g.id.name for g in registry.all_gateways()] == ["b"]
+    registry.register("north", a)
+    assert registry.find_gateway("a") is a
+    assert sorted(g.id.name for g in registry.all_gateways()) == ["a", "b"]
+
+
+def test_each_send_wakes_a_blocked_channel_consumer(env):
+    gateway = _gateway(env, "hub")
+    gateway.start_listening()
+    component = ArtifactComponent(gateway_channels(env.runtime))
+    consumers = [
+        component.create_consumer(parse_endpoint_uri("artifact:hub"), None) for _ in range(4)
+    ]
+    got: list = []
+    threads = [
+        threading.Thread(target=lambda c=c: got.append(c.poll(10.0)), daemon=True)
+        for c in consumers
+    ]
+    for t in threads:
+        t.start()
+    time.sleep(0.2)  # let every consumer block
+    for i in range(4):
+        gateway.send_msg(OpRequest("hub", "recv", [i]))
+    deadline = time.monotonic() + 5.0
+    for t in threads:
+        t.join(max(0.0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(m.body[0] for m in got) == [0, 1, 2, 3]
 
 
 def test_self_name_is_never_forwarded(env):

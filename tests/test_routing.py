@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -8,6 +10,7 @@ from artifact import Message, RouteStatus, SetHeader, Transform, parse_expr, pro
 from artifact.errors import (
     InvalidTransitionError,
     ProcessorEvalError,
+    QueueClosedError,
     QueueFullError,
     UnknownSchemeError,
     UnsupportedEndpointRoleError,
@@ -150,6 +153,107 @@ def test_message_queue_force_put_beats_capacity():
     q.force_put("sentinel")
     assert q.get() == "a"
     assert q.get() == "sentinel"
+
+
+def test_message_queue_stress_with_short_timeouts_is_exactly_once():
+    q = MessageQueue(capacity=2)
+    putters, getters, per_putter = 4, 4, 400
+    received: list = []
+    lock = threading.Lock()
+    putting_done = threading.Event()
+
+    def put_all(p):
+        for i in range(per_putter):
+            while True:
+                try:
+                    q.put((p, i), timeout=0.001)
+                    break
+                except QueueFullError:
+                    pass
+
+    def get_all():
+        while True:
+            item = q.get(timeout=0.001)
+            if item is not None:
+                with lock:
+                    received.append(item)
+            elif putting_done.is_set() and len(q) == 0:
+                return
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        put_threads = [threading.Thread(target=put_all, args=(p,)) for p in range(putters)]
+        get_threads = [threading.Thread(target=get_all) for _ in range(getters)]
+        for t in put_threads + get_threads:
+            t.start()
+        for t in put_threads:
+            t.join(30.0)
+        putting_done.set()
+        for t in get_threads:
+            t.join(30.0)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in put_threads + get_threads)
+    assert sorted(received) == [(p, i) for p in range(putters) for i in range(per_putter)]
+
+
+def test_message_queue_blocked_getters_and_putters_are_never_stranded():
+    # Capacity 1 makes getters and putters block in turn; with 10 s timeouts a
+    # lost or misdirected wake-up stalls the exchange past the 5 s deadline.
+    q = MessageQueue(capacity=1)
+    got: list = []
+    lock = threading.Lock()
+
+    def take():
+        for _ in range(50):
+            item = q.get(timeout=10.0)
+            with lock:
+                got.append(item)
+
+    def give(p):
+        for i in range(50):
+            q.put((p, i), timeout=10.0)
+
+    threads = [threading.Thread(target=take, daemon=True) for _ in range(4)]
+    threads += [threading.Thread(target=give, args=(p,), daemon=True) for p in range(4)]
+    deadline = time.monotonic() + 5.0
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(max(0.0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in threads)
+    assert None not in got
+    assert sorted(got) == [(p, i) for p in range(4) for i in range(50)]
+
+
+def test_message_queue_close_wakes_every_waiter():
+    empty = MessageQueue(capacity=1)
+    full = MessageQueue(capacity=1)
+    full.put("x")
+    results: list = []
+
+    def getter():
+        results.append(("get", empty.get(timeout=10.0)))
+
+    def putter():
+        try:
+            full.put("y", timeout=10.0)
+            results.append(("put", "accepted"))
+        except QueueClosedError:
+            results.append(("put", "closed"))
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (getter, putter) for _ in range(3)]
+    for t in threads:
+        t.start()
+    time.sleep(0.2)  # let every thread block
+    empty.close()
+    full.close()
+    deadline = time.monotonic() + 5.0
+    for t in threads:
+        t.join(max(0.0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == [("get", None)] * 3 + [("put", "closed")] * 3
 
 
 class _DeafConsumer(Consumer):

@@ -307,3 +307,38 @@ def test_operation_names_come_from_the_table():
     ]
     with pytest.raises(UnknownOperationError):
         art._resolve_operation("overridden", (1,))
+
+
+class _DecoratorOrders(Artifact):
+    calls: list = []
+
+    @operation
+    @staticmethod
+    def static_outer(a):
+        _DecoratorOrders.calls.append(("static_outer", a))
+
+    @staticmethod
+    @operation
+    def static_inner(a):
+        _DecoratorOrders.calls.append(("static_inner", a))
+
+    @operation
+    @classmethod
+    def class_outer(cls, a):
+        cls.calls.append(("class_outer", a))
+
+    @classmethod
+    @operation
+    def class_inner(cls, a):
+        cls.calls.append(("class_inner", a))
+
+
+@pytest.mark.parametrize("name", ["static_outer", "static_inner", "class_outer", "class_inner"])
+def test_operation_above_or_below_static_and_class_method(runtime, name):
+    aid = runtime.make_artifact("main", "orders", _DecoratorOrders, [])
+    assert name in runtime.lookup(aid).operation_names()
+    _DecoratorOrders.calls.clear()
+    runtime.exec_op(aid, OpRequest("orders", name, [7]))
+    assert _DecoratorOrders.calls == [(name, 7)]
+    with pytest.raises(UnknownOperationError):
+        runtime.exec_op(aid, OpRequest("orders", name, [1, 2]))
