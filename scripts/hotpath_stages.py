@@ -4,15 +4,16 @@
 Builds the router topology (one router gateway with the route pair
 ``artifact:router -> mq:plant/router -> artifact:router`` and linked plain
 targets) but starts no thread: the routes' consumers and producers are made
-from their components and driven from here, and ``deliver`` runs here instead
-of in the gateway's dispatch loop. Each message goes through
+from their components and driven from here. Each message goes through
 
     send_msg -> channel poll -> process -> mq send -> subscription poll
-    -> process -> artifact send -> incoming get -> deliver (exec_op)
+    -> process -> artifact send (enqueue, deliver, exec_op)
 
-and the script prints the microseconds per message each stage took, as the
-median over rounds, so a per-hop change can be sized without the threaded
-benchmark. Wall time equals CPU time here, since nothing else runs.
+(the ``artifact:`` producer delivers on the thread that sends, so the last
+stage includes ``deliver``), and the script prints the microseconds per
+message each stage took, as the median over rounds, so a per-hop change can
+be sized without the threaded benchmark. Wall time equals CPU time here,
+since nothing else runs.
 
     PYTHONPATH=src python scripts/hotpath_stages.py [--messages N] [--rounds R]
 """
@@ -25,7 +26,6 @@ from time import perf_counter
 
 from artifact import Artifact, GatewayArtifact, OpRequest, operation, process
 from artifact.bench.scenarios import BenchEnv
-from artifact.gateway import Forwarded
 
 STAGES = (
     "send_msg",
@@ -35,8 +35,6 @@ STAGES = (
     "subscription poll",
     "process (in)",
     "artifact send",
-    "incoming get",
-    "deliver",
 )
 
 
@@ -81,6 +79,7 @@ def build(env: BenchEnv, targets: int):
 def run_round(router, names, hops, messages: int, rng: random.Random) -> list[float]:
     out_consumer, out_chain, mq_producer, mq_consumer, in_chain, in_producer = hops
     totals = [0.0] * len(STAGES)
+    forwarded = router.stats.forwarded
     for k in range(messages):
         request = OpRequest(rng.choice(names), "recv", [k, round(rng.uniform(0, 1000), 3)])
         t0 = perf_counter()
@@ -98,13 +97,9 @@ def run_round(router, names, hops, messages: int, rng: random.Random) -> list[fl
         t6 = perf_counter()
         in_producer.send(message)
         t7 = perf_counter()
-        message = router.incoming.get(0.0)
-        t8 = perf_counter()
-        outcome = router.deliver(message)
-        t9 = perf_counter()
-        if not isinstance(outcome, Forwarded):
-            raise RuntimeError(f"message {k} was not forwarded: {outcome}")
-        stamps = (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9)
+        if router.stats.forwarded != forwarded + k + 1:
+            raise RuntimeError(f"message {k} was not forwarded: {router.dead_letters.entries()}")
+        stamps = (t0, t1, t2, t3, t4, t5, t6, t7)
         for i in range(len(STAGES)):
             totals[i] += stamps[i + 1] - stamps[i]
     return [t / messages * 1e6 for t in totals]
@@ -120,9 +115,9 @@ def main() -> int:
 
     env = BenchEnv()
     router, names, hops = build(env, args.targets)
-    # send_msg only checks the listening flag; setting it instead of calling
-    # start_listening keeps the dispatch loop and the route loops from
-    # starting, so every stage runs on this thread.
+    # send_msg and delivery only check the listening flag; setting it instead
+    # of calling start_listening keeps the route loops from starting, so
+    # every stage runs on this thread.
     router._started = True
     rng = random.Random(args.seed)
     try:

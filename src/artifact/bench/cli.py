@@ -31,9 +31,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="simulated device service time per received message",
     )
     parser.add_argument(
-        "--poll-ms", type=float, default=1.0, help="gateway incoming-check interval"
-    )
-    parser.add_argument(
         "--sweep", nargs="?", const=DEFAULT_SWEEP, default=None, metavar="N,N,...",
         help=f"run both topologies over these N values (default {DEFAULT_SWEEP!r}) "
              "and emit comparison CSVs",
@@ -85,7 +82,6 @@ def main(argv: list[str] | None = None) -> int:
         duration_s=args.duration_s,
         seed=args.seed,
         op_work_ms=args.op_work_ms,
-        poll_interval_ms=args.poll_ms,
     )
 
     if args.sweep:

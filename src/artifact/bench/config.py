@@ -19,10 +19,9 @@ class ScenarioConfig:
     duration_s: float = 10.0
     seed: int = 0
     # Simulated per-operation device service time. The sleep releases the GIL,
-    # so parallel terminal dispatch overlaps while a single router serializes.
+    # so terminal gateways, each delivering on its own inbound route's thread,
+    # overlap it while the single router serializes it.
     op_work_ms: float = 5.0
-    # Gateway incoming-check interval (blocking wait timeout, not a rate limit).
-    poll_interval_ms: float = 1.0
 
     def __post_init__(self):
         if self.n_artifacts < 1:

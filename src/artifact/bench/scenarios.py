@@ -1,10 +1,10 @@
 """Terminal and router topology scenarios.
 
 Scenario 1 ("terminals"): N gateways, each publishing to and subscribing from
-its own broker topic, receiving its own messages back and dispatching them in
-its own loop. Scenario 2 ("router"): a single gateway with one topic pair
-forwards messages, addressed per artifact, to N linked plain artifacts; every
-dispatch runs through the router's one loop.
+its own broker topic, receiving its own messages back and dispatching them on
+its own inbound route's thread. Scenario 2 ("router"): a single gateway with
+one topic pair forwards messages, addressed per artifact, to N linked plain
+artifacts; every dispatch runs through the router's one serial mailbox.
 
 Each received message executes an operation with a configurable simulated
 device service time, so the terminal topology overlaps work that the router
@@ -103,7 +103,6 @@ def _build_terminals(env: BenchEnv, cfg: ScenarioConfig, collector: DeliveryColl
         aid = env.runtime.make_artifact(ws, name, TerminalGateway, [])
         gateway = env.runtime.lookup(aid)
         gateway.configure(collector, cfg.op_work_ms / 1000.0)
-        gateway.poll_interval = cfg.poll_interval_ms / 1000.0
         topic = f"bench/{name}"
         publish = env.engine.define_route(f"artifact:{name}", [], f"mq:{topic}")
         subscribe = env.engine.define_route(f"mq:{topic}", [], f"artifact:{name}")
@@ -118,7 +117,6 @@ def _build_router(env: BenchEnv, cfg: ScenarioConfig, collector: DeliveryCollect
     ws = env.runtime.default_workspace
     router_id = env.runtime.make_artifact(ws, "router", RouterGateway, [])
     router = env.runtime.lookup(router_id)
-    router.poll_interval = cfg.poll_interval_ms / 1000.0
     topic = "bench/router"
     publish = env.engine.define_route("artifact:router", [], f"mq:{topic}")
     subscribe = env.engine.define_route(f"mq:{topic}", [], "artifact:router")

@@ -4,10 +4,13 @@ A gateway bridges the artifact runtime to protocol endpoints through the
 "artifact:" URI scheme. Outbound, agents call :meth:`GatewayArtifact.send_msg`
 and a route consuming from ``artifact:<channel>`` drains the gateway's
 outgoing queue. Inbound, a route producing to ``artifact:<channel>`` appends
-to the addressed gateway's incoming queue; the gateway's dispatch loop reads
-the ``ArtifactName``/``OperationName`` header tags and either invokes the
-operation on itself, forwards to a linked plain artifact, hands the message
-to another known gateway, or dead-letters it.
+to the addressed gateway's incoming queue and, like Camel's ``direct:``
+endpoint, delivers it on the same thread. The incoming queue is a serial
+mailbox: an enqueuing thread that finds no other thread delivering drains it
+in FIFO order, so one thread at a time delivers for a gateway, and no gateway
+owns a thread. Delivery reads the ``ArtifactName``/``OperationName`` header
+tags and either invokes the operation on itself, forwards to a linked plain
+artifact, hands the message to another known gateway, or dead-letters it.
 """
 from __future__ import annotations
 
@@ -43,9 +46,14 @@ from .values import Value
 
 log = logging.getLogger(__name__)
 
-DEFAULT_POLL_INTERVAL_S = 0.001
+# How long a hand-off into a full incoming queue waits before the sender
+# gives up: a gateway forwarding dead-letters the message as QueueFull, a
+# route producing to "artifact:" dead-letters it as DeliveryFailed.
+ENQUEUE_TIMEOUT_S = 10.0
+# How long stop_listening waits for another thread to finish the operation
+# it is delivering.
+STOP_TIMEOUT_S = 10.0
 
-_STOP = object()
 _UNRESOLVED = object()
 
 REASON_MISSING_HEADER = "MissingHeader"
@@ -171,8 +179,9 @@ class ChannelRegistry:
             self._route_owners[route_id] = gateway
 
     def route_owner(self, route_id: str) -> "GatewayArtifact | None":
-        with self._lock:
-            return self._route_owners.get(route_id)
+        # Read on every message a route produces to "artifact:"; a single
+        # dict read is atomic, so only writers take the lock.
+        return self._route_owners.get(route_id)
 
 
 def gateway_channels(runtime: Runtime) -> ChannelRegistry:
@@ -203,11 +212,13 @@ class GatewayArtifact(Artifact):
         self.routes: list[Route] = []
         self.dead_letters = DeadLetterQueue()
         self.stats = GatewayStats()
-        self.poll_interval = DEFAULT_POLL_INTERVAL_S
         self._engine: RoutingEngine | None = None
         self._started = False
-        self._poller: threading.Thread | None = None
         self._gw_lock = threading.Lock()
+        # Held by the one thread draining the incoming queue, whose id is in
+        # _drainer while it does.
+        self._drain_lock = threading.Lock()
+        self._drainer: int | None = None
         # (runtime generation, name -> link to a linked plain artifact or
         # None); a table whose generation is not the runtime's is stale.
         self._links_table: tuple[int, dict[str, LinkRef | None]] = (-1, {})
@@ -257,36 +268,45 @@ class GatewayArtifact(Artifact):
                     f"gateway {self.id.name} has routes but no engine; pass one to attach_route"
                 )
             self._started = True
-            self._poller = threading.Thread(
-                target=self._dispatch_loop, name=f"gateway-{self.id.name}", daemon=True
-            )
-            self._poller.start()
         for route in self.routes:
             if route.status != RouteStatus.STARTED:
                 self._engine.start_route(route)
         log.info("gateway %s listening on channel %r", self.id.name, self.channel)
+        self._drain()  # what queued while stopped
 
     def request_stop(self) -> None:
-        """Signal the dispatch loop to halt without waiting for it."""
+        """Stop delivering after the message in hand, without waiting for it."""
         with self._gw_lock:
-            if not self._started:
-                return
             self._started = False
-        self.incoming.force_put(_STOP)
 
     def stop_listening(self) -> None:
+        """Stop delivering and stop the attached routes.
+
+        Returns once no other thread is delivering for this gateway, or after
+        STOP_TIMEOUT_S with a warning; called from an operation this gateway
+        is delivering, it returns without waiting for that operation. What
+        is queued stays queued until start_listening.
+        """
         with self._gw_lock:
-            if not self._started and self._poller is None:
+            running = [r for r in self.routes if r.status == RouteStatus.STARTED]
+            if not self._started and not running and not self._drain_lock.locked():
                 raise InvalidTransitionError(f"gateway {self.id.name} is not listening")
-        for route in self.routes:
-            if route.status == RouteStatus.STARTED:
-                self._engine.stop_route(route)
-        self.request_stop()
-        poller = self._poller
-        if poller is not None:
-            poller.join(timeout=10)
-            self._poller = None
+            self._started = False
+        for route in running:
+            self._engine.stop_route(route)
+        self._await_drain()
         log.info("gateway %s stopped listening", self.id.name)
+
+    def _await_drain(self) -> None:
+        if self._drainer == threading.get_ident():
+            return  # called from an operation this thread is delivering
+        if not self._drain_lock.acquire(timeout=STOP_TIMEOUT_S):
+            log.warning(
+                "gateway %s: an operation still runs %.1fs after stop",
+                self.id.name, STOP_TIMEOUT_S,
+            )
+            return
+        self._drain_lock.release()
 
     # -- outbound ---------------------------------------------------------------
 
@@ -313,8 +333,34 @@ class GatewayArtifact(Artifact):
     # -- inbound ------------------------------------------------------------------
 
     def enqueue_incoming(self, message: Message, timeout: float | None = None) -> None:
-        """Append to the incoming queue; accepted even while stopped."""
+        """Append to the incoming queue, then deliver what it holds on this
+        thread unless another thread already does or the gateway is stopped.
+
+        Accepted even while stopped; QueueFullError after `timeout` seconds
+        when the queue stays full.
+        """
         self.incoming.put(message, timeout=timeout)
+        self._drain()
+
+    def _drain(self) -> None:
+        """Deliver queued messages in FIFO order until the queue is empty,
+        as the only drainer; return at once if another thread drains."""
+        incoming, lock = self.incoming, self._drain_lock
+        while self._started and lock.acquire(blocking=False):
+            self._drainer = threading.get_ident()
+            try:
+                while self._started:
+                    message = incoming.try_get()
+                    if message is None:
+                        break
+                    self.deliver(message)
+            finally:
+                self._drainer = None
+                lock.release()
+            # A sender that put after the last try_get and found the lock
+            # held left its message to this drainer: take it on another round.
+            if not len(incoming):
+                return
 
     def forwarding_table(self) -> dict[str, str]:
         """Name resolution in dispatch order: self, linked artifacts, gateways."""
@@ -362,7 +408,7 @@ class GatewayArtifact(Artifact):
         gateway = self._channels.find_gateway(name)
         if gateway is not None:
             try:
-                gateway.enqueue_incoming(message, timeout=10.0)
+                gateway.enqueue_incoming(message, timeout=ENQUEUE_TIMEOUT_S)
             except Exception:
                 return DeadLettered(REASON_QUEUE_FULL)
             return Forwarded(gateway.id)
@@ -409,19 +455,6 @@ class GatewayArtifact(Artifact):
         except (OperationFailedError, UnknownArtifactError) as exc:
             return DeadLettered(f"{REASON_OPERATION_FAILED}: {exc}")
         return Forwarded(link.target)
-
-    def _dispatch_loop(self) -> None:
-        # Exits only on the stop sentinel (queued once per started cycle) or a
-        # closed queue, so a restart never races with a stale sentinel.
-        while True:
-            item = self.incoming.get(timeout=self.poll_interval)
-            if item is _STOP:
-                return
-            if item is None:
-                if self.incoming.closed:
-                    return
-                continue
-            self.deliver(item)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +520,8 @@ class _ChannelConsumer(Consumer):
 
 class _ChannelProducer(Producer):
     """Delivers to the gateway named by the ArtifactName header on this
-    channel, falling back to the owning gateway of the producing route."""
+    channel, falling back to the owning gateway of the producing route, then
+    to the channel's only gateway."""
 
     def __init__(self, registry: ChannelRegistry, channel: _Channel, route: Route | None):
         self._registry = registry
@@ -510,7 +544,7 @@ class _ChannelProducer(Producer):
             raise DeliveryError(
                 f"no gateway on channel {self._channel.name!r} accepts this message"
             )
-        gateway.enqueue_incoming(message)
+        gateway.enqueue_incoming(message, timeout=ENQUEUE_TIMEOUT_S)
 
 
 class ArtifactComponent(Component):

@@ -397,9 +397,13 @@ class RoutingEngine:
             route._consumer.wake()
 
     def _join(self, route: Route, timeout: float) -> bool:
-        """Wait for the route's loop; False if it is still running."""
+        """Wait for the route's loop; False if it is still running.
+
+        Called on the loop's own thread (an operation delivered by the route
+        stops it), it does not wait: the loop exits once that message returns.
+        """
         thread = route._thread
-        if thread is not None:
+        if thread is not None and thread is not threading.current_thread():
             thread.join(timeout)
             if thread.is_alive():
                 log.warning("route %s loop did not exit within %.1fs", route.id, timeout)

@@ -279,17 +279,19 @@ class Artifact:
         return getattr(self, name)
 
     def _run_atomically(self, fn: Callable, params: tuple, op_name: str) -> OpResult:
-        """Execute under the artifact lock; commit staged effects or roll back."""
-        with self._lock:
-            ctx = _OpContext()
-            self._ctx = ctx
-            try:
-                fn(*params)
-            except Exception as exc:
-                raise OperationFailedError(op_name, exc) from exc
-            finally:
-                self._ctx = None
-            return self._commit(ctx)
+        """Run `fn` and commit its staged effects, or roll them back if it
+        raises. The caller holds the artifact lock."""
+        ctx = _OpContext()
+        self._ctx = ctx
+        try:
+            fn(*params)
+        except Exception as exc:
+            raise OperationFailedError(op_name, exc) from exc
+        finally:
+            self._ctx = None
+        if not ctx.events:
+            return OpResult(True, [], {})
+        return self._commit(ctx)
 
     def _commit(self, ctx: _OpContext) -> OpResult:
         signals: list[Signal] = []
@@ -417,7 +419,8 @@ class Runtime:
             art = cls()
             art._runtime = self
             art._id = ArtifactId(ws, name)
-            art._run_atomically(art.init, tuple(init_params), "init")
+            with art._lock:
+                art._run_atomically(art.init, tuple(init_params), "init")
             registry[name] = art
             self._generation += 1
         art.on_created()

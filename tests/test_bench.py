@@ -28,7 +28,6 @@ def _cfg(scenario, **overrides):
         duration_s=0.2,
         seed=7,
         op_work_ms=0.0,
-        poll_interval_ms=5.0,
     )
     base.update(overrides)
     return ScenarioConfig(**base)

@@ -20,8 +20,10 @@ from artifact import (
     operation,
     parse_expr,
 )
-from artifact.errors import GatewayStoppedError, QueueFullError, RouteNotOwnedError
+from artifact import gateway as gateway_module
+from artifact.errors import DeliveryError, GatewayStoppedError, QueueFullError, RouteNotOwnedError
 from artifact.gateway import ArtifactComponent, ChannelRegistry, gateway_channels
+from artifact.routing import RouteStatus
 from artifact.uri import parse_endpoint_uri
 
 from conftest import wait_until
@@ -411,3 +413,263 @@ def test_wake_ends_a_pending_channel_poll():
         waker.cancel()
         waker.join(5.0)
     assert not waker.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# the incoming queue as a serial mailbox drained by the enqueuing thread
+
+
+def _msg(name, op, body):
+    return Message(headers={ARTIFACT_NAME_HEADER: name, OPERATION_NAME_HEADER: op}, body=body)
+
+
+def _run_joined(target, timeout=10.0):
+    """Run `target` on a daemon thread; its result, or the exception it raised."""
+    box: list = []
+
+    def run():
+        try:
+            box.append(target())
+        except Exception as exc:
+            box.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "call did not return in time"
+    return box[0]
+
+
+class Overlapping(GatewayArtifact):
+    """Records each call and whether any two calls ever ran at once."""
+
+    def init(self, channel=None):
+        super().init(channel)
+        self.calls: list = []
+        self.active = 0
+        self.overlapped = False
+
+    @operation
+    def rec(self, sender, seq):
+        self.active += 1
+        if self.active > 1:
+            self.overlapped = True
+        time.sleep(0)  # invite another thread in
+        self.calls.append((sender, seq))
+        self.active -= 1
+
+
+def test_start_listening_starts_no_gateway_thread(env):
+    gateway = _gateway(env, "s1")
+    before = {t.ident for t in threading.enumerate()}
+    gateway.start_listening()
+    started = [t.name for t in threading.enumerate() if t.ident not in before]
+    assert started == []
+    assert not any(t.name.startswith("gateway-") for t in threading.enumerate())
+    gateway.enqueue_incoming(_msg("s1", "recv", ["now"]))
+    assert gateway.seen == ["now"]  # delivered before enqueue_incoming returned
+
+
+def test_concurrent_enqueuers_deliver_exactly_once_in_order_and_serially(env):
+    gateway = _gateway(env, "hub", Overlapping)
+    gateway.start_listening()
+    per_thread = 500
+    barrier = threading.Barrier(4)
+
+    def produce(sender):
+        barrier.wait()
+        for seq in range(per_thread):
+            gateway.enqueue_incoming(_msg("hub", "rec", [sender, seq]))
+
+    threads = [threading.Thread(target=produce, args=(s,), daemon=True) for s in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(30.0)
+    assert not any(t.is_alive() for t in threads)
+    assert wait_until(lambda: len(gateway.calls) == 4 * per_thread)
+    for sender in range(4):
+        assert [seq for s, seq in gateway.calls if s == sender] == list(range(per_thread))
+    assert not gateway.overlapped
+    assert gateway.stats.invoked_self == gateway.stats.dispatched == 4 * per_thread
+    assert len(gateway.incoming) == 0
+
+
+def test_message_put_while_the_drainer_finishes_is_not_stranded(env):
+    gateway = _gateway(env, "m")
+    gateway.start_listening()
+    real_try_get = gateway.incoming.try_get
+    late = threading.Thread(
+        target=gateway.enqueue_incoming, args=(_msg("m", "recv", ["late"]),), daemon=True
+    )
+
+    def try_get():
+        item = real_try_get()
+        if item is None and late.ident is None:
+            # Still holding the drain lock: the late sender must leave its
+            # message to this drainer.
+            late.start()
+            late.join(5.0)
+        return item
+
+    gateway.incoming.try_get = try_get
+    gateway.enqueue_incoming(_msg("m", "recv", ["first"]))
+    assert not late.is_alive()
+    assert gateway.seen == ["first", "late"]
+
+
+class Slow(GatewayArtifact):
+    def init(self, channel=None):
+        super().init(channel)
+        self.seen: list = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    @operation
+    def work(self, i):
+        if i == 0:
+            self.entered.set()
+            self.release.wait(10.0)
+        self.seen.append(i)
+
+
+def test_stop_listening_waits_for_a_running_operation_and_keeps_the_rest(env):
+    gateway = _gateway(env, "slow", Slow)
+    gateway.start_listening()
+    first = threading.Thread(
+        target=gateway.enqueue_incoming, args=(_msg("slow", "work", [0]),), daemon=True
+    )
+    first.start()
+    assert gateway.entered.wait(5.0)
+    for i in (1, 2, 3):
+        gateway.enqueue_incoming(_msg("slow", "work", [i]))  # queued behind 0
+    stopper = threading.Thread(target=gateway.stop_listening, daemon=True)
+    stopper.start()
+    stopper.join(0.2)
+    assert stopper.is_alive()  # waits for operation 0
+    gateway.release.set()
+    stopper.join(5.0)
+    first.join(5.0)
+    assert not stopper.is_alive() and not first.is_alive()
+    assert gateway.seen == [0]
+    time.sleep(0.05)
+    assert gateway.seen == [0]  # nothing delivered after stop_listening returned
+    assert len(gateway.incoming) == 3
+    gateway.start_listening()
+    assert gateway.seen == [0, 1, 2, 3]
+
+
+def test_two_gateways_forwarding_to_each_other_from_two_threads(env):
+    a = _gateway(env, "a")
+    b = _gateway(env, "b")
+    a.start_listening()
+    b.start_listening()
+    count = 300
+
+    def produce(into, to):
+        for i in range(count):
+            into.enqueue_incoming(_msg(to, "recv", [i]))
+
+    threads = [
+        threading.Thread(target=produce, args=(a, "b"), daemon=True),
+        threading.Thread(target=produce, args=(b, "a"), daemon=True),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(30.0)
+    assert not any(t.is_alive() for t in threads)
+    assert wait_until(lambda: len(a.seen) == count and len(b.seen) == count)
+    assert a.seen == b.seen == list(range(count))
+    for gateway in (a, b):
+        stats = gateway.stats
+        assert stats.forwarded == stats.invoked_self == count
+        assert stats.dead_lettered == 0
+        assert stats.dispatched == stats.forwarded + stats.dead_lettered + stats.invoked_self
+
+
+class SelfStopper(GatewayArtifact):
+    def init(self, channel=None):
+        super().init(channel)
+        self.halted = threading.Event()
+
+    @operation
+    def halt(self, payload=None):
+        self.stop_listening()
+        self.halted.set()
+
+
+def test_operation_stopping_its_own_gateway_does_not_wait_on_itself(env):
+    gateway = _gateway(env, "direct", SelfStopper)
+    gateway.start_listening()
+    _run_joined(lambda: gateway.enqueue_incoming(_msg("direct", "halt", [])))
+    assert gateway.halted.is_set()
+    assert not gateway.started
+    assert gateway.stats.invoked_self == 1
+
+
+def test_operation_stopping_its_own_gateway_from_its_route_thread(env):
+    gateway = _gateway(env, "looped", SelfStopper)
+    publish = env.engine.define_route("artifact:looped", [], "mq:looped")
+    subscribe = env.engine.define_route("mq:looped", [], "artifact:looped")
+    gateway.attach_route(publish, engine=env.engine)
+    gateway.attach_route(subscribe)
+    gateway.start_listening()
+    gateway.send_msg(OpRequest("looped", "halt", []))
+    assert gateway.halted.wait(5.0)
+    assert wait_until(lambda: not subscribe._thread.is_alive())
+    assert not gateway.started
+    assert gateway.stats.invoked_self == 1
+    assert [r.status for r in (publish, subscribe)] == [RouteStatus.STOPPED] * 2
+
+
+def test_route_into_a_full_stopped_gateway_dead_letters_and_carries_on(env, monkeypatch):
+    monkeypatch.setattr(gateway_module, "ENQUEUE_TIMEOUT_S", 0.05)
+    gateway = _gateway(env, "parked")  # never listening: nothing drains it
+    gateway.incoming.capacity = 2
+    route = env.engine.define_route("mq:parked/in", [], "artifact:parked")
+    producer = ArtifactComponent(gateway_channels(env.runtime)).create_producer(
+        route.sink, route
+    )
+    for i in range(2):
+        producer.send(_msg("parked", "recv", [i]))
+    assert isinstance(_run_joined(lambda: producer.send(_msg("parked", "recv", [2]))), QueueFullError)
+
+    env.engine.start_route(route)
+    for i in range(3, 6):
+        env.broker.publish("parked/in", _msg("parked", "recv", [i]))
+    assert wait_until(lambda: route.stats.dead_lettered == 3)
+    assert route.stats.consumed == 3 and route.stats.delivered == 0
+    assert all(d.reason.startswith("DeliveryFailed") for d in route.dead_letters.entries())
+    assert len(gateway.incoming) == 2
+
+
+def test_channel_producer_resolution_order(env):
+    h1 = _gateway(env, "h1", Recorder, ["hub"])
+    h2 = _gateway(env, "h2", Recorder, ["hub"])
+    solo = _gateway(env, "solo", Recorder, ["lone"])
+    component = ArtifactComponent(gateway_channels(env.runtime))
+    owned = env.engine.define_route("mq:x", [], "artifact:hub")
+    h2.attach_route(owned, engine=env.engine)
+    foreign = env.engine.define_route("artifact:lone", [], "artifact:hub")
+    solo.attach_route(foreign, engine=env.engine)
+
+    def lands(route, uri, headers):
+        producer = component.create_producer(parse_endpoint_uri(uri), route)
+        before = {g.id.name: len(g.incoming) for g in (h1, h2, solo)}
+        producer.send(Message(headers=dict(headers), body=[]))
+        return [g.id.name for g in (h1, h2, solo) if len(g.incoming) > before[g.id.name]]
+
+    op = {OPERATION_NAME_HEADER: "recv"}
+    # the gateway the header names comes first, even over the route's owner
+    assert lands(owned, "artifact:hub", {ARTIFACT_NAME_HEADER: "h1", **op}) == ["h1"]
+    # then the owner of the producing route, when it serves this channel
+    assert lands(owned, "artifact:hub", {ARTIFACT_NAME_HEADER: "t9", **op}) == ["h2"]
+    assert lands(owned, "artifact:hub", op) == ["h2"]
+    # an owner on another channel does not count; two gateways and no match
+    with pytest.raises(DeliveryError):
+        lands(foreign, "artifact:hub", {ARTIFACT_NAME_HEADER: "t9", **op})
+    # then the channel's only gateway
+    assert lands(None, "artifact:lone", {ARTIFACT_NAME_HEADER: "t9", **op}) == ["solo"]
+    with pytest.raises(DeliveryError):
+        lands(None, "artifact:hub", op)

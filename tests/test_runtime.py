@@ -18,7 +18,7 @@ from artifact.errors import (
     UnknownTemplateError,
     UnknownWorkspaceError,
 )
-from artifact.runtime import Artifact, ArtifactId, LinkRef
+from artifact.runtime import Artifact, ArtifactId, LinkRef, OpResult
 
 from conftest import CounterArtifact, RecordingObserver, wait_until
 
@@ -100,6 +100,21 @@ def test_op_result_reports_versions(runtime):
     aid = runtime.make_artifact("main", "c1", "counter", [])
     result = runtime.exec_op(aid, OpRequest("c1", "inc", []))
     assert result.property_versions == {"count": 1}
+
+
+class Quiet(Artifact):
+    @operation
+    def noop(self):
+        pass
+
+
+def test_operation_staging_nothing_returns_a_fresh_result(runtime):
+    aid = runtime.make_artifact("main", "q1", Quiet, [])
+    first = runtime.exec_op(aid, OpRequest("q1", "noop", []))
+    assert first == OpResult(True, [], {})
+    first.signals.append("mutated by a caller")
+    first.property_versions["x"] = 1
+    assert runtime.exec_op(aid, OpRequest("q1", "noop", [])) == OpResult(True, [], {})
 
 
 def test_failed_operation_rolls_back(runtime):
