@@ -6,7 +6,7 @@ Builds the router topology (one router gateway with the route pair
 targets) but starts no thread: the routes' consumers and producers are made
 from their components and driven from here. Each message goes through
 
-    send_msg -> channel poll -> process -> mq send -> subscription poll
+    send_msg -> channel take -> process -> mq send -> subscription take
     -> process -> artifact send (enqueue, deliver, exec_op)
 
 (the ``artifact:`` producer delivers on the thread that sends, so the last
@@ -29,10 +29,10 @@ from artifact.bench.scenarios import BenchEnv
 
 STAGES = (
     "send_msg",
-    "channel poll",
+    "channel take",
     "process (out)",
     "mq send",
-    "subscription poll",
+    "subscription take",
     "process (in)",
     "artifact send",
 )
@@ -85,13 +85,13 @@ def run_round(router, names, hops, messages: int, rng: random.Random) -> list[fl
         t0 = perf_counter()
         router.send_msg(request)
         t1 = perf_counter()
-        message = out_consumer.poll(0.0)
+        message = out_consumer.try_get()
         t2 = perf_counter()
         message = process(message, out_chain)
         t3 = perf_counter()
         mq_producer.send(message)
         t4 = perf_counter()
-        message = mq_consumer.poll(0.0)
+        message = mq_consumer.try_get()
         t5 = perf_counter()
         message = process(message, in_chain)
         t6 = perf_counter()
@@ -115,16 +115,16 @@ def main() -> int:
 
     env = BenchEnv()
     router, names, hops = build(env, args.targets)
-    # send_msg and delivery only check the listening flag; setting it instead
-    # of calling start_listening keeps the route loops from starting, so
-    # every stage runs on this thread.
-    router._started = True
+    # send_msg and delivery only check that the router's mailbox is open;
+    # opening it instead of calling start_listening starts no route, so no
+    # send or publish schedules one and every stage runs on this thread.
+    router._mailbox.open = True
     rng = random.Random(args.seed)
     try:
         run_round(router, names, hops, min(1000, args.messages), rng)  # warm-up
         rounds = [run_round(router, names, hops, args.messages, rng) for _ in range(args.rounds)]
     finally:
-        router._started = False
+        router._mailbox.open = False
         for endpoint in (hops[0], hops[2], hops[3], hops[5]):
             endpoint.close()
         env.close()

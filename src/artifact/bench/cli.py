@@ -50,6 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p2)
     pi = sub.add_parser("industry", help="variable server + broker + TCP robot demo")
     pi.add_argument("--writes", type=int, default=5, help="counter writes to perform")
+    pi.add_argument(
+        "--fault-after", type=int, default=None, metavar="K",
+        help="drop the robot connection after write K and continue once it is back",
+    )
     pi.add_argument("--seed", type=int, default=0)
     pi.add_argument("--routes", default=None, help="declarative route file to add")
     return parser
@@ -64,7 +68,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "industry":
         cfg = ScenarioConfig(scenario=Scenario.INDUSTRY, seed=args.seed)
-        demo_log = run_industry_demo(cfg, writes=args.writes, extra_routes=routes)
+        demo_log = run_industry_demo(
+            cfg, writes=args.writes, fault_after_write=args.fault_after, extra_routes=routes
+        )
         for event in demo_log.events():
             print(event)
         complete = (

@@ -19,7 +19,7 @@ from ..endpoints.tcp import LineServer
 from ..gateway import GatewayArtifact
 from ..messages import ARTIFACT_NAME_HEADER, OPERATION_NAME_HEADER, OpRequest
 from ..routefile import RouteFileEntry
-from ..routing import SetHeader
+from ..routing import Mailbox, SetHeader
 from ..runtime import CallbackObserver, operation
 from ..values import Value, render_value
 from .config import ScenarioConfig
@@ -132,24 +132,22 @@ class SensorCommander:
 
 
 class SharedValueConsumer:
-    """Second surrogate: receives the shared sensor values from the broker."""
+    """Second surrogate: logs the shared sensor values the broker pushes to
+    its subscription, in order, on the publishing thread."""
 
     def __init__(self, subscription, demo_log: DemoLog):
         self._sub = subscription
         self._log = demo_log
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, name="sensor-consumer", daemon=True)
-        self._thread.start()
+        self._mailbox = Mailbox(subscription, self._on_value)
+        self._mailbox.open = True
+        subscription.on_message = self._mailbox.drain
 
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            message = self._sub.poll(0.05)
-            if message is not None:
-                self._log.add("sensor_pub", message.body)
+    def _on_value(self, message) -> None:
+        self._log.add("sensor_pub", message.body)
 
     def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5)
+        self._sub.on_message = None
+        self._mailbox.open = False
 
 
 def run_industry_demo(

@@ -1,10 +1,13 @@
 """Terminal and router topology scenarios.
 
 Scenario 1 ("terminals"): N gateways, each publishing to and subscribing from
-its own broker topic, receiving its own messages back and dispatching them on
-its own inbound route's thread. Scenario 2 ("router"): a single gateway with
-one topic pair forwards messages, addressed per artifact, to N linked plain
-artifacts; every dispatch runs through the router's one serial mailbox.
+its own broker topic and receiving its own messages back. Each gateway's
+route pair runs on the engine's shared worker pool, the inbound route on the
+worker that ran the outbound one, so up to POOL_SIZE operations overlap and
+the thread count does not grow with N. Scenario 2 ("router"): a single
+gateway with one topic pair forwards messages, addressed per artifact, to N
+linked plain artifacts; every dispatch runs through the router's one serial
+mailbox.
 
 Each received message executes an operation with a configurable simulated
 device service time, so the terminal topology overlaps work that the router
@@ -42,9 +45,6 @@ class BenchEnv:
         self.gateways: list[GatewayArtifact] = []
 
     def close(self) -> None:
-        self.engine.signal_all()
-        for gateway in self.gateways:
-            gateway.request_stop()
         self.runtime.shutdown()
         self.engine.shutdown()
         self.broker.stop()

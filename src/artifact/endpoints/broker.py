@@ -3,30 +3,34 @@
 The "mq:" endpoint scheme publishes to and subscribes from broker topics.
 The producer side renders the message body to its canonical wire text before
 publishing; headers travel with the message in-process. Without subscribers a
-published message is dropped (no retention).
+published message is dropped (no retention). A subscriber whose queue stays
+full for ENQUEUE_TIMEOUT_S misses the message, counted in its `dropped`.
+A subscription's `on_message` hook, when set, is called after each message
+it receives; the "mq:" consumer uses it to schedule its route.
 """
 from __future__ import annotations
 
 import itertools
 import logging
 import threading
+from typing import Callable
 
-from ..errors import BrokerStoppedError
+from ..errors import BrokerStoppedError, QueueFullError
 from ..messages import Message
 from ..routing import (
     DEFAULT_QUEUE_CAPACITY,
+    ENQUEUE_TIMEOUT_S,
     Component,
     Consumer,
     MessageQueue,
     Producer,
     Route,
+    RouteMailbox,
 )
 from ..uri import EndpointUri
 from ..values import render_value
 
 log = logging.getLogger(__name__)
-
-_WAKE = object()
 
 
 class Subscription:
@@ -38,16 +42,24 @@ class Subscription:
         self.sub_id = sub_id
         self.queue = MessageQueue(capacity, f"mq:{topic}#{sub_id}")
         self.received = 0
+        self.dropped = 0  # messages skipped because the queue stayed full
+        self.on_message: Callable[[], None] | None = None
 
     def poll(self, timeout: float = 0.0) -> Message | None:
-        item = self.queue.get(timeout=timeout)
-        if isinstance(item, Message):
+        """The next message, waiting up to `timeout` seconds; None if none."""
+        message = self.queue.get(timeout=timeout)
+        if message is not None:
             self.received += 1
-            return item
-        return None
+        return message
 
-    def wake(self) -> None:
-        self.queue.force_put(_WAKE)
+    def try_get(self) -> Message | None:
+        message = self.queue.try_get()
+        if message is not None:
+            self.received += 1
+        return message
+
+    def __len__(self) -> int:
+        return len(self.queue)
 
     def close(self) -> None:
         self._broker.unsubscribe(self)
@@ -110,10 +122,24 @@ class TopicBroker:
         if self._stopped:
             raise BrokerStoppedError(t.name)
         delivered = 0
+        hooks = []
         with t.lock:
             for sub in t.subscribers:
-                sub.queue.put(message.copy())
+                try:
+                    sub.queue.put(message.copy(), timeout=ENQUEUE_TIMEOUT_S)
+                except QueueFullError:
+                    sub.dropped += 1
+                    log.warning(
+                        "mq:%s subscriber %d full for %.1fs; message skipped",
+                        t.name, sub.sub_id, ENQUEUE_TIMEOUT_S,
+                    )
+                    continue
                 delivered += 1
+                hook = sub.on_message
+                if hook is not None:
+                    hooks.append(hook)
+        for hook in hooks:
+            hook()
         with self._lock:
             self.published += 1
             self.delivered += delivered
@@ -139,14 +165,22 @@ class TopicBroker:
 
 
 class _MqConsumer(Consumer):
+    """Reads one subscription; each publish schedules the route on the pool."""
+
     def __init__(self, subscription: Subscription):
         self._sub = subscription
 
-    def poll(self, timeout: float) -> Message | None:
-        return self._sub.poll(timeout)
+    def start(self, mailbox: RouteMailbox) -> None:
+        self._sub.on_message = mailbox.ready
 
-    def wake(self) -> None:
-        self._sub.wake()
+    def stop(self) -> None:
+        self._sub.on_message = None
+
+    def try_get(self) -> Message | None:
+        return self._sub.try_get()
+
+    def __len__(self) -> int:
+        return len(self._sub)
 
     def close(self) -> None:
         self._sub.close()

@@ -5,7 +5,9 @@ Frames are UTF-8 text lines terminated by LF, no embedded newlines. The
 endpoint keeps one connection per (host, port), shared between the consumer
 and producer side of routes, and reconnects with exponential backoff capped
 at 5 seconds. A server endpoint accepts any number of peers; its consumer
-surfaces lines from all of them, its producer broadcasts.
+surfaces lines from all of them, its producer broadcasts. A route consuming
+from "tcp:" runs on the thread that read the line, as Camel's ``direct:``
+does, so a reply reaches its gateway without a thread hand-off.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import time
 
 from ..errors import ConnectionClosedError, FramingError
 from ..messages import Message
-from ..routing import Component, Consumer, MessageQueue, Producer, Route
+from ..routing import Component, Consumer, MessageQueue, Producer, Route, RouteMailbox
 from ..uri import EndpointUri
 from ..values import render_value
 
@@ -25,8 +27,6 @@ log = logging.getLogger(__name__)
 BACKOFF_INITIAL_S = 0.05
 BACKOFF_CAP_S = 5.0
 ACCEPT_JOIN_S = 5.0
-
-_WAKE = object()
 
 REMOTE_HEADER = "tcp.remote"
 
@@ -91,6 +91,9 @@ class ServerConnection:
         self.peer = f"{peer[0]}:{peer[1]}"
         self._send_lock = threading.Lock()
         self.closed = threading.Event()
+        # Listed before its reader starts, so no line is handled, and no
+        # close forgotten, before the server knows the connection.
+        server._register(self)
         self._reader = _SocketLineReader(
             sock, self._on_line, self._on_close, f"tcp-server-conn-{self.peer}"
         )
@@ -147,10 +150,12 @@ class LineServer:
             if self._stopped:
                 shutdown_socket(sock)
                 return
-            conn = ServerConnection(self, sock, peer)
-            with self._lock:
-                self._conns.append(conn)
-                self._conn_event.notify_all()
+            ServerConnection(self, sock, peer)
+
+    def _register(self, conn: ServerConnection) -> None:
+        with self._lock:
+            self._conns.append(conn)
+            self._conn_event.notify_all()
 
     def _handle_line(self, conn: ServerConnection, line: str) -> None:
         if self.handler is not None:
@@ -206,13 +211,39 @@ class LineServer:
         self.drop_connections()
 
 
+class _Inbox:
+    """Lines an endpoint received, drained by the routes consuming them on
+    the thread that read each line."""
+
+    def __init__(self, name: str, capacity: int = 1024):
+        self.queue = MessageQueue(capacity, name)
+        self._lock = threading.Lock()
+        self._drains: tuple = ()  # replaced under _lock, never changed in place
+
+    def push(self, message: Message) -> None:
+        self.queue.put(message)
+        for drain in self._drains:
+            drain()
+
+    def attach(self, drain) -> None:
+        with self._lock:
+            self._drains += (drain,)
+
+    def detach(self, drain) -> None:
+        with self._lock:
+            self._drains = tuple(d for d in self._drains if d is not drain)
+
+    def close(self) -> None:
+        self.queue.close()
+
+
 class _ClientHub:
     """One maintained client connection; reconnects with capped backoff."""
 
-    def __init__(self, host: str, port: int, inbox_capacity: int = 1024):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.inbox: MessageQueue = MessageQueue(inbox_capacity, f"tcp:{host}:{port}")
+        self.inbox = _Inbox(f"tcp:{host}:{port}")
         self._lock = threading.Lock()
         self._connected = threading.Condition(self._lock)
         self._sock: socket.socket | None = None
@@ -252,7 +283,7 @@ class _ClientHub:
                     while b"\n" in buffer:
                         raw, buffer = buffer.split(b"\n", 1)
                         line = raw.rstrip(b"\r").decode("utf-8", errors="replace")
-                        self.inbox.put(
+                        self.inbox.push(
                             Message(headers={REMOTE_HEADER: peer}, body=[line])
                         )
             except OSError:
@@ -305,12 +336,12 @@ class _ServerHub:
     """Server-role endpoint state: a LineServer feeding an inbox."""
 
     def __init__(self, host: str, port: int):
-        self.inbox: MessageQueue = MessageQueue(1024, f"tcp-server:{host}:{port}")
+        self.inbox = _Inbox(f"tcp-server:{host}:{port}")
         self.server = LineServer(host, port, handler=self._on_line, name=f"tcp-server:{port}")
         self.refs = 0
 
     def _on_line(self, conn: ServerConnection, line: str) -> None:
-        self.inbox.put(Message(headers={REMOTE_HEADER: conn.peer}, body=[line]))
+        self.inbox.push(Message(headers={REMOTE_HEADER: conn.peer}, body=[line]))
 
     def close(self) -> None:
         self.server.stop()
@@ -318,17 +349,26 @@ class _ServerHub:
 
 
 class _TcpConsumer(Consumer):
-    def __init__(self, component: "TcpComponent", key, inbox: MessageQueue):
+    def __init__(self, component: "TcpComponent", key, inbox: _Inbox):
         self._component = component
         self._key = key
         self._inbox = inbox
+        self._drain = None
 
-    def poll(self, timeout: float) -> Message | None:
-        item = self._inbox.get(timeout=timeout)
-        return item if isinstance(item, Message) else None
+    def start(self, mailbox: RouteMailbox) -> None:
+        self._drain = mailbox.drain
+        self._inbox.attach(self._drain)
 
-    def wake(self) -> None:
-        self._inbox.force_put(_WAKE)
+    def stop(self) -> None:
+        if self._drain is not None:
+            self._inbox.detach(self._drain)
+            self._drain = None
+
+    def try_get(self) -> Message | None:
+        return self._inbox.queue.try_get()
+
+    def __len__(self) -> int:
+        return len(self._inbox.queue)
 
     def close(self) -> None:
         self._component._release(self._key)

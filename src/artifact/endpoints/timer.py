@@ -1,46 +1,53 @@
 """Timer source: emits one message per period with a contiguous tick index."""
 from __future__ import annotations
 
-import threading
 import time
 
 from ..errors import UnsupportedEndpointRoleError
 from ..messages import Message
-from ..routing import Component, Consumer, Route
+from ..routing import Component, Consumer, Route, RouteMailbox
 from ..uri import EndpointUri
 
 
 class _TimerConsumer(Consumer):
+    """Tick k is due `k` periods after the first; the engine timer schedules
+    the route each period, and a drain emits every tick due by then, so a
+    route that fell behind catches up without skipping."""
+
     def __init__(self, name: str, period_s: float):
         self._name = name
         self._period = period_s
         self._index = 0
         self._next_due: float | None = None
-        self._wake = threading.Event()
+        self._timer = None
 
-    def poll(self, timeout: float) -> Message | None:
+    def start(self, mailbox: RouteMailbox) -> None:
         if self._next_due is None:
             self._next_due = time.monotonic()
-        deadline = time.monotonic() + timeout
-        while True:
-            now = time.monotonic()
-            if now >= self._next_due:
-                message = Message(
-                    headers={"timer.name": self._name, "timer.tick": self._index},
-                    body=[self._index],
-                )
-                self._index += 1
-                self._next_due += self._period
-                return message
-            if now >= deadline:
-                return None
-            wait = min(self._next_due, deadline) - now
-            if wait > 0:
-                self._wake.wait(wait)
-                self._wake.clear()
+        self._timer = mailbox.every(self._period, mailbox.ready, first=self._next_due)
 
-    def wake(self) -> None:
-        self._wake.set()
+    def stop(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def try_get(self) -> Message | None:
+        now = time.monotonic()
+        if self._next_due is None:
+            self._next_due = now
+        if now < self._next_due:
+            return None
+        message = Message(
+            headers={"timer.name": self._name, "timer.tick": self._index},
+            body=[self._index],
+        )
+        self._index += 1
+        self._next_due += self._period
+        return message
+
+    def __len__(self) -> int:
+        behind = time.monotonic() - self._next_due
+        return 0 if behind < 0 else int(behind // self._period) + 1
 
 
 class TimerComponent(Component):

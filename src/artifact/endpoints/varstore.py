@@ -14,23 +14,27 @@ unknown names fail. Values are rendered as canonical wire text and parsed
 back as int, then float, then text.
 
 The "vars:" endpoint scheme is `vars:<host>:<port>/<name>?mode=read|subscribe|write`.
+A subscribe source runs its route on the client's reader thread as each push
+arrives; a read source reads the variable every READ_PERIOD_S on the engine's
+timer schedule and emits it once per version.
 """
 from __future__ import annotations
 
 import logging
 import threading
-import time
+from typing import Callable
 
 from ..errors import UnknownVariableError, VarStoreProtocolError
 from ..messages import Message
-from ..routing import Component, Consumer, MessageQueue, Producer, Route
+from ..routing import Component, Consumer, MessageQueue, Producer, Route, RouteMailbox
 from ..uri import EndpointUri
 from ..values import Value, render_value
 from .tcp import LineServer, ServerConnection, shutdown_socket, tcp_connect
 
 log = logging.getLogger(__name__)
 
-_WAKE = object()
+# How often a mode=read source reads its variable.
+READ_PERIOD_S = 0.02
 
 VAR_NAME_HEADER = "var.name"
 VAR_VERSION_HEADER = "var.version"
@@ -134,18 +138,17 @@ class VarStoreServer:
 
 
 class VarSubscription:
-    """Ordered stream of (value, version) pushes for one variable."""
+    """Ordered stream of (value, version) pushes for one variable; the
+    `on_value` hook, when set, is called on the client's reader thread after
+    each push is queued."""
 
     def __init__(self, name: str):
         self.name = name
         self.queue: MessageQueue = MessageQueue(1024, f"vars-sub:{name}")
+        self.on_value: Callable[[], None] | None = None
 
     def poll(self, timeout: float = 0.0):
-        item = self.queue.get(timeout=timeout)
-        return item if isinstance(item, tuple) else None
-
-    def wake(self) -> None:
-        self.queue.force_put(_WAKE)
+        return self.queue.get(timeout=timeout)
 
 
 class VarClient:
@@ -201,6 +204,9 @@ class VarClient:
             else:
                 for sub in subs:
                     sub.queue.put((record[1], record[2]))
+                    hook = sub.on_value
+                    if hook is not None:
+                        hook()
         else:
             self._responses.put(line)
 
@@ -278,8 +284,14 @@ class _VarSubscribeConsumer(Consumer):
         self._sub = sub
         self._name = name
 
-    def poll(self, timeout: float) -> Message | None:
-        record = self._sub.poll(timeout)
+    def start(self, mailbox: RouteMailbox) -> None:
+        self._sub.on_value = mailbox.drain
+
+    def stop(self) -> None:
+        self._sub.on_value = None
+
+    def try_get(self) -> Message | None:
+        record = self._sub.queue.try_get()
         if record is None:
             return None
         value, version = record
@@ -288,43 +300,56 @@ class _VarSubscribeConsumer(Consumer):
             body=[value],
         )
 
-    def wake(self) -> None:
-        self._sub.wake()
+    def __len__(self) -> int:
+        return len(self._sub.queue)
 
     def close(self) -> None:
         self._client.close()
 
 
 class _VarReadConsumer(Consumer):
-    """Polls the current value and emits it once per version change."""
+    """Reads the current value each time the engine timer fires and emits it
+    once per version change."""
 
     def __init__(self, client: VarClient, name: str):
         self._client = client
         self._name = name
         self._last_version: int | None = None
-        self._wake = threading.Event()
+        self._due = False
+        self._timer = None
+        self._ready: Callable[[], None] | None = None
 
-    def poll(self, timeout: float) -> Message | None:
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                value, version = self._client.read(self._name)
-            except UnknownVariableError:
-                value, version = None, None
-            if version is not None and version != self._last_version:
-                self._last_version = version
-                return Message(
-                    headers={VAR_NAME_HEADER: self._name, VAR_VERSION_HEADER: version},
-                    body=[value],
-                )
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            self._wake.wait(min(remaining, 0.02))
-            self._wake.clear()
+    def start(self, mailbox: RouteMailbox) -> None:
+        self._ready = mailbox.ready
+        self._timer = mailbox.every(READ_PERIOD_S, self._fire)
 
-    def wake(self) -> None:
-        self._wake.set()
+    def _fire(self) -> None:
+        self._due = True
+        self._ready()
+
+    def stop(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def try_get(self) -> Message | None:
+        if not self._due:
+            return None
+        self._due = False
+        try:
+            value, version = self._client.read(self._name)
+        except UnknownVariableError:
+            return None
+        if version == self._last_version:
+            return None
+        self._last_version = version
+        return Message(
+            headers={VAR_NAME_HEADER: self._name, VAR_VERSION_HEADER: version},
+            body=[value],
+        )
+
+    def __len__(self) -> int:
+        return 1 if self._due else 0
 
     def close(self) -> None:
         self._client.close()

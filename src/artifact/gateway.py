@@ -1,22 +1,23 @@
 """Gateway artifacts: artifacts owning message queues and routes.
 
 A gateway bridges the artifact runtime to protocol endpoints through the
-"artifact:" URI scheme. Outbound, agents call :meth:`GatewayArtifact.send_msg`
-and a route consuming from ``artifact:<channel>`` drains the gateway's
-outgoing queue. Inbound, a route producing to ``artifact:<channel>`` appends
-to the addressed gateway's incoming queue and, like Camel's ``direct:``
-endpoint, delivers it on the same thread. The incoming queue is a serial
-mailbox: an enqueuing thread that finds no other thread delivering drains it
-in FIFO order, so one thread at a time delivers for a gateway, and no gateway
-owns a thread. Delivery reads the ``ArtifactName``/``OperationName`` header
-tags and either invokes the operation on itself, forwards to a linked plain
-artifact, hands the message to another known gateway, or dead-letters it.
+"artifact:" URI scheme. Outbound, agents call :meth:`GatewayArtifact.send_msg`,
+which queues the message on the gateway's outgoing queue and schedules the
+routes consuming ``artifact:<channel>`` on their engine's worker pool; the
+agent's thread never runs a route. Inbound, a route producing to
+``artifact:<channel>`` appends to the addressed gateway's incoming queue and,
+like Camel's ``direct:`` endpoint, delivers it on the same thread. The
+incoming queue is a serial mailbox (:class:`~artifact.routing.Mailbox`): an
+enqueuing thread that finds no other thread delivering drains it in FIFO
+order, so one thread at a time delivers for a gateway, and no gateway owns a
+thread. Delivery reads the ``ArtifactName``/``OperationName`` header tags and
+either invokes the operation on itself, forwards to a linked plain artifact,
+hands the message to another known gateway, or dead-letters it.
 """
 from __future__ import annotations
 
 import logging
 import threading
-import time
 from dataclasses import dataclass
 
 from .errors import (
@@ -31,12 +32,15 @@ from .errors import (
 from .messages import ARTIFACT_NAME_HEADER, OPERATION_NAME_HEADER, Message, OpRequest
 from .routing import (
     DEFAULT_QUEUE_CAPACITY,
+    ENQUEUE_TIMEOUT_S,
     Component,
     Consumer,
     DeadLetterQueue,
+    Mailbox,
     MessageQueue,
     Producer,
     Route,
+    RouteMailbox,
     RouteStatus,
     RoutingEngine,
 )
@@ -46,10 +50,9 @@ from .values import Value
 
 log = logging.getLogger(__name__)
 
-# How long a hand-off into a full incoming queue waits before the sender
-# gives up: a gateway forwarding dead-letters the message as QueueFull, a
-# route producing to "artifact:" dead-letters it as DeliveryFailed.
-ENQUEUE_TIMEOUT_S = 10.0
+# A hand-off into a full incoming queue gives up after ENQUEUE_TIMEOUT_S: a
+# gateway forwarding dead-letters the message as QueueFull, a route producing
+# to "artifact:" dead-letters it as DeliveryFailed.
 # How long stop_listening waits for another thread to finish the operation
 # it is delivering.
 STOP_TIMEOUT_S = 10.0
@@ -102,23 +105,16 @@ class GatewayStats:
 class _Channel:
     def __init__(self, name: str):
         self.name = name
-        self.cond = threading.Condition()
+        self.lock = threading.Lock()
         self.gateways: dict[str, "GatewayArtifact"] = {}
-        self.version = 0
-        self.waiters = 0  # consumers blocked in poll, guarded by cond
+        # ready() of each started route consuming this channel; replaced
+        # under the lock, never changed in place, so notify reads no lock.
+        self.readers: tuple = ()
 
     def notify(self) -> None:
-        """One more message is waiting: wake one blocked consumer, if any."""
-        with self.cond:
-            self.version += 1
-            if self.waiters:
-                self.cond.notify()
-
-    def notify_all(self) -> None:
-        """The set of gateways changed: every blocked consumer rescans."""
-        with self.cond:
-            self.version += 1
-            self.cond.notify_all()
+        """One more message is waiting on the channel."""
+        for ready in self.readers:
+            ready()
 
 
 class ChannelRegistry:
@@ -141,22 +137,20 @@ class ChannelRegistry:
     def register(self, channel_name: str, gateway: "GatewayArtifact") -> None:
         chan = self.channel(channel_name)
         name = gateway.id.name
-        with chan.cond:
+        with chan.lock:
             replaced = chan.gateways.get(name)
             chan.gateways[name] = gateway
         with self._lock:
             self._unindex(name, replaced)
             self._by_name.setdefault(name, []).append(gateway)
-        chan.notify_all()
 
     def unregister(self, channel_name: str, gateway: "GatewayArtifact") -> None:
         chan = self.channel(channel_name)
         name = gateway.id.name
-        with chan.cond:
+        with chan.lock:
             removed = chan.gateways.pop(name, None)
         with self._lock:
             self._unindex(name, removed)
-        chan.notify_all()
 
     def _unindex(self, name: str, gateway: "GatewayArtifact | None") -> None:
         named = self._by_name.get(name)
@@ -213,12 +207,10 @@ class GatewayArtifact(Artifact):
         self.dead_letters = DeadLetterQueue()
         self.stats = GatewayStats()
         self._engine: RoutingEngine | None = None
-        self._started = False
         self._gw_lock = threading.Lock()
-        # Held by the one thread draining the incoming queue, whose id is in
-        # _drainer while it does.
-        self._drain_lock = threading.Lock()
-        self._drainer: int | None = None
+        # Open while listening. Looks `deliver` up per message, so a wrapper
+        # set on the class later still sees every delivery.
+        self._mailbox = Mailbox(self.incoming, lambda message: self.deliver(message))
         # (runtime generation, name -> link to a linked plain artifact or
         # None); a table whose generation is not the runtime's is stale.
         self._links_table: tuple[int, dict[str, LinkRef | None]] = (-1, {})
@@ -230,7 +222,7 @@ class GatewayArtifact(Artifact):
 
     def on_dispose(self):
         self._channels.unregister(self.channel, self)
-        if self._started:
+        if self._mailbox.open:
             self.stop_listening()
         self.outgoing.close()
         self.incoming.close()
@@ -257,27 +249,22 @@ class GatewayArtifact(Artifact):
 
     @property
     def started(self) -> bool:
-        return self._started
+        return self._mailbox.open
 
     def start_listening(self) -> None:
         with self._gw_lock:
-            if self._started:
+            if self._mailbox.open:
                 raise InvalidTransitionError(f"gateway {self.id.name} is already listening")
             if self.routes and self._engine is None:
                 raise InvalidTransitionError(
                     f"gateway {self.id.name} has routes but no engine; pass one to attach_route"
                 )
-            self._started = True
+            self._mailbox.open = True
         for route in self.routes:
             if route.status != RouteStatus.STARTED:
                 self._engine.start_route(route)
         log.info("gateway %s listening on channel %r", self.id.name, self.channel)
-        self._drain()  # what queued while stopped
-
-    def request_stop(self) -> None:
-        """Stop delivering after the message in hand, without waiting for it."""
-        with self._gw_lock:
-            self._started = False
+        self._mailbox.drain()  # what queued while stopped
 
     def stop_listening(self) -> None:
         """Stop delivering and stop the attached routes.
@@ -287,26 +274,20 @@ class GatewayArtifact(Artifact):
         is delivering, it returns without waiting for that operation. What
         is queued stays queued until start_listening.
         """
+        mailbox = self._mailbox
         with self._gw_lock:
             running = [r for r in self.routes if r.status == RouteStatus.STARTED]
-            if not self._started and not running and not self._drain_lock.locked():
+            if not mailbox.open and not running and not mailbox.busy():
                 raise InvalidTransitionError(f"gateway {self.id.name} is not listening")
-            self._started = False
+            mailbox.open = False
         for route in running:
             self._engine.stop_route(route)
-        self._await_drain()
-        log.info("gateway %s stopped listening", self.id.name)
-
-    def _await_drain(self) -> None:
-        if self._drainer == threading.get_ident():
-            return  # called from an operation this thread is delivering
-        if not self._drain_lock.acquire(timeout=STOP_TIMEOUT_S):
+        if not mailbox.wait_idle(STOP_TIMEOUT_S):
             log.warning(
                 "gateway %s: an operation still runs %.1fs after stop",
                 self.id.name, STOP_TIMEOUT_S,
             )
-            return
-        self._drain_lock.release()
+        log.info("gateway %s stopped listening", self.id.name)
 
     # -- outbound ---------------------------------------------------------------
 
@@ -316,8 +297,9 @@ class GatewayArtifact(Artifact):
         extra_headers: dict[str, Value] | None = None,
         timeout: float | None = None,
     ) -> Message:
-        """Queue an operation request for the routes consuming this channel."""
-        if not self._started:
+        """Queue an operation request for the routes consuming this channel
+        and schedule them on their engine's pool."""
+        if not self._mailbox.open:
             raise GatewayStoppedError(f"gateway {self.id.name} is not listening")
         message = request.to_message(extra_headers)
         self.outgoing.put(message, timeout=timeout)
@@ -327,8 +309,7 @@ class GatewayArtifact(Artifact):
 
     def poll_outgoing(self, max_wait: float = 0.0) -> Message | None:
         """Remove and return the oldest outgoing message; exactly-once removal."""
-        item = self.outgoing.get(timeout=max_wait)
-        return item if isinstance(item, Message) else None
+        return self.outgoing.get(timeout=max_wait)
 
     # -- inbound ------------------------------------------------------------------
 
@@ -340,27 +321,7 @@ class GatewayArtifact(Artifact):
         when the queue stays full.
         """
         self.incoming.put(message, timeout=timeout)
-        self._drain()
-
-    def _drain(self) -> None:
-        """Deliver queued messages in FIFO order until the queue is empty,
-        as the only drainer; return at once if another thread drains."""
-        incoming, lock = self.incoming, self._drain_lock
-        while self._started and lock.acquire(blocking=False):
-            self._drainer = threading.get_ident()
-            try:
-                while self._started:
-                    message = incoming.try_get()
-                    if message is None:
-                        break
-                    self.deliver(message)
-            finally:
-                self._drainer = None
-                lock.release()
-            # A sender that put after the last try_get and found the lock
-            # held left its message to this drainer: take it on another round.
-            if not len(incoming):
-                return
+        self._mailbox.drain()
 
     def forwarding_table(self) -> dict[str, str]:
         """Name resolution in dispatch order: self, linked artifacts, gateways."""
@@ -462,60 +423,37 @@ class GatewayArtifact(Artifact):
 
 
 class _ChannelConsumer(Consumer):
-    """Drains the outgoing queues of every gateway registered on a channel."""
+    """Takes from the outgoing queues of every gateway registered on a
+    channel, round robin; each send schedules the route on the pool."""
 
     def __init__(self, channel: _Channel):
         self._channel = channel
         self._rr = 0
-        self._woken = False  # guarded by the channel's condition
+        self._ready = None
 
-    def _take_wake(self) -> bool:
-        if self._woken:
-            self._woken = False
-            return True
-        return False
+    def start(self, mailbox: RouteMailbox) -> None:
+        with self._channel.lock:
+            self._ready = mailbox.ready
+            self._channel.readers += (self._ready,)
 
-    def poll(self, timeout: float) -> Message | None:
-        """Next outgoing message of the channel; None on timeout or wake()."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        cond = self._channel.cond
-        while True:
-            with cond:
-                if self._take_wake():
-                    return None
-                version = self._channel.version
-                gateways = list(self._channel.gateways.values())
-            count = len(gateways)
-            for offset in range(count):
-                gateway = gateways[(self._rr + offset) % count]
-                message = gateway.outgoing.try_get()
-                if isinstance(message, Message):
-                    self._rr = (self._rr + offset + 1) % count
-                    return message
-            with cond:
-                if self._take_wake():
-                    return None
-                if self._channel.version != version:
-                    continue
-                if deadline is None:
-                    remaining = None
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                self._channel.waiters += 1
-                try:
-                    cond.wait(remaining)
-                finally:
-                    self._channel.waiters -= 1
-                if self._take_wake():
-                    return None
+    def stop(self) -> None:
+        with self._channel.lock:
+            ready, self._ready = self._ready, None
+            self._channel.readers = tuple(r for r in self._channel.readers if r is not ready)
 
-    def wake(self) -> None:
-        """End the pending poll, or the next one, with None."""
-        with self._channel.cond:
-            self._woken = True
-            self._channel.cond.notify_all()
+    def try_get(self) -> Message | None:
+        gateways = list(self._channel.gateways.values())
+        count = len(gateways)
+        for offset in range(count):
+            gateway = gateways[(self._rr + offset) % count]
+            message = gateway.outgoing.try_get()
+            if message is not None:
+                self._rr = (self._rr + offset + 1) % count
+                return message
+        return None
+
+    def __len__(self) -> int:
+        return sum(len(gateway.outgoing) for gateway in list(self._channel.gateways.values()))
 
 
 class _ChannelProducer(Producer):
@@ -531,7 +469,7 @@ class _ChannelProducer(Producer):
     def send(self, message: Message) -> None:
         name = message.headers.get(ARTIFACT_NAME_HEADER)
         gateway = None
-        with self._channel.cond:
+        with self._channel.lock:
             if isinstance(name, str):
                 gateway = self._channel.gateways.get(name)
             if gateway is None and self._route is not None:

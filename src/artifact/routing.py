@@ -2,20 +2,26 @@
 
 A route takes messages from a consumer endpoint, applies an ordered processor
 chain, and hands them to a producer endpoint. Endpoint components are
-registered by URI scheme. Every started route runs its own consumption loop;
-a message whose processing or delivery fails moves to the route's dead-letter
-queue with the error attached.
+registered by URI scheme. No route owns a thread: each started route is a
+serial mailbox over its consumer, which buffers what arrives and pushes the
+route to run. In-process sources schedule it on the engine's small worker
+pool (SEDA, Camel's ``seda:``), socket sources drain it on the thread that
+read the line (Camel's ``direct:``), and timed sources fire from the engine's
+one timer thread. A message whose processing or delivery fails moves to the
+route's dead-letter queue with the error attached.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
+import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import (
     EvalError,
@@ -34,7 +40,19 @@ from .values import Value, copy_value, is_value
 log = logging.getLogger(__name__)
 
 DEFAULT_QUEUE_CAPACITY = 1024
-_ROUTE_POLL_S = 0.05
+# How long a hand-off into a full queue waits before the sender gives up and
+# counts the message as lost to that receiver.
+ENQUEUE_TIMEOUT_S = 10.0
+# Worker threads an engine runs mailboxes on; started one at a time, on
+# demand. Scenario 1 needs at least 3 of its 5 ms operations to overlap.
+POOL_SIZE = 4
+
+
+class _ThreadState(threading.local):
+    worker: "_Worker | None" = None  # set on the engine's pool workers
+
+
+_thread_state = _ThreadState()
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +89,16 @@ class MessageQueue:
             while len(self._items) >= self.capacity:
                 if self._closed:
                     raise QueueClosedError(self.name)
+                worker = _thread_state.worker
+                if worker is not None and worker.next is not None:
+                    # The drain parked in this worker's next slot may be the
+                    # only one that empties this queue: hand it on first.
+                    self._lock.release()
+                    try:
+                        worker.pool.unpark(worker)
+                    finally:
+                        self._lock.acquire()
+                    continue
                 if deadline is None:
                     remaining = None
                 else:
@@ -84,13 +112,6 @@ class MessageQueue:
                     self._putters -= 1
             if self._closed:
                 raise QueueClosedError(self.name)
-            self._items.append(item)
-            if self._getters:
-                self._not_empty.notify()
-
-    def force_put(self, item) -> None:
-        """Append ignoring capacity (control items such as stop sentinels)."""
-        with self._lock:
             self._items.append(item)
             if self._getters:
                 self._not_empty.notify()
@@ -142,6 +163,331 @@ class MessageQueue:
     def __len__(self) -> int:
         with self._lock:
             return len(self._items)
+
+
+# ---------------------------------------------------------------------------
+# serial mailboxes
+
+
+class Mailbox:
+    """A serial mailbox: messages taken from `source` in FIFO order and handed
+    to `handle`, by one thread at a time.
+
+    `source` offers `try_get()` and `len()`. The draining thread holds the
+    box's claim, a lock taken without blocking; a thread that finds it held
+    leaves its message to the holder, who re-checks the source after letting
+    the claim go, so no message is stranded. Nothing drains while the box is
+    closed.
+    """
+
+    def __init__(self, source, handle: Callable[[Message], object]):
+        self.source = source
+        self._handle = handle
+        self._claim = threading.Lock()
+        self.open = False
+        self.drainer: int | None = None  # thread id of the running drain
+
+    def claim(self) -> bool:
+        return self.open and self._claim.acquire(blocking=False)
+
+    def release(self) -> None:
+        self._claim.release()
+
+    def pending(self) -> bool:
+        return self.open and len(self.source) > 0
+
+    def busy(self) -> bool:
+        return self._claim.locked()
+
+    def run(self, limit: int = sys.maxsize) -> None:
+        """Hand up to `limit` messages to the handler while open; the caller
+        holds the claim."""
+        source, handle = self.source, self._handle
+        self.drainer = threading.get_ident()
+        try:
+            for _ in range(limit):
+                if not self.open:
+                    break
+                message = source.try_get()
+                if message is None:
+                    break
+                handle(message)
+        finally:
+            self.drainer = None
+
+    def drain(self) -> None:
+        """Drain on this thread until the source is empty, unless another
+        thread drains or the box is closed."""
+        while self.claim():
+            try:
+                self.run()
+            finally:
+                self.release()
+            if not self.pending():
+                return
+
+    def wait_idle(self, timeout: float) -> bool:
+        """Wait for a drain running on another thread; False if it still runs
+        after `timeout`. Close the box first. Called from the drain itself it
+        does not wait: the drain ends once the message in hand returns."""
+        drainer = self.drainer
+        if drainer is None or drainer == threading.get_ident():
+            return True  # a drain that starts now finds the box closed
+        worker = _thread_state.worker
+        if worker is not None:
+            worker.pool.unpark(worker)
+        if not self._claim.acquire(timeout=timeout):
+            return False
+        self._claim.release()
+        return True
+
+
+class RouteMailbox(Mailbox):
+    """A started route's mailbox; its source is the route's consumer.
+
+    The consumer tells it about new messages through `ready()` (drain on the
+    engine's pool), `drain()` (drain on this thread) or `every()` (the engine
+    timer calls back periodically)."""
+
+    def __init__(self, route: "Route", pool: "WorkerPool", timer: "_Timer"):
+        super().__init__(route._consumer, self._step)
+        self._route = route
+        self._pool = pool
+        self._timer = timer
+
+    def ready(self) -> None:
+        """A message is waiting: schedule a drain, unless one is outstanding."""
+        if self.claim():
+            self._pool.schedule(self)
+
+    def every(self, period_s: float, fire: Callable[[], None], first: float | None = None):
+        """Call `fire()` at `first` (default now), then every `period_s`
+        seconds, from the engine's timer thread; returns a handle whose
+        `cancel()` stops it."""
+        return self._timer.every(period_s, fire, first)
+
+    def run_batch(self) -> None:
+        """A pool task: drain at most what was waiting when it began."""
+        self.run(max(1, len(self.source)))
+
+    def _step(self, message: Message) -> None:
+        route = self._route
+        route.stats.consumed += 1
+        try:
+            outgoing = process(message, route.processors)
+            route._producer.send(outgoing)
+            route.stats.delivered += 1
+        except ProcessorEvalError as exc:
+            route.stats.dead_lettered += 1
+            route.dead_letters.add(message, f"ProcessorEvalError: {exc}", exc)
+            log.warning("route %s dead-lettered a message: %s", route.id, exc)
+        except Exception as exc:
+            route.stats.dead_lettered += 1
+            route.dead_letters.add(message, f"DeliveryFailed: {exc}", exc)
+            log.warning("route %s delivery failed: %s", route.id, exc)
+
+
+class _Worker:
+    __slots__ = ("pool", "next")
+
+    def __init__(self, pool: "WorkerPool"):
+        self.pool = pool
+        self.next: RouteMailbox | None = None  # runs after the drain in hand
+
+
+class WorkerPool:
+    """Runs route mailboxes on at most POOL_SIZE threads.
+
+    A mailbox is scheduled while its claim is held, so it has at most one
+    outstanding task. A mailbox a worker schedules waits in that worker's
+    one-task next slot and runs on it after the drain in hand (the LIFO slot
+    of Tokio's scheduler); one already there moves to the shared FIFO run
+    queue, where other threads schedule too. A worker starts only when a
+    task is queued and no worker is idle or already notified. A worker lets
+    a drain's claim go under the pool lock, so no task is ever counted as
+    running while its worker is already free.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+        self._ids = itertools.count(1)
+        self._lock = threading.Lock()
+        self._work = threading.Condition(self._lock)
+        self._tasks: deque[RouteMailbox] = deque()
+        self._threads: list[threading.Thread] = []
+        self._idle = 0  # workers waiting for a task
+        self._notified = 0  # idle workers woken for a task, not yet running
+        self._closing = False
+
+    def schedule(self, box: RouteMailbox) -> None:
+        """Run `box.run_batch()` soon; the caller holds the box's claim."""
+        worker = _thread_state.worker
+        if worker is not None and worker.pool is self:
+            box, worker.next = worker.next, box
+            if box is None:
+                return
+        with self._lock:
+            started = self._push(box)
+        if started is not None:
+            started.start()
+
+    def unpark(self, worker: _Worker) -> None:
+        """Move the worker's next-slot task to the shared queue; the worker
+        is about to block."""
+        box, worker.next = worker.next, None
+        if box is not None:
+            with self._lock:
+                started = self._push(box)
+            if started is not None:
+                started.start()
+
+    def _push(self, box: RouteMailbox) -> threading.Thread | None:
+        """Queue a task, under the lock; returns a new worker for the caller
+        to start once the lock is released, when one is needed."""
+        self._tasks.append(box)
+        if self._idle > self._notified:
+            self._notified += 1
+            self._work.notify()
+        elif self._notified < len(self._tasks) and len(self._threads) < POOL_SIZE:
+            thread = threading.Thread(
+                target=self._run, name=f"{self._name}-{next(self._ids)}", daemon=True
+            )
+            self._threads.append(thread)
+            return thread
+        return None
+
+    def _run(self) -> None:
+        worker = _Worker(self)
+        _thread_state.worker = worker
+        box: RouteMailbox | None = None
+        try:
+            while True:
+                started = None
+                with self._lock:
+                    if box is not None:
+                        box.release()
+                        if box.pending() and box.claim():
+                            # Run again at once unless others wait their turn.
+                            if worker.next is None and not self._tasks:
+                                worker.next = box
+                            else:
+                                started = self._push(box)
+                    box, worker.next = worker.next, None
+                    while box is None:
+                        if self._tasks:
+                            box = self._tasks.popleft()
+                        elif self._closing:
+                            return
+                        else:
+                            self._idle += 1
+                            self._work.wait()
+                            self._idle -= 1
+                            self._notified -= 1
+                if started is not None:
+                    started.start()
+                try:
+                    box.run_batch()
+                except Exception:
+                    log.exception("route mailbox drain failed")
+        finally:
+            _thread_state.worker = None
+
+    def stop(self, timeout: float) -> None:
+        """Let the workers run what is queued, then join them; a later
+        schedule starts workers again."""
+        with self._lock:
+            self._closing = True
+            self._notified = self._idle
+            self._work.notify_all()
+            threads = list(self._threads)
+        me = threading.current_thread()
+        for thread in threads:
+            # A thread with no ident yet is being started by its scheduler.
+            if thread is not me and thread.ident is not None:
+                thread.join(timeout)
+                if thread.is_alive():
+                    log.warning("%s did not exit within %.1fs", thread.name, timeout)
+        with self._lock:
+            self._threads = [t for t in self._threads if t.is_alive() or t.ident is None]
+            self._closing = False
+
+
+class _TimerEntry:
+    __slots__ = ("period", "fire", "cancelled")
+
+    def __init__(self, period: float, fire: Callable[[], None]):
+        self.period = period
+        self.fire = fire
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+
+class _Timer:
+    """Periodic callbacks from one deadline heap, fired on one thread that
+    starts with the first entry."""
+
+    def __init__(self, name: str):
+        self._name = name
+        self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)
+        self._heap: list[tuple[float, int, _TimerEntry]] = []
+        self._seq = itertools.count()
+        self._thread: threading.Thread | None = None
+        self._closing = False
+
+    def every(self, period_s: float, fire: Callable[[], None], first: float | None = None) -> _TimerEntry:
+        entry = _TimerEntry(period_s, fire)
+        due = time.monotonic() if first is None else first
+        with self._lock:
+            heapq.heappush(self._heap, (due, next(self._seq), entry))
+            self._changed.notify()
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._run, name=self._name, daemon=True)
+                self._thread.start()
+        return entry
+
+    def _run(self) -> None:
+        heap = self._heap
+        with self._lock:
+            while not self._closing:
+                if not heap:
+                    self._changed.wait()
+                    continue
+                due, _, entry = heap[0]
+                now = time.monotonic()
+                if due > now:
+                    self._changed.wait(due - now)
+                    continue
+                heapq.heappop(heap)
+                if entry.cancelled:
+                    continue
+                # The next deadline on the entry's grid after now: a source
+                # that fell behind catches up by itself when it runs.
+                due += entry.period * (int((now - due) // entry.period) + 1)
+                heapq.heappush(heap, (due, next(self._seq), entry))
+                self._lock.release()
+                try:
+                    entry.fire()
+                except Exception:
+                    log.exception("timer callback failed")
+                finally:
+                    self._lock.acquire()
+
+    def stop(self, timeout: float) -> None:
+        with self._lock:
+            self._closing = True
+            self._changed.notify()
+            thread = self._thread
+        if thread is not None and thread is not threading.current_thread():
+            thread.join(timeout)
+            if thread.is_alive():
+                log.warning("%s did not exit within %.1fs", thread.name, timeout)
+        with self._lock:
+            self._heap.clear()
+            self._thread = None
+            self._closing = False
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +577,25 @@ def process(message: Message, processors: Iterable[Processor]) -> Message:
 
 
 class Consumer:
-    """Route source; poll returns the next message or None on timeout."""
+    """Route source: buffers what arrives and tells the route's mailbox.
 
-    def poll(self, timeout: float) -> Message | None:
+    `start` hands over the started route's `RouteMailbox`; the consumer then
+    calls its `ready()`, `drain()` or `every()` as messages arrive, until
+    `stop`. The mailbox takes messages with `try_get()`, and `len()` counts
+    those waiting. What arrives while stopped stays buffered.
+    """
+
+    def start(self, mailbox: RouteMailbox) -> None:
         raise NotImplementedError
 
-    def wake(self) -> None:
-        """Interrupt a blocked poll (used when the route stops)."""
+    def stop(self) -> None:
+        pass
+
+    def try_get(self) -> Message | None:
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        raise NotImplementedError
 
     def close(self) -> None:
         pass
@@ -312,12 +670,16 @@ class Route:
     dead_letters: DeadLetterQueue = field(default_factory=DeadLetterQueue)
     _consumer: Consumer | None = None
     _producer: Producer | None = None
-    _thread: threading.Thread | None = None
-    _stop: threading.Event = field(default_factory=threading.Event)
+    _mailbox: RouteMailbox | None = None
 
 
 class RoutingEngine:
-    """Defines routes against a component registry and runs their loops."""
+    """Defines routes against a component registry and runs them.
+
+    The engine owns the worker pool and the timer its routes' mailboxes run
+    on; both start threads only when a route needs them, and `shutdown`
+    joins them.
+    """
 
     _ids = itertools.count(1)
 
@@ -325,6 +687,8 @@ class RoutingEngine:
         self.registry = registry
         self._routes: dict[str, Route] = {}
         self._lock = threading.Lock()
+        self._pool = WorkerPool("route-worker")
+        self._timer = _Timer("route-timer")
 
     def define_route(
         self,
@@ -366,67 +730,53 @@ class RoutingEngine:
                 route._producer = self.registry.get(route.sink.scheme).create_producer(
                     route.sink, route
                 )
-            route._stop.clear()
+            if route._mailbox is None:
+                route._mailbox = RouteMailbox(route, self._pool, self._timer)
+            mailbox = route._mailbox
+            mailbox.open = True
             route.status = RouteStatus.STARTED
-            route._thread = threading.Thread(
-                target=self._run_route, args=(route,), name=f"route-{route.id}", daemon=True
-            )
-            route._thread.start()
+            route._consumer.start(mailbox)
+        if mailbox.pending():
+            mailbox.ready()  # what arrived while stopped
         log.info("route %s started: %s -> %s", route.id, route.source, route.sink)
 
     def stop_route(self, route: Route, join_timeout: float = 10.0) -> None:
-        """Stop the route's loop and wait for it to exit.
+        """Stop the route and wait for a drain of it on another thread.
 
-        Raises InvalidTransitionError, leaving the route STARTED, when the
-        loop is still running after `join_timeout`; calling again retries.
+        Raises InvalidTransitionError, leaving the route STARTED, when that
+        drain is still running after `join_timeout`; calling again retries.
+        Called from the route's own drain it does not wait.
         """
         with self._lock:
             if route.status != RouteStatus.STARTED:
                 raise InvalidTransitionError(f"{route.id} is not started")
-            self._signal_stop(route)
-        if not self._join(route, join_timeout):
+            self._halt(route)
+        if not route._mailbox.wait_idle(join_timeout):
             raise InvalidTransitionError(
-                f"{route.id} loop did not exit within {join_timeout:.1f}s; still started"
+                f"{route.id} drain still running after {join_timeout:.1f}s; still started"
             )
         route.status = RouteStatus.STOPPED
         log.info("route %s stopped", route.id)
 
-    def _signal_stop(self, route: Route) -> None:
-        route._stop.set()
-        if route._consumer is not None:
-            route._consumer.wake()
-
-    def _join(self, route: Route, timeout: float) -> bool:
-        """Wait for the route's loop; False if it is still running.
-
-        Called on the loop's own thread (an operation delivered by the route
-        stops it), it does not wait: the loop exits once that message returns.
-        """
-        thread = route._thread
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout)
-            if thread.is_alive():
-                log.warning("route %s loop did not exit within %.1fs", route.id, timeout)
-                return False
-        return True
-
-    def signal_all(self) -> None:
-        """Ask every started route loop to stop, without waiting."""
-        with self._lock:
-            for route in self._routes.values():
-                if route.status == RouteStatus.STARTED:
-                    self._signal_stop(route)
+    @staticmethod
+    def _halt(route: Route) -> None:
+        route._mailbox.open = False
+        route._consumer.stop()
 
     def shutdown(self, join_timeout: float = 10.0) -> None:
-        """Stop every started route and release the endpoints of all routes."""
+        """Stop every started route, release the endpoints of all routes and
+        join the engine's workers and timer."""
         with self._lock:
             routes = list(self._routes.values())
             for route in routes:
                 if route.status == RouteStatus.STARTED:
-                    self._signal_stop(route)
+                    self._halt(route)
         for route in routes:
-            if route.status == RouteStatus.STARTED and self._join(route, join_timeout):
-                route.status = RouteStatus.STOPPED
+            if route.status == RouteStatus.STARTED:
+                if route._mailbox.wait_idle(join_timeout):
+                    route.status = RouteStatus.STOPPED
+                else:
+                    log.warning("route %s drain still running after %.1fs", route.id, join_timeout)
         for route in routes:
             for endpoint in (route._consumer, route._producer):
                 if endpoint is not None:
@@ -436,30 +786,6 @@ class RoutingEngine:
                         log.exception("closing endpoint of %s failed", route.id)
             route._consumer = None
             route._producer = None
-
-    # -- consumption loop -----------------------------------------------------
-
-    def _run_route(self, route: Route) -> None:
-        consumer, producer = route._consumer, route._producer
-        while not route._stop.is_set():
-            try:
-                message = consumer.poll(_ROUTE_POLL_S)
-            except Exception:
-                log.exception("route %s consumer poll failed", route.id)
-                time.sleep(_ROUTE_POLL_S)
-                continue
-            if message is None:
-                continue
-            route.stats.consumed += 1
-            try:
-                outgoing = process(message, route.processors)
-                producer.send(outgoing)
-                route.stats.delivered += 1
-            except ProcessorEvalError as exc:
-                route.stats.dead_lettered += 1
-                route.dead_letters.add(message, f"ProcessorEvalError: {exc}", exc)
-                log.warning("route %s dead-lettered a message: %s", route.id, exc)
-            except Exception as exc:
-                route.stats.dead_lettered += 1
-                route.dead_letters.add(message, f"DeliveryFailed: {exc}", exc)
-                log.warning("route %s delivery failed: %s", route.id, exc)
+            route._mailbox = None
+        self._timer.stop(join_timeout)
+        self._pool.stop(join_timeout)

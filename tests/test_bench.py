@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import sys
+import threading
+import time
 
 import pytest
 
@@ -16,8 +18,12 @@ from artifact.bench import (
 )
 from artifact.bench.cli import main
 from artifact.bench.metrics import rss_mb
-from artifact.bench.scenarios import DeliveryCollector
+from artifact.bench.scenarios import BenchEnv, DeliveryCollector, _build_terminals
 from artifact.errors import NoDataError
+from artifact.messages import OpRequest
+from artifact.routing import POOL_SIZE
+
+from conftest import wait_until
 
 
 def _cfg(scenario, **overrides):
@@ -157,3 +163,59 @@ def test_rss_mb_without_psutil_reads_current_not_peak(monkeypatch):
     after = rss_mb()
     assert held - before > size_mb * 0.75
     assert held - after > size_mb * 0.75
+
+
+def test_cli_industry_fault_after(capsys):
+    code = main(["industry", "--writes", "3", "--fault-after", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "fault_injected" in out
+    assert "chain complete: True" in out
+
+
+# ---------------------------------------------------------------------------
+# thread and idle budgets of the terminal topology
+
+
+def _route_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("route-")]
+
+
+def _terminals(n: int):
+    """Scenario 1's topology with n gateways after one message each; the
+    threads it started while built, and after that traffic."""
+    before = set(threading.enumerate())
+    env = BenchEnv()
+    collector = DeliveryCollector()
+    gateways = _build_terminals(env, _cfg(Scenario.TERMINALS, n_artifacts=n), collector)
+    built = [t for t in threading.enumerate() if t not in before]
+    for gateway in gateways:
+        gateway.send_msg(OpRequest(gateway.id.name, "recv", ["x"]))
+    assert wait_until(lambda: collector.total == n)
+    busy = [t for t in threading.enumerate() if t not in before]
+    return env, built, busy
+
+
+def test_thread_count_does_not_grow_with_the_number_of_gateways():
+    built = {}
+    for n in (10, 200):
+        env, built[n], busy = _terminals(n)
+        try:
+            # the pool's workers and the runtime's observer dispatcher
+            assert len(busy) <= POOL_SIZE + 1, [t.name for t in busy]
+        finally:
+            env.close()
+    assert len(built[10]) == len(built[200]) == 1  # the observer dispatcher
+
+
+def test_idle_terminals_burn_no_cpu_and_close_leaves_no_thread():
+    env, _, busy = _terminals(200)
+    try:
+        time.sleep(0.1)
+        cpu0 = time.process_time()
+        time.sleep(1.0)
+        assert time.process_time() - cpu0 < 0.02
+    finally:
+        env.close()
+    assert not any(t.is_alive() for t in busy)
+    assert _route_threads() == []

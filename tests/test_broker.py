@@ -4,9 +4,21 @@ import threading
 
 import pytest
 
-from artifact import Message
-from artifact.endpoints import TopicBroker
+from artifact import (
+    ARTIFACT_NAME_HEADER,
+    OPERATION_NAME_HEADER,
+    GatewayArtifact,
+    Message,
+    RoutingEngine,
+    Runtime,
+    SetHeader,
+    operation,
+)
+from artifact.endpoints import TopicBroker, standard_components
+from artifact.endpoints import broker as broker_module
 from artifact.errors import BrokerStoppedError
+
+from conftest import wait_until
 
 
 @pytest.fixture
@@ -101,3 +113,47 @@ def test_concurrent_publishers_one_total_order(broker):
     for tag in ("a", "b"):
         seq = [int(x.split(":")[1]) for x in streams[0] if x.startswith(tag)]
         assert seq == list(range(per_publisher))
+
+
+class Recorder(GatewayArtifact):
+    def init(self, channel=None):
+        super().init(channel)
+        self.seen: list = []
+
+    @operation
+    def recv(self, payload=None):
+        self.seen.append(payload)
+
+
+def test_a_full_subscriber_is_skipped_after_the_deadline(monkeypatch):
+    monkeypatch.setattr(broker_module, "ENQUEUE_TIMEOUT_S", 0.05)
+    runtime = Runtime()
+    broker = TopicBroker(queue_capacity=2)
+    engine = RoutingEngine(standard_components(runtime, broker))
+    try:
+        rec = runtime.lookup(runtime.make_artifact("main", "rec", Recorder, []))
+        route = engine.define_route(
+            "mq:fan",
+            [SetHeader(ARTIFACT_NAME_HEADER, "rec"), SetHeader(OPERATION_NAME_HEADER, "recv")],
+            "artifact:rec",
+        )
+        rec.attach_route(route, engine=engine)
+        tap = broker.subscribe("fan")  # never polled
+        rec.start_listening()
+        count = 6
+        publisher = threading.Thread(
+            target=lambda: [broker.publish("fan", Message(body=[i])) for i in range(count)],
+            daemon=True,
+        )
+        publisher.start()
+        publisher.join(10.0)
+        assert not publisher.is_alive()
+        assert wait_until(lambda: len(rec.seen) == count)
+        assert rec.seen == list(range(count))
+        assert tap.dropped == count - 2
+        assert route._consumer._sub.dropped == 0
+        assert [tap.poll(0.0).body for _ in range(2)] == [[0], [1]]
+    finally:
+        engine.shutdown()
+        broker.stop()
+        runtime.shutdown()

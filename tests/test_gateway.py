@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,8 +23,10 @@ from artifact import (
 )
 from artifact import gateway as gateway_module
 from artifact.errors import DeliveryError, GatewayStoppedError, QueueFullError, RouteNotOwnedError
-from artifact.gateway import ArtifactComponent, ChannelRegistry, gateway_channels
-from artifact.routing import RouteStatus
+from artifact.bench.scenarios import BenchEnv
+from artifact.endpoints import TopicBroker, standard_components
+from artifact.gateway import ArtifactComponent, gateway_channels
+from artifact.routing import POOL_SIZE, RouteStatus, RoutingEngine
 from artifact.uri import parse_endpoint_uri
 
 from conftest import wait_until
@@ -203,28 +206,26 @@ def test_gateway_name_index_across_channels(env):
     assert sorted(g.id.name for g in registry.all_gateways()) == ["a", "b"]
 
 
-def test_each_send_wakes_a_blocked_channel_consumer(env):
+def test_each_send_reaches_the_routes_consuming_its_channel(env):
     gateway = _gateway(env, "hub")
+    routes = [env.engine.define_route("artifact:hub", [], f"mq:hub/{side}") for side in "ab"]
+    taps = [env.broker.subscribe(f"hub/{side}") for side in "ab"]
+    gateway.attach_route(routes[0], engine=env.engine)
+    gateway.attach_route(routes[1])
     gateway.start_listening()
-    component = ArtifactComponent(gateway_channels(env.runtime))
-    consumers = [
-        component.create_consumer(parse_endpoint_uri("artifact:hub"), None) for _ in range(4)
-    ]
-    got: list = []
-    threads = [
-        threading.Thread(target=lambda c=c: got.append(c.poll(10.0)), daemon=True)
-        for c in consumers
-    ]
-    for t in threads:
-        t.start()
-    time.sleep(0.2)  # let every consumer block
-    for i in range(4):
+    for i in range(200):
         gateway.send_msg(OpRequest("hub", "recv", [i]))
-    deadline = time.monotonic() + 5.0
-    for t in threads:
-        t.join(max(0.0, deadline - time.monotonic()))
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(m.body[0] for m in got) == [0, 1, 2, 3]
+    got: list = []
+
+    def all_arrived():
+        for tap in taps:
+            got.extend(int(m.body) for m in iter(tap.try_get, None))
+        return len(got) >= 200
+
+    assert wait_until(all_arrived)
+    assert sorted(got) == list(range(200))  # each message taken once
+    assert sum(r.stats.delivered for r in routes) == 200
+    assert len(gateway.outgoing) == 0
 
 
 def test_self_name_is_never_forwarded(env):
@@ -399,20 +400,20 @@ def test_channel_shared_by_two_gateways_dispatches_by_header(env):
     assert s1.seen == []
 
 
-def test_wake_ends_a_pending_channel_poll():
-    consumer = ArtifactComponent(ChannelRegistry()).create_consumer(
-        parse_endpoint_uri("artifact:quiet"), None
-    )
-    waker = threading.Timer(0.05, consumer.wake)
-    waker.start()
+def test_stopping_an_idle_channel_route_returns_at_once(env):
+    gateway = _gateway(env, "quiet")
+    route = env.engine.define_route("artifact:quiet", [], "mq:quiet")
+    tap = env.broker.subscribe("quiet")
+    gateway.attach_route(route, engine=env.engine)
+    gateway.start_listening()
     started = time.monotonic()
-    try:
-        assert consumer.poll(5.0) is None
-        assert time.monotonic() - started < 1.0
-    finally:
-        waker.cancel()
-        waker.join(5.0)
-    assert not waker.is_alive()
+    env.engine.stop_route(route)
+    assert time.monotonic() - started < 0.5
+    gateway.send_msg(OpRequest("quiet", "recv", [1]))
+    assert tap.poll(0.1) is None  # nothing flows while the route is stopped
+    assert len(gateway.outgoing) == 1
+    env.engine.start_route(route)
+    assert tap.poll(2.0).body == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +593,12 @@ class SelfStopper(GatewayArtifact):
     def init(self, channel=None):
         super().init(channel)
         self.halted = threading.Event()
+        self.halted_on = ""
 
     @operation
     def halt(self, payload=None):
         self.stop_listening()
+        self.halted_on = threading.current_thread().name
         self.halted.set()
 
 
@@ -608,7 +611,7 @@ def test_operation_stopping_its_own_gateway_does_not_wait_on_itself(env):
     assert gateway.stats.invoked_self == 1
 
 
-def test_operation_stopping_its_own_gateway_from_its_route_thread(env):
+def test_operation_stopping_its_own_gateway_from_a_pool_worker(env):
     gateway = _gateway(env, "looped", SelfStopper)
     publish = env.engine.define_route("artifact:looped", [], "mq:looped")
     subscribe = env.engine.define_route("mq:looped", [], "artifact:looped")
@@ -617,10 +620,56 @@ def test_operation_stopping_its_own_gateway_from_its_route_thread(env):
     gateway.start_listening()
     gateway.send_msg(OpRequest("looped", "halt", []))
     assert gateway.halted.wait(5.0)
-    assert wait_until(lambda: not subscribe._thread.is_alive())
+    assert gateway.halted_on.startswith("route-worker")
+    assert wait_until(lambda: not subscribe._mailbox.busy())
     assert not gateway.started
     assert gateway.stats.invoked_self == 1
     assert [r.status for r in (publish, subscribe)] == [RouteStatus.STOPPED] * 2
+    # the worker is free again: a restarted gateway still gets its mail
+    gateway.start_listening()
+    gateway.send_msg(OpRequest("looped", "halt", []))
+    assert wait_until(lambda: gateway.stats.invoked_self == 2)
+
+
+class Paced(GatewayArtifact):
+    def init(self, channel=None):
+        super().init(channel)
+        self.seen: list = []
+
+    @operation
+    def recv(self, payload=None):
+        time.sleep(0.001)
+        self.seen.append(payload)
+
+
+def test_loop_through_a_small_topic_queue_neither_deadlocks_nor_loses(monkeypatch):
+    # The outbound drain takes all 3 x capacity messages in one batch, while
+    # the inbound drain waits parked on the same worker: before the publish
+    # blocks on the full topic queue, the worker must hand that drain on.
+    capacity = 4
+    env = BenchEnv()
+    env.broker = TopicBroker(queue_capacity=capacity)
+    env.registry = standard_components(env.runtime, env.broker)
+    env.engine = RoutingEngine(env.registry)
+    try:
+        gateway = _gateway(env, "x", Paced)
+        out = env.engine.define_route("artifact:x", [], "mq:t")
+        back = env.engine.define_route("mq:t", [], "artifact:x")
+        gateway.attach_route(out, engine=env.engine)
+        gateway.attach_route(back)
+        gateway.start_listening()
+        env.engine.stop_route(out)
+        count = 3 * capacity
+        for i in range(count):
+            gateway.send_msg(OpRequest("x", "recv", [i]))
+        env.engine.start_route(out)
+        assert wait_until(lambda: len(gateway.seen) == count, timeout=5.0)
+        assert gateway.seen == [str(i) for i in range(count)]
+        assert gateway.stats.dead_lettered == 0
+        assert out.stats.dead_lettered == back.stats.dead_lettered == 0
+        assert back._consumer._sub.dropped == 0
+    finally:
+        env.close()
 
 
 def test_route_into_a_full_stopped_gateway_dead_letters_and_carries_on(env, monkeypatch):
@@ -642,6 +691,68 @@ def test_route_into_a_full_stopped_gateway_dead_letters_and_carries_on(env, monk
     assert route.stats.consumed == 3 and route.stats.delivered == 0
     assert all(d.reason.startswith("DeliveryFailed") for d in route.dead_letters.entries())
     assert len(gateway.incoming) == 2
+
+
+class Tally(GatewayArtifact):
+    """Records (sender, seq) from a rendered "sender seq" payload and whether
+    two calls ever overlapped."""
+
+    def init(self, channel=None):
+        super().init(channel)
+        self.calls: list = []
+        self.active = 0
+        self.overlapped = False
+
+    @operation
+    def rec(self, payload):
+        self.active += 1
+        if self.active > 1:
+            self.overlapped = True
+        time.sleep(0)  # invite another thread in
+        sender, seq = map(int, payload.split())
+        self.calls.append((sender, seq))
+        self.active -= 1
+
+
+def test_senders_over_route_pairs_on_the_pool_stay_fifo_exactly_once_and_serial(env):
+    gateways = []
+    for i in range(6):
+        gateway = _gateway(env, f"g{i}", Tally)
+        out = env.engine.define_route(f"artifact:g{i}", [], f"mq:g{i}")
+        back = env.engine.define_route(f"mq:g{i}", [], f"artifact:g{i}")
+        gateway.attach_route(out, engine=env.engine)
+        gateway.attach_route(back)
+        gateway.start_listening()
+        gateways.append(gateway)
+    senders, per_sender = 4, 100
+
+    def send(sender):
+        for seq in range(per_sender):
+            for gateway in gateways:
+                gateway.send_msg(OpRequest(gateway.id.name, "rec", [sender, seq]))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=send, args=(s,), daemon=True) for s in range(senders)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+        assert not any(t.is_alive() for t in threads)
+        done = wait_until(
+            lambda: all(len(g.calls) == senders * per_sender for g in gateways), timeout=30.0
+        )
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert done
+    for gateway in gateways:
+        for sender in range(senders):
+            assert [q for s, q in gateway.calls if s == sender] == list(range(per_sender))
+        assert not gateway.overlapped
+        assert gateway.stats.dead_lettered == 0
+    workers = [t for t in threading.enumerate() if t.name.startswith("route-worker")]
+    assert 1 <= len(workers) <= POOL_SIZE
 
 
 def test_channel_producer_resolution_order(env):

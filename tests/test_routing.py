@@ -6,7 +6,9 @@ import time
 
 import pytest
 
-from artifact import Message, RouteStatus, SetHeader, Transform, parse_expr, process
+from artifact import Message, RouteStatus, Runtime, SetHeader, Transform, parse_expr, process
+from artifact.endpoints import TopicBroker, standard_components
+from artifact.endpoints import broker as broker_module
 from artifact.errors import (
     InvalidTransitionError,
     ProcessorEvalError,
@@ -15,7 +17,7 @@ from artifact.errors import (
     UnknownSchemeError,
     UnsupportedEndpointRoleError,
 )
-from artifact.routing import Component, Consumer, MessageQueue
+from artifact.routing import Component, MessageQueue, Producer, RoutingEngine
 
 from conftest import wait_until
 
@@ -147,12 +149,28 @@ def test_message_queue_fifo_and_timeout():
     assert q.get(timeout=0.05) is None
 
 
-def test_message_queue_force_put_beats_capacity():
-    q = MessageQueue(capacity=1)
-    q.put("a")
-    q.force_put("sentinel")
-    assert q.get() == "a"
-    assert q.get() == "sentinel"
+def test_a_full_source_queue_holds_up_neither_stop_nor_restart(monkeypatch):
+    monkeypatch.setattr(broker_module, "ENQUEUE_TIMEOUT_S", 0.05)
+    broker = TopicBroker(queue_capacity=2)
+    runtime = Runtime()
+    engine = RoutingEngine(standard_components(runtime, broker))
+    try:
+        route = engine.define_route("mq:full/in", [], "mq:full/out")
+        tap = broker.subscribe("full/out")
+        engine.start_route(route)
+        engine.stop_route(route)
+        for i in range(3):
+            broker.publish("full/in", Message(body=[i]))
+        assert route._consumer._sub.dropped == 1  # the third found no room
+        started = time.monotonic()
+        engine.start_route(route)
+        assert [tap.poll(2.0).body for _ in range(2)] == ["0", "1"]
+        engine.stop_route(route)
+        assert time.monotonic() - started < 1.0
+    finally:
+        engine.shutdown()
+        broker.stop()
+        runtime.shutdown()
 
 
 def test_message_queue_stress_with_short_timeouts_is_exactly_once():
@@ -256,36 +274,45 @@ def test_message_queue_close_wakes_every_waiter():
     assert sorted(results) == [("get", None)] * 3 + [("put", "closed")] * 3
 
 
-class _DeafConsumer(Consumer):
-    """Blocks in poll until released, whatever the timeout; ignores wake()."""
+class _StuckProducer(Producer):
+    """Blocks in send until released."""
 
     def __init__(self):
+        self.entered = threading.Event()
         self.release = threading.Event()
+        self.sent: list = []
 
-    def poll(self, timeout):
+    def send(self, message):
+        self.entered.set()
         self.release.wait(10.0)
-        return None
+        self.sent.append(message.body)
 
 
-class _DeafComponent(Component):
-    def __init__(self, consumer):
-        self.consumer = consumer
+class _StuckComponent(Component):
+    def __init__(self, producer):
+        self.producer = producer
 
-    def create_consumer(self, uri, route):
-        return self.consumer
+    def create_producer(self, uri, route):
+        return self.producer
 
 
 def test_stop_route_that_does_not_exit_stays_started(env):
-    consumer = _DeafConsumer()
-    env.registry.register("deaf", _DeafComponent(consumer))
-    route = env.engine.define_route("deaf:x", [], "mq:deaf/out")
+    # The drain is stuck in its producer, which stop_route must wait for.
+    producer = _StuckProducer()
+    env.registry.register("stuck", _StuckComponent(producer))
+    route = env.engine.define_route("mq:stuck/in", [], "stuck:x")
     env.engine.start_route(route)
+    env.broker.publish("stuck/in", Message(body=[1]))
+    assert producer.entered.wait(5.0)
     with pytest.raises(InvalidTransitionError):
         env.engine.stop_route(route, join_timeout=0.1)
     assert route.status == RouteStatus.STARTED
     with pytest.raises(InvalidTransitionError):
-        env.engine.start_route(route)  # no second loop on the same consumer
-    consumer.release.set()
+        env.engine.start_route(route)  # no second drain of the same route
+    env.broker.publish("stuck/in", Message(body=[2]))  # the stopping route leaves it
+    producer.release.set()
     env.engine.stop_route(route, join_timeout=5.0)
     assert route.status == RouteStatus.STOPPED
-    assert not route._thread.is_alive()
+    assert producer.sent == [[1]]
+    assert len(route._consumer) == 1
+    assert wait_until(lambda: not route._mailbox.busy())

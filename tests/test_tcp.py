@@ -8,7 +8,7 @@ import time
 import pytest
 
 from artifact import Message, SetHeader
-from artifact.endpoints.tcp import LineServer, frame_line, tcp_connect
+from artifact.endpoints.tcp import LineServer, frame_line, shutdown_socket, tcp_connect
 from artifact.errors import FramingError
 
 from conftest import wait_until
@@ -41,6 +41,20 @@ def test_line_server_echo_roundtrip():
             data += sock.recv(64)
         assert data == b"echo hello\n"
         sock.close()
+    finally:
+        server.stop()
+
+
+def test_a_connection_is_listed_before_its_first_line_is_handled():
+    listed: list = []
+    server = LineServer(handler=lambda conn, line: listed.append(conn in server._conns))
+    try:
+        with server._lock:  # hold registration up; no line may be handled meanwhile
+            sock = tcp_connect("127.0.0.1", server.port)
+            sock.sendall(b"hi\n")
+            time.sleep(0.1)
+        assert wait_until(lambda: listed == [True])
+        shutdown_socket(sock)
     finally:
         server.stop()
 

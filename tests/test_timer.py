@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -10,30 +11,24 @@ from artifact.uri import parse_endpoint_uri
 
 def test_first_tick_is_zero():
     consumer = _TimerConsumer("t", 0.001)
-    message = consumer.poll(0.5)
+    message = consumer.try_get()
     assert message.body == [0]
     assert message.headers["timer.tick"] == 0
 
 
-def test_ticks_are_contiguous_despite_jitter():
-    consumer = _TimerConsumer("t", 0.01)
-    end = time.monotonic() + 0.1
-    ticks = []
-    while time.monotonic() < end:
-        message = consumer.poll(0.05)
-        if message is not None:
-            ticks.append(message.body[0])
-        if len(ticks) >= 9 and time.monotonic() >= end:
-            break
-    assert len(ticks) >= 9
-    assert ticks == list(range(len(ticks)))
+def test_no_tick_before_it_is_due():
+    consumer = _TimerConsumer("t", 10.0)
+    assert consumer.try_get().body == [0]
+    assert len(consumer) == 0
+    assert consumer.try_get() is None
 
 
 def test_slow_consumer_catches_up_without_skipping():
     consumer = _TimerConsumer("t", 0.005)
-    consumer.poll(0.1)
+    consumer.try_get()
     time.sleep(0.03)  # fall several periods behind
-    burst = [consumer.poll(0.1).body[0] for _ in range(5)]
+    assert len(consumer) >= 5
+    burst = [consumer.try_get().body[0] for _ in range(5)]
     assert burst == [1, 2, 3, 4, 5]
 
 
@@ -56,3 +51,27 @@ def test_timer_route_into_broker(env):
     env.engine.stop_route(route)
     assert all(m is not None for m in got)
     assert [m.body for m in got] == ["0", "1", "2", "3", "4"]
+
+
+def test_ticks_are_contiguous_despite_jitter(env):
+    # Three routes share the one timer thread; one is stopped and restarted.
+    routes = [
+        env.engine.define_route(f"timer:t{i}?period_ms=5", [], f"mq:ticks{i}") for i in range(3)
+    ]
+    taps = [env.broker.subscribe(f"ticks{i}") for i in range(3)]
+    for route in routes:
+        env.engine.start_route(route)
+    assert [t.name for t in threading.enumerate()].count("route-timer") == 1
+    time.sleep(0.05)
+    env.engine.stop_route(routes[0])
+    time.sleep(0.03)  # ticks fall due while stopped and arrive on restart
+    env.engine.start_route(routes[0])
+    time.sleep(0.05)
+    for route in routes:
+        env.engine.stop_route(route)
+    for tap in taps:
+        ticks = [int(m.body) for m in iter(tap.try_get, None)]
+        assert len(ticks) >= 9
+        assert ticks == list(range(len(ticks)))
+    env.close()
+    assert "route-timer" not in [t.name for t in threading.enumerate()]
