@@ -127,8 +127,9 @@ class SensorCommander:
         self._log.add("counter_observed", value)
         self._sensor.send_msg(OpRequest("sensor", "reading", [value]))
         destination = f"station-{render_value(value)}"
-        self._robot.send_msg(OpRequest("robot", "move", [f"MOVE {destination}"]))
+        # Logged first: the reply can be logged before send_msg returns.
         self._log.add("move_sent", destination)
+        self._robot.send_msg(OpRequest("robot", "move", [f"MOVE {destination}"]))
 
 
 class SharedValueConsumer:
