@@ -141,13 +141,13 @@ class SharedValueConsumer:
         self._log = demo_log
         self._mailbox = Mailbox(subscription, self._on_value)
         self._mailbox.open = True
-        subscription.on_message = self._mailbox.drain
+        subscription.queue.listeners.attach(self._mailbox.drain)
 
     def _on_value(self, message) -> None:
         self._log.add("sensor_pub", message.body)
 
     def stop(self) -> None:
-        self._sub.on_message = None
+        self._sub.queue.listeners.detach(self._mailbox.drain)
         self._mailbox.open = False
 
 

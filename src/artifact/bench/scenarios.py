@@ -3,8 +3,9 @@
 Scenario 1 ("terminals"): N gateways, each publishing to and subscribing from
 its own broker topic and receiving its own messages back. Each gateway's
 route pair runs on the engine's shared worker pool, the inbound route on the
-worker that ran the outbound one, so up to POOL_SIZE operations overlap and
-the thread count does not grow with N. Scenario 2 ("router"): a single
+worker that ran the outbound one; the pool adds workers while operations
+block, so the simulated service times of different gateways overlap.
+Scenario 2 ("router"): a single
 gateway with one topic pair forwards messages, addressed per artifact, to N
 linked plain artifacts; every dispatch runs through the router's one serial
 mailbox.

@@ -5,15 +5,15 @@ The producer side renders the message body to its canonical wire text before
 publishing; headers travel with the message in-process. Without subscribers a
 published message is dropped (no retention). A subscriber whose queue stays
 full for ENQUEUE_TIMEOUT_S misses the message, counted in its `dropped`.
-A subscription's `on_message` hook, when set, is called after each message
-it receives; the "mq:" consumer uses it to schedule its route.
+A subscription's queue is an :class:`~artifact.routing.Inbox`: its listeners
+hear of each message it receives, and the "mq:" consumer listens to schedule
+its route.
 """
 from __future__ import annotations
 
 import itertools
 import logging
 import threading
-from typing import Callable
 
 from ..errors import BrokerStoppedError, QueueFullError
 from ..messages import Message
@@ -22,7 +22,7 @@ from ..routing import (
     ENQUEUE_TIMEOUT_S,
     Component,
     Consumer,
-    MessageQueue,
+    Inbox,
     Producer,
     Route,
     RouteMailbox,
@@ -40,10 +40,9 @@ class Subscription:
         self._broker = broker
         self.topic = topic
         self.sub_id = sub_id
-        self.queue = MessageQueue(capacity, f"mq:{topic}#{sub_id}")
+        self.queue = Inbox(capacity, f"mq:{topic}#{sub_id}")
         self.received = 0
         self.dropped = 0  # messages skipped because the queue stayed full
-        self.on_message: Callable[[], None] | None = None
 
     def poll(self, timeout: float = 0.0) -> Message | None:
         """The next message, waiting up to `timeout` seconds; None if none."""
@@ -121,8 +120,7 @@ class TopicBroker:
         t = topic if isinstance(topic, _Topic) else self._topic(topic)
         if self._stopped:
             raise BrokerStoppedError(t.name)
-        delivered = 0
-        hooks = []
+        delivered = []
         with t.lock:
             for sub in t.subscribers:
                 try:
@@ -134,16 +132,15 @@ class TopicBroker:
                         t.name, sub.sub_id, ENQUEUE_TIMEOUT_S,
                     )
                     continue
-                delivered += 1
-                hook = sub.on_message
-                if hook is not None:
-                    hooks.append(hook)
-        for hook in hooks:
-            hook()
+                delivered.append(sub)
+        # Told outside the topic lock: a listener that drains on this thread
+        # may publish to the same topic.
+        for sub in delivered:
+            sub.queue.listeners.notify()
         with self._lock:
             self.published += 1
-            self.delivered += delivered
-        return delivered
+            self.delivered += len(delivered)
+        return len(delivered)
 
     def stop(self) -> None:
         self._stopped = True
@@ -169,12 +166,14 @@ class _MqConsumer(Consumer):
 
     def __init__(self, subscription: Subscription):
         self._sub = subscription
+        self._mailbox: RouteMailbox | None = None
 
     def start(self, mailbox: RouteMailbox) -> None:
-        self._sub.on_message = mailbox.ready
+        self._mailbox = mailbox
+        self._sub.queue.listeners.attach(mailbox.ready)
 
     def stop(self) -> None:
-        self._sub.on_message = None
+        self._sub.queue.listeners.detach(self._mailbox.ready)
 
     def try_get(self) -> Message | None:
         return self._sub.try_get()

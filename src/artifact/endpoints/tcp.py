@@ -7,7 +7,11 @@ and producer side of routes, and reconnects with exponential backoff capped
 at 5 seconds. A server endpoint accepts any number of peers; its consumer
 surfaces lines from all of them, its producer broadcasts. A route consuming
 from "tcp:" runs on the thread that read the line, as Camel's ``direct:``
-does, so a reply reaches its gateway without a thread hand-off.
+does, so a reply reaches its gateway without a thread hand-off. That thread
+reads nothing more until the route returns, so such a route must not wait
+on its own connection: a client send made on the thread that keeps the
+connection fails at once while it is down, since only that thread could
+bring it back.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import time
 
 from ..errors import ConnectionClosedError, FramingError
 from ..messages import Message
-from ..routing import Component, Consumer, MessageQueue, Producer, Route, RouteMailbox
+from ..routing import ENQUEUE_TIMEOUT_S, Component, Consumer, Inbox, Producer, Route, RouteMailbox
 from ..uri import EndpointUri
 from ..values import render_value
 
@@ -211,39 +215,13 @@ class LineServer:
         self.drop_connections()
 
 
-class _Inbox:
-    """Lines an endpoint received, drained by the routes consuming them on
-    the thread that read each line."""
-
-    def __init__(self, name: str, capacity: int = 1024):
-        self.queue = MessageQueue(capacity, name)
-        self._lock = threading.Lock()
-        self._drains: tuple = ()  # replaced under _lock, never changed in place
-
-    def push(self, message: Message) -> None:
-        self.queue.put(message)
-        for drain in self._drains:
-            drain()
-
-    def attach(self, drain) -> None:
-        with self._lock:
-            self._drains += (drain,)
-
-    def detach(self, drain) -> None:
-        with self._lock:
-            self._drains = tuple(d for d in self._drains if d is not drain)
-
-    def close(self) -> None:
-        self.queue.close()
-
-
 class _ClientHub:
     """One maintained client connection; reconnects with capped backoff."""
 
     def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.inbox = _Inbox(f"tcp:{host}:{port}")
+        self.inbox = Inbox(1024, f"tcp:{host}:{port}")
         self._lock = threading.Lock()
         self._connected = threading.Condition(self._lock)
         self._sock: socket.socket | None = None
@@ -276,7 +254,10 @@ class _ClientHub:
             buffer = b""
             try:
                 while not self._closed:
-                    chunk = sock.recv(4096)
+                    try:
+                        chunk = sock.recv(4096)
+                    except TimeoutError:
+                        continue  # the connect timeout bounds each recv too
                     if not chunk:
                         break
                     buffer += chunk
@@ -294,14 +275,15 @@ class _ClientHub:
             if not self._closed:
                 log.warning("tcp %s disconnected; reconnecting", peer)
 
-    def send_line(self, line: str, timeout: float = 30.0) -> None:
-        """Send one frame, waiting through reconnects up to `timeout`."""
+    def send_line(self, line: str, timeout: float = ENQUEUE_TIMEOUT_S) -> None:
+        """Send one frame, waiting through reconnects up to `timeout`; on
+        the connection's own thread, not waiting at all."""
         data = frame_line(line)
         deadline = time.monotonic() + timeout
         while True:
             with self._lock:
                 while self._sock is None:
-                    if self._closed:
+                    if self._closed or threading.current_thread() is self._thread:
                         raise ConnectionClosedError(f"{self.host}:{self.port}")
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
@@ -336,7 +318,7 @@ class _ServerHub:
     """Server-role endpoint state: a LineServer feeding an inbox."""
 
     def __init__(self, host: str, port: int):
-        self.inbox = _Inbox(f"tcp-server:{host}:{port}")
+        self.inbox = Inbox(1024, f"tcp-server:{host}:{port}")
         self.server = LineServer(host, port, handler=self._on_line, name=f"tcp-server:{port}")
         self.refs = 0
 
@@ -349,26 +331,24 @@ class _ServerHub:
 
 
 class _TcpConsumer(Consumer):
-    def __init__(self, component: "TcpComponent", key, inbox: _Inbox):
+    def __init__(self, component: "TcpComponent", key, inbox: Inbox):
         self._component = component
         self._key = key
         self._inbox = inbox
-        self._drain = None
+        self._mailbox: RouteMailbox | None = None
 
     def start(self, mailbox: RouteMailbox) -> None:
-        self._drain = mailbox.drain
-        self._inbox.attach(self._drain)
+        self._mailbox = mailbox
+        self._inbox.listeners.attach(mailbox.drain)
 
     def stop(self) -> None:
-        if self._drain is not None:
-            self._inbox.detach(self._drain)
-            self._drain = None
+        self._inbox.listeners.detach(self._mailbox.drain)
 
     def try_get(self) -> Message | None:
-        return self._inbox.queue.try_get()
+        return self._inbox.try_get()
 
     def __len__(self) -> int:
-        return len(self._inbox.queue)
+        return len(self._inbox)
 
     def close(self) -> None:
         self._component._release(self._key)

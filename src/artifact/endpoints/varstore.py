@@ -15,8 +15,10 @@ back as int, then float, then text.
 
 The "vars:" endpoint scheme is `vars:<host>:<port>/<name>?mode=read|subscribe|write`.
 A subscribe source runs its route on the client's reader thread as each push
-arrives; a read source reads the variable every READ_PERIOD_S on the engine's
-timer schedule and emits it once per version.
+arrives. A read source sends a READ every READ_PERIOD_S from the engine
+timer, unless its last one is unanswered, and runs its route on the reader
+thread when a reply brings a new version, so a stalled server holds up
+only that source's own reader thread.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from typing import Callable
 
 from ..errors import UnknownVariableError, VarStoreProtocolError
 from ..messages import Message
-from ..routing import Component, Consumer, MessageQueue, Producer, Route, RouteMailbox
+from ..routing import Component, Consumer, Inbox, MessageQueue, Producer, Route, RouteMailbox
 from ..uri import EndpointUri
 from ..values import Value, render_value
 from .tcp import LineServer, ServerConnection, shutdown_socket, tcp_connect
@@ -139,13 +141,11 @@ class VarStoreServer:
 
 class VarSubscription:
     """Ordered stream of (value, version) pushes for one variable; the
-    `on_value` hook, when set, is called on the client's reader thread after
-    each push is queued."""
+    queue's listeners hear of each push on the client's reader thread."""
 
     def __init__(self, name: str):
         self.name = name
-        self.queue: MessageQueue = MessageQueue(1024, f"vars-sub:{name}")
-        self.on_value: Callable[[], None] | None = None
+        self.queue = Inbox(1024, f"vars-sub:{name}")
 
     def poll(self, timeout: float = 0.0):
         return self.queue.get(timeout=timeout)
@@ -155,7 +155,9 @@ class VarClient:
     """Protocol client; one outstanding request at a time.
 
     Subscribed names should not also be read through the same client: READ
-    responses and subscription pushes share the VALUE line format.
+    responses and subscription pushes share the VALUE line format. A client
+    whose `on_reply` is set hands every response to it, on the reader
+    thread, and serves only `read_later`.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
@@ -166,6 +168,7 @@ class VarClient:
         self._responses: MessageQueue = MessageQueue(64, "vars-client-responses")
         self._subs: dict[str, list[VarSubscription]] = {}
         self._pending_read: str | None = None
+        self.on_reply: Callable[[object], None] | None = None
         self._closed = False
         self._reader = threading.Thread(
             target=self._read_loop, name=f"vars-client-{host}:{port}", daemon=True
@@ -176,7 +179,10 @@ class VarClient:
         buffer = b""
         try:
             while not self._closed:
-                chunk = self._sock.recv(4096)
+                try:
+                    chunk = self._sock.recv(4096)
+                except TimeoutError:
+                    continue  # the connect timeout bounds each recv too
                 if not chunk:
                     break
                 buffer += chunk
@@ -200,15 +206,19 @@ class VarClient:
                 solicited = self._pending_read == name
                 subs = list(self._subs.get(name, ()))
             if solicited:
-                self._responses.put(record)
+                self._respond(record)
             else:
                 for sub in subs:
-                    sub.queue.put((record[1], record[2]))
-                    hook = sub.on_value
-                    if hook is not None:
-                        hook()
+                    sub.queue.push((record[1], record[2]))
         else:
-            self._responses.put(line)
+            self._respond(line)
+
+    def _respond(self, response) -> None:
+        on_reply = self.on_reply
+        if on_reply is None:
+            self._responses.put(response)
+        else:
+            on_reply(response)
 
     def _request(self, line: str, read_name: str | None = None):
         with self._request_lock:
@@ -231,6 +241,13 @@ class VarClient:
         if "unknown-variable" in str(response):
             raise UnknownVariableError(name)
         raise VarStoreProtocolError(f"unexpected response {response!r}")
+
+    def read_later(self, name: str) -> None:
+        """Send READ <name> and return at once; `on_reply` gets the reply, a
+        (name, value, version) record or an ERR line."""
+        with self._state_lock:
+            self._pending_read = name
+        self._sock.sendall(f"READ {name}\n".encode("utf-8"))
 
     def write(self, name: str, value: Value) -> None:
         response = self._request(f"WRITE {name} {render_value(value)}")
@@ -283,12 +300,14 @@ class _VarSubscribeConsumer(Consumer):
         self._client = client
         self._sub = sub
         self._name = name
+        self._mailbox: RouteMailbox | None = None
 
     def start(self, mailbox: RouteMailbox) -> None:
-        self._sub.on_value = mailbox.drain
+        self._mailbox = mailbox
+        self._sub.queue.listeners.attach(mailbox.drain)
 
     def stop(self) -> None:
-        self._sub.on_value = None
+        self._sub.queue.listeners.detach(self._mailbox.drain)
 
     def try_get(self) -> Message | None:
         record = self._sub.queue.try_get()
@@ -308,48 +327,58 @@ class _VarSubscribeConsumer(Consumer):
 
 
 class _VarReadConsumer(Consumer):
-    """Reads the current value each time the engine timer fires and emits it
-    once per version change."""
+    """Sends a READ each time the engine timer fires, unless the last one is
+    unanswered, and emits the value the reply brings once per version."""
 
     def __init__(self, client: VarClient, name: str):
         self._client = client
         self._name = name
+        self._inbox = Inbox(1024, f"vars-read:{name}")
         self._last_version: int | None = None
-        self._due = False
+        self._reading = False  # a READ is unanswered
         self._timer = None
-        self._ready: Callable[[], None] | None = None
+        self._mailbox: RouteMailbox | None = None
+        client.on_reply = self._on_reply
 
     def start(self, mailbox: RouteMailbox) -> None:
-        self._ready = mailbox.ready
+        self._mailbox = mailbox
+        self._inbox.listeners.attach(mailbox.drain)
         self._timer = mailbox.every(READ_PERIOD_S, self._fire)
 
     def _fire(self) -> None:
-        self._due = True
-        self._ready()
+        if self._reading:
+            return
+        self._reading = True
+        try:
+            self._client.read_later(self._name)
+        except OSError as exc:
+            # The client does not reconnect: stay "reading" and send no more.
+            log.warning("vars read source %s lost its connection: %s", self._name, exc)
+
+    def _on_reply(self, reply) -> None:
+        self._reading = False
+        if not isinstance(reply, tuple):
+            return  # ERR: the variable does not exist (yet)
+        _, value, version = reply
+        if version == self._last_version:
+            return
+        self._last_version = version
+        self._inbox.push(Message(
+            headers={VAR_NAME_HEADER: self._name, VAR_VERSION_HEADER: version},
+            body=[value],
+        ))
 
     def stop(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+        self._inbox.listeners.detach(self._mailbox.drain)
 
     def try_get(self) -> Message | None:
-        if not self._due:
-            return None
-        self._due = False
-        try:
-            value, version = self._client.read(self._name)
-        except UnknownVariableError:
-            return None
-        if version == self._last_version:
-            return None
-        self._last_version = version
-        return Message(
-            headers={VAR_NAME_HEADER: self._name, VAR_VERSION_HEADER: version},
-            body=[value],
-        )
+        return self._inbox.try_get()
 
     def __len__(self) -> int:
-        return 1 if self._due else 0
+        return len(self._inbox)
 
     def close(self) -> None:
         self._client.close()

@@ -36,6 +36,7 @@ from .routing import (
     Component,
     Consumer,
     DeadLetterQueue,
+    Listeners,
     Mailbox,
     MessageQueue,
     Producer,
@@ -107,14 +108,8 @@ class _Channel:
         self.name = name
         self.lock = threading.Lock()
         self.gateways: dict[str, "GatewayArtifact"] = {}
-        # ready() of each started route consuming this channel; replaced
-        # under the lock, never changed in place, so notify reads no lock.
-        self.readers: tuple = ()
-
-    def notify(self) -> None:
-        """One more message is waiting on the channel."""
-        for ready in self.readers:
-            ready()
+        # ready() of each started route consuming this channel
+        self.readers = Listeners()
 
 
 class ChannelRegistry:
@@ -304,7 +299,7 @@ class GatewayArtifact(Artifact):
         message = request.to_message(extra_headers)
         self.outgoing.put(message, timeout=timeout)
         self.stats.sent += 1
-        self._channel.notify()
+        self._channel.readers.notify()
         return message
 
     def poll_outgoing(self, max_wait: float = 0.0) -> Message | None:
@@ -429,17 +424,14 @@ class _ChannelConsumer(Consumer):
     def __init__(self, channel: _Channel):
         self._channel = channel
         self._rr = 0
-        self._ready = None
+        self._mailbox: RouteMailbox | None = None
 
     def start(self, mailbox: RouteMailbox) -> None:
-        with self._channel.lock:
-            self._ready = mailbox.ready
-            self._channel.readers += (self._ready,)
+        self._mailbox = mailbox
+        self._channel.readers.attach(mailbox.ready)
 
     def stop(self) -> None:
-        with self._channel.lock:
-            ready, self._ready = self._ready, None
-            self._channel.readers = tuple(r for r in self._channel.readers if r is not ready)
+        self._channel.readers.detach(self._mailbox.ready)
 
     def try_get(self) -> Message | None:
         gateways = list(self._channel.gateways.values())

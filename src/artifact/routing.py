@@ -4,11 +4,12 @@ A route takes messages from a consumer endpoint, applies an ordered processor
 chain, and hands them to a producer endpoint. Endpoint components are
 registered by URI scheme. No route owns a thread: each started route is a
 serial mailbox over its consumer, which buffers what arrives and pushes the
-route to run. In-process sources schedule it on the engine's small worker
-pool (SEDA, Camel's ``seda:``), socket sources drain it on the thread that
-read the line (Camel's ``direct:``), and timed sources fire from the engine's
-one timer thread. A message whose processing or delivery fails moves to the
-route's dead-letter queue with the error attached.
+route to run. In-process sources schedule it on the engine's worker pool
+(SEDA, Camel's ``seda:``), which grows only while its workers are blocked;
+socket sources drain it on the thread that read the line (Camel's
+``direct:``), and timer sources fire from the engine's one timer thread. A
+message whose processing or delivery fails moves to the route's dead-letter
+queue with the error attached.
 """
 from __future__ import annotations
 
@@ -43,9 +44,8 @@ DEFAULT_QUEUE_CAPACITY = 1024
 # How long a hand-off into a full queue waits before the sender gives up and
 # counts the message as lost to that receiver.
 ENQUEUE_TIMEOUT_S = 10.0
-# Worker threads an engine runs mailboxes on; started one at a time, on
-# demand. Scenario 1 needs at least 3 of its 5 ms operations to overlap.
-POOL_SIZE = 4
+# A pool worker left idle this long exits; workers start again on demand.
+IDLE_RETIRE_S = 10.0
 
 
 class _ThreadState(threading.local):
@@ -165,6 +165,44 @@ class MessageQueue:
             return len(self._items)
 
 
+class Listeners:
+    """Callbacks told, in attach order, that a source has something waiting.
+
+    attach and detach swap a tuple under a lock, so `notify` takes none; a
+    push-driven consumer attaches its mailbox's `ready` or `drain` when it
+    starts and detaches it when it stops.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._calls: tuple[Callable[[], None], ...] = ()
+
+    def attach(self, call: Callable[[], None]) -> None:
+        with self._lock:
+            self._calls += (call,)
+
+    def detach(self, call: Callable[[], None]) -> None:
+        with self._lock:
+            self._calls = tuple(c for c in self._calls if c != call)
+
+    def notify(self) -> None:
+        for call in self._calls:
+            call()
+
+
+class Inbox(MessageQueue):
+    """A bounded FIFO whose `listeners` hear of each item put with `push`:
+    the buffer of a push-driven route source."""
+
+    def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY, name: str = ""):
+        super().__init__(capacity, name)
+        self.listeners = Listeners()
+
+    def push(self, item, timeout: float | None = None) -> None:
+        self.put(item, timeout)
+        self.listeners.notify()
+
+
 # ---------------------------------------------------------------------------
 # serial mailboxes
 
@@ -190,8 +228,12 @@ class Mailbox:
     def claim(self) -> bool:
         return self.open and self._claim.acquire(blocking=False)
 
-    def release(self) -> None:
+    def release(self) -> bool:
+        """Let the claim go, then re-check the source. True when a message
+        arrived meanwhile and this thread took the claim back: the caller
+        must run the box again, or no other thread might."""
         self._claim.release()
+        return self.pending() and self.claim()
 
     def pending(self) -> bool:
         return self.open and len(self.source) > 0
@@ -218,13 +260,14 @@ class Mailbox:
     def drain(self) -> None:
         """Drain on this thread until the source is empty, unless another
         thread drains or the box is closed."""
-        while self.claim():
+        again = self.claim()
+        while again:
             try:
                 self.run()
-            finally:
-                self.release()
-            if not self.pending():
-                return
+            except BaseException:
+                self._claim.release()
+                raise
+            again = self.release()
 
     def wait_idle(self, timeout: float) -> bool:
         """Wait for a drain running on another thread; False if it still runs
@@ -246,8 +289,9 @@ class RouteMailbox(Mailbox):
     """A started route's mailbox; its source is the route's consumer.
 
     The consumer tells it about new messages through `ready()` (drain on the
-    engine's pool), `drain()` (drain on this thread) or `every()` (the engine
-    timer calls back periodically)."""
+    engine's pool) or `drain()` (drain on this thread), often by attaching
+    one of them to an Inbox's listeners; `every()` has the engine timer
+    call back periodically."""
 
     def __init__(self, route: "Route", pool: "WorkerPool", timer: "_Timer"):
         super().__init__(route._consumer, self._step)
@@ -288,35 +332,53 @@ class RouteMailbox(Mailbox):
 
 
 class _Worker:
-    __slots__ = ("pool", "next")
+    __slots__ = ("pool", "thread", "next", "wake", "woken")
 
     def __init__(self, pool: "WorkerPool"):
         self.pool = pool
+        self.thread: threading.Thread | None = None
         self.next: RouteMailbox | None = None  # runs after the drain in hand
+        self.wake = threading.Condition(pool._lock)
+        self.woken = True  # handed a task and not yet looked for it
 
 
 class WorkerPool:
-    """Runs route mailboxes on at most POOL_SIZE threads.
+    """Runs route mailboxes on worker threads it starts on demand.
 
     A mailbox is scheduled while its claim is held, so it has at most one
-    outstanding task. A mailbox a worker schedules waits in that worker's
-    one-task next slot and runs on it after the drain in hand (the LIFO slot
-    of Tokio's scheduler); one already there moves to the shared FIFO run
-    queue, where other threads schedule too. A worker starts only when a
-    task is queued and no worker is idle or already notified. A worker lets
-    a drain's claim go under the pool lock, so no task is ever counted as
-    running while its worker is already free.
+    outstanding task, and the pool never needs more workers than there are
+    routes. A mailbox a worker schedules waits in that worker's one-task
+    next slot and runs on it after the drain in hand (the LIFO slot of
+    Tokio's scheduler); one already there moves to the shared FIFO run
+    queue, where other threads schedule too. A queued task wakes the worker
+    idle the shortest time; the first task starts the first worker.
+
+    When every worker is busy a task waits. The engine timer looks at the
+    queue one interpreter switch interval later, and then every interval
+    while tasks wait. A look finds the busy workers blocked outside the
+    interpreter, in an operation's sleep or I/O, when the process spent
+    less than half of the interval on a CPU and the timer itself fired
+    within half an interval of its deadline. After two such looks in a
+    row, each task that has waited an interval gets a worker of its own.
+    A thread that holds the interpreter lock shows as CPU time and delays
+    the timer by an interval, so it starts no worker, which would only
+    wait for that lock; the second look keeps a process that the machine
+    did not run for a moment from passing for blocked workers. A worker
+    idle for IDLE_RETIRE_S exits.
     """
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, timer: "_Timer"):
         self._name = name
+        self._timer = timer
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
-        self._tasks: deque[RouteMailbox] = deque()
-        self._threads: list[threading.Thread] = []
-        self._idle = 0  # workers waiting for a task
-        self._notified = 0  # idle workers woken for a task, not yet running
+        self._tasks: deque[tuple[RouteMailbox, float]] = deque()  # (box, queued at)
+        self._workers: list[_Worker] = []
+        self._idle: list[_Worker] = []  # waiting for a task, the longest idle first
+        self._coming = 0  # workers handed a task, not yet looking for it
+        self._check_due: float | None = None  # when the armed check fires
+        self._check_since = (0.0, 0.0)  # (monotonic, process CPU) when armed
+        self._blocked_looks = 0  # successive checks that found the workers blocked
         self._closing = False
 
     def schedule(self, box: RouteMailbox) -> None:
@@ -344,45 +406,90 @@ class WorkerPool:
     def _push(self, box: RouteMailbox) -> threading.Thread | None:
         """Queue a task, under the lock; returns a new worker for the caller
         to start once the lock is released, when one is needed."""
-        self._tasks.append(box)
-        if self._idle > self._notified:
-            self._notified += 1
-            self._work.notify()
-        elif self._notified < len(self._tasks) and len(self._threads) < POOL_SIZE:
-            thread = threading.Thread(
-                target=self._run, name=f"{self._name}-{next(self._ids)}", daemon=True
-            )
-            self._threads.append(thread)
-            return thread
+        now = time.monotonic()
+        self._tasks.append((box, now))
+        if self._idle:
+            self._hand(self._idle.pop())
+        elif not self._workers:
+            return self._new_worker()
+        elif self._check_due is None and not self._closing:
+            self._blocked_looks = 0
+            self._arm(now)
         return None
 
-    def _run(self) -> None:
+    def _arm(self, now: float) -> None:
+        self._check_due = now + sys.getswitchinterval()
+        self._check_since = (now, time.process_time())
+        self._timer.once(self._check_due, self._check)
+
+    def _hand(self, worker: _Worker) -> None:
+        worker.woken = True
+        self._coming += 1
+        worker.wake.notify()
+
+    def _new_worker(self) -> threading.Thread:
         worker = _Worker(self)
+        worker.thread = threading.Thread(
+            target=self._run, args=(worker,), name=f"{self._name}-{next(self._ids)}", daemon=True
+        )
+        self._workers.append(worker)
+        self._coming += 1
+        return worker.thread
+
+    def _check(self) -> None:
+        """Timer callback: when the busy workers are blocked, start a worker
+        for each task that has waited a switch interval."""
+        interval = sys.getswitchinterval()
+        started = []
+        with self._lock:
+            now, cpu = time.monotonic(), time.process_time()
+            due, self._check_due = self._check_due, None
+            if due is None or self._closing:
+                return
+            since, cpu_since = self._check_since
+            if now - due < interval / 2 and cpu - cpu_since < (now - since) / 2:
+                self._blocked_looks += 1
+            else:
+                self._blocked_looks = 0
+            if self._blocked_looks >= 2:
+                waited = sum(1 for _ in itertools.takewhile(
+                    lambda task: now - task[1] >= interval, self._tasks))
+                started = [self._new_worker() for _ in range(waited - self._coming)]
+            if self._tasks:
+                self._arm(now)
+        for thread in started:
+            thread.start()
+
+    def _run(self, worker: _Worker) -> None:
         _thread_state.worker = worker
         box: RouteMailbox | None = None
         try:
             while True:
                 started = None
                 with self._lock:
-                    if box is not None:
-                        box.release()
-                        if box.pending() and box.claim():
-                            # Run again at once unless others wait their turn.
-                            if worker.next is None and not self._tasks:
-                                worker.next = box
-                            else:
-                                started = self._push(box)
+                    if box is not None and box.release():
+                        # Run again at once unless others wait their turn.
+                        if worker.next is None and not self._tasks:
+                            worker.next = box
+                        else:
+                            started = self._push(box)
                     box, worker.next = worker.next, None
                     while box is None:
+                        if worker.woken:
+                            worker.woken = False
+                            self._coming -= 1
                         if self._tasks:
-                            box = self._tasks.popleft()
+                            box = self._tasks.popleft()[0]
                         elif self._closing:
+                            self._workers.remove(worker)
                             return
                         else:
-                            self._idle += 1
-                            self._work.wait()
-                            self._idle -= 1
-                            self._notified -= 1
+                            self._idle.append(worker)
+                            worker.wake.wait(IDLE_RETIRE_S)
+                            if not worker.woken:  # no task came: retire
+                                self._idle.remove(worker)
+                                self._workers.remove(worker)
+                                return
                 if started is not None:
                     started.start()
                 try:
@@ -397,9 +504,9 @@ class WorkerPool:
         schedule starts workers again."""
         with self._lock:
             self._closing = True
-            self._notified = self._idle
-            self._work.notify_all()
-            threads = list(self._threads)
+            while self._idle:
+                self._hand(self._idle.pop())
+            threads = [worker.thread for worker in self._workers]
         me = threading.current_thread()
         for thread in threads:
             # A thread with no ident yet is being started by its scheduler.
@@ -408,14 +515,14 @@ class WorkerPool:
                 if thread.is_alive():
                     log.warning("%s did not exit within %.1fs", thread.name, timeout)
         with self._lock:
-            self._threads = [t for t in self._threads if t.is_alive() or t.ident is None]
             self._closing = False
+            self._check_due = None
 
 
 class _TimerEntry:
     __slots__ = ("period", "fire", "cancelled")
 
-    def __init__(self, period: float, fire: Callable[[], None]):
+    def __init__(self, period: float | None, fire: Callable[[], None]):
         self.period = period
         self.fire = fire
         self.cancelled = False
@@ -425,7 +532,7 @@ class _TimerEntry:
 
 
 class _Timer:
-    """Periodic callbacks from one deadline heap, fired on one thread that
+    """Timed callbacks from one deadline heap, fired on one thread that
     starts with the first entry."""
 
     def __init__(self, name: str):
@@ -438,8 +545,14 @@ class _Timer:
         self._closing = False
 
     def every(self, period_s: float, fire: Callable[[], None], first: float | None = None) -> _TimerEntry:
-        entry = _TimerEntry(period_s, fire)
-        due = time.monotonic() if first is None else first
+        """Call `fire()` at `first` (default now), then every `period_s`."""
+        return self._add(time.monotonic() if first is None else first, _TimerEntry(period_s, fire))
+
+    def once(self, due: float, fire: Callable[[], None]) -> _TimerEntry:
+        """Call `fire()` once, at monotonic time `due`."""
+        return self._add(due, _TimerEntry(None, fire))
+
+    def _add(self, due: float, entry: _TimerEntry) -> _TimerEntry:
         with self._lock:
             heapq.heappush(self._heap, (due, next(self._seq), entry))
             self._changed.notify()
@@ -463,10 +576,11 @@ class _Timer:
                 heapq.heappop(heap)
                 if entry.cancelled:
                     continue
-                # The next deadline on the entry's grid after now: a source
-                # that fell behind catches up by itself when it runs.
-                due += entry.period * (int((now - due) // entry.period) + 1)
-                heapq.heappush(heap, (due, next(self._seq), entry))
+                if entry.period is not None:
+                    # The next deadline on the entry's grid after now: a
+                    # source that fell behind catches up by itself when it runs.
+                    due += entry.period * (int((now - due) // entry.period) + 1)
+                    heapq.heappush(heap, (due, next(self._seq), entry))
                 self._lock.release()
                 try:
                     entry.fire()
@@ -687,8 +801,8 @@ class RoutingEngine:
         self.registry = registry
         self._routes: dict[str, Route] = {}
         self._lock = threading.Lock()
-        self._pool = WorkerPool("route-worker")
         self._timer = _Timer("route-timer")
+        self._pool = WorkerPool("route-worker", self._timer)
 
     def define_route(
         self,
@@ -787,5 +901,5 @@ class RoutingEngine:
             route._consumer = None
             route._producer = None
             route._mailbox = None
-        self._timer.stop(join_timeout)
         self._pool.stop(join_timeout)
+        self._timer.stop(join_timeout)

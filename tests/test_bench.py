@@ -20,8 +20,10 @@ from artifact.bench.cli import main
 from artifact.bench.metrics import rss_mb
 from artifact.bench.scenarios import BenchEnv, DeliveryCollector, _build_terminals
 from artifact.errors import NoDataError
+from artifact.gateway import GatewayArtifact
 from artifact.messages import OpRequest
-from artifact.routing import POOL_SIZE
+from artifact.runtime import operation
+from artifact import routing
 
 from conftest import wait_until
 
@@ -181,13 +183,18 @@ def _route_threads() -> list[str]:
     return [t.name for t in threading.enumerate() if t.name.startswith("route-")]
 
 
-def _terminals(n: int):
+def _route_workers() -> list[str]:
+    return [name for name in _route_threads() if name.startswith("route-worker")]
+
+
+def _terminals(n: int, op_work_ms: float = 0.0):
     """Scenario 1's topology with n gateways after one message each; the
     threads it started while built, and after that traffic."""
     before = set(threading.enumerate())
     env = BenchEnv()
     collector = DeliveryCollector()
-    gateways = _build_terminals(env, _cfg(Scenario.TERMINALS, n_artifacts=n), collector)
+    cfg = _cfg(Scenario.TERMINALS, n_artifacts=n, op_work_ms=op_work_ms)
+    gateways = _build_terminals(env, cfg, collector)
     built = [t for t in threading.enumerate() if t not in before]
     for gateway in gateways:
         gateway.send_msg(OpRequest(gateway.id.name, "recv", ["x"]))
@@ -201,11 +208,57 @@ def test_thread_count_does_not_grow_with_the_number_of_gateways():
     for n in (10, 200):
         env, built[n], busy = _terminals(n)
         try:
-            # the pool's workers and the runtime's observer dispatcher
-            assert len(busy) <= POOL_SIZE + 1, [t.name for t in busy]
+            # the observer dispatcher, the engine timer and the pool's
+            # workers: operations that never block grow no pool
+            assert len(busy) <= 4, [t.name for t in busy]
         finally:
             env.close()
     assert len(built[10]) == len(built[200]) == 1  # the observer dispatcher
+
+
+def test_blocking_operations_overlap_beyond_a_fixed_pool(monkeypatch):
+    # 40 operations of 100 ms each: 1 s on four workers, about one
+    # operation's time when each waiting task gets its own worker
+    monkeypatch.setattr(routing, "IDLE_RETIRE_S", 0.3)
+    start = time.monotonic()
+    env, _, busy = _terminals(40, op_work_ms=100.0)
+    try:
+        elapsed = time.monotonic() - start
+        assert elapsed < 0.6, elapsed
+        assert 4 < len(_route_workers()) <= 80  # never more workers than routes
+        # idle workers retire
+        assert wait_until(lambda: _route_workers() == [], timeout=5.0)
+    finally:
+        env.close()
+    assert not any(t.is_alive() for t in busy)
+
+
+class _Spinner(GatewayArtifact):
+    done = 0
+
+    @operation
+    def spin(self, payload=None):
+        end = time.perf_counter() + 0.03  # 30 ms holding the interpreter lock
+        while time.perf_counter() < end:
+            pass
+        self.done += 1
+
+
+def test_operations_that_only_hold_the_interpreter_lock_grow_no_pool(env):
+    # Each task waits far longer than a switch interval, but behind a worker
+    # that runs, not one that is blocked: more workers would only queue on
+    # the interpreter lock.
+    gateways = []
+    for i in range(10):
+        gateway = env.runtime.lookup(env.runtime.make_artifact("main", f"s{i}", _Spinner, []))
+        gateway.attach_route(env.engine.define_route(f"artifact:s{i}", [], f"mq:s{i}"), engine=env.engine)
+        gateway.attach_route(env.engine.define_route(f"mq:s{i}", [], f"artifact:s{i}"))
+        gateway.start_listening()
+        gateways.append(gateway)
+    for gateway in gateways:
+        gateway.send_msg(OpRequest(gateway.id.name, "spin", ["x"]))
+    assert wait_until(lambda: all(g.done == 1 for g in gateways))
+    assert len(_route_workers()) <= 2, _route_workers()
 
 
 def test_idle_terminals_burn_no_cpu_and_close_leaves_no_thread():

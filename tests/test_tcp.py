@@ -7,9 +7,9 @@ import time
 
 import pytest
 
-from artifact import Message, SetHeader
-from artifact.endpoints.tcp import LineServer, frame_line, shutdown_socket, tcp_connect
-from artifact.errors import FramingError
+from artifact import Message, SetHeader, parse_endpoint_uri
+from artifact.endpoints.tcp import LineServer, TcpComponent, frame_line, shutdown_socket, tcp_connect
+from artifact.errors import ConnectionClosedError, FramingError
 
 from conftest import wait_until
 
@@ -108,6 +108,32 @@ def test_client_reconnects_with_backoff_and_resumes(env, caplog):
             assert wait_until(lambda: responses == ["first", "second"], timeout=10)
         assert any("reconnect" in record.message for record in caplog.records)
     finally:
+        server.stop()
+
+
+def test_a_send_on_the_connections_own_reader_fails_at_once_while_it_is_down():
+    server = LineServer()
+    component = TcpComponent()
+    key, hub = component._hub_for(parse_endpoint_uri(f"tcp:127.0.0.1:{server.port}?role=client"))
+    waited = []
+
+    def on_line():  # on the hub's reader thread, where a tcp: route runs
+        shutdown_socket(hub._sock)  # the connection drops under it
+        start = time.monotonic()
+        try:
+            hub.send_line("reply")
+        except ConnectionClosedError:
+            waited.append(time.monotonic() - start)
+
+    hub.inbox.listeners.attach(on_line)
+    try:
+        assert server.wait_for_connection(5.0)
+        server.broadcast("ping")
+        # only this thread could reconnect, so the send does not wait for it
+        assert wait_until(lambda: waited, timeout=15.0)
+        assert waited[0] < 1.0
+    finally:
+        component._release(key)
         server.stop()
 
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import socket
+import threading
+import time
 
 import pytest
 
-from artifact import ARTIFACT_NAME_HEADER, OPERATION_NAME_HEADER, GatewayArtifact, SetHeader, operation
+from artifact import ARTIFACT_NAME_HEADER, OPERATION_NAME_HEADER, GatewayArtifact, Message, SetHeader, operation
 from artifact.endpoints import VarClient, VarStoreServer
+from artifact.endpoints.tcp import LineServer
 from artifact.errors import UnknownVariableError
 
 from conftest import wait_until
@@ -90,6 +93,19 @@ def test_client_read_write_subscribe(store):
         client.close()
 
 
+def test_a_client_outlives_a_silence_longer_than_its_timeout(store):
+    store.write("x", 1)
+    client = VarClient(store.host, store.port, timeout=0.1)
+    try:
+        sub = client.subscribe("x")
+        time.sleep(0.3)  # no line for three timeouts
+        store.write("x", 2)
+        assert sub.poll(2.0) == (2, 1)
+        assert client.read("x") == (2, 1)
+    finally:
+        client.close()
+
+
 def test_subscribe_unknown_variable(store):
     client = VarClient(store.host, store.port)
     try:
@@ -152,3 +168,30 @@ def test_read_mode_consumer_emits_on_version_change(env, store):
     store.write("level", 11)
     second = tap.poll(2.0)
     assert second is not None and second.body == "11"
+
+
+def test_a_stalled_read_source_holds_up_no_other_route(env):
+    reads = []
+    stalled = LineServer(handler=lambda conn, line: reads.append(line))  # never answers
+    try:
+        for i in range(4):
+            source = env.engine.define_route(
+                f"vars:127.0.0.1:{stalled.port}/v{i}?mode=read", [], "mq:never"
+            )
+            env.engine.start_route(source)
+        bridge = env.engine.define_route("mq:in", [], "mq:out")
+        tap = env.broker.subscribe("out")
+        env.engine.start_route(bridge)
+        assert wait_until(lambda: len(reads) == 4)
+        time.sleep(0.2)  # ten read periods, every READ unanswered
+        for i in range(10):
+            env.broker.publish("in", Message(body=[i]))
+        got = [tap.poll(1.0) for _ in range(10)]
+        assert [m.body if m else None for m in got] == [str(i) for i in range(10)]
+        # one READ each, left waiting on no thread of the engine
+        assert sorted(reads) == [f"READ v{i}" for i in range(4)]
+        workers = [t for t in threading.enumerate() if t.name.startswith("route-worker")]
+        assert len(workers) <= 1
+    finally:
+        env.close()
+        stalled.stop()
