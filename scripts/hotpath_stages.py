@@ -12,8 +12,11 @@ from their components and driven from here. Each message goes through
 (the ``artifact:`` producer delivers on the thread that sends, so the last
 stage includes ``deliver``), and the script prints the microseconds per
 message each stage took, as the median over rounds, so a per-hop change can
-be sized without the threaded benchmark. Wall time equals CPU time here,
-since nothing else runs.
+be sized without the threaded benchmark. Like a started route, a stage runs
+``process`` only for a non-empty chain; the topology's chains are empty, so
+those two stages time only that test. The script also prints how often
+``Message.copy`` ran per message. Wall time equals CPU time here, since
+nothing else runs.
 
     PYTHONPATH=src python scripts/hotpath_stages.py [--messages N] [--rounds R]
 """
@@ -24,7 +27,7 @@ import random
 import statistics
 from time import perf_counter
 
-from artifact import Artifact, GatewayArtifact, OpRequest, operation, process
+from artifact import Artifact, GatewayArtifact, Message, OpRequest, operation, process
 from artifact.bench.scenarios import BenchEnv
 
 STAGES = (
@@ -87,13 +90,15 @@ def run_round(router, names, hops, messages: int, rng: random.Random) -> list[fl
         t1 = perf_counter()
         message = out_consumer.try_get()
         t2 = perf_counter()
-        message = process(message, out_chain)
+        if out_chain:
+            message = process(message, out_chain)
         t3 = perf_counter()
         mq_producer.send(message)
         t4 = perf_counter()
         message = mq_consumer.try_get()
         t5 = perf_counter()
-        message = process(message, in_chain)
+        if in_chain:
+            message = process(message, in_chain)
         t6 = perf_counter()
         in_producer.send(message)
         t7 = perf_counter()
@@ -120,16 +125,29 @@ def main() -> int:
     # send or publish schedules one and every stage runs on this thread.
     router._mailbox.open = True
     rng = random.Random(args.seed)
+    real_copy = Message.copy
+    copies = 0
+
+    def counted_copy(message):
+        nonlocal copies
+        copies += 1
+        return real_copy(message)
+
     try:
         run_round(router, names, hops, min(1000, args.messages), rng)  # warm-up
         rounds = [run_round(router, names, hops, args.messages, rng) for _ in range(args.rounds)]
+        # Counted apart from the timed rounds, so the count costs them nothing.
+        Message.copy = counted_copy
+        run_round(router, names, hops, args.messages, rng)
     finally:
+        Message.copy = real_copy
         router._mailbox.open = False
         for endpoint in (hops[0], hops[2], hops[3], hops[5]):
             endpoint.close()
         env.close()
 
-    print(f"{args.messages} messages x {args.rounds} rounds, {args.targets} targets; "
+    print(f"{args.messages} messages x {args.rounds} rounds, {args.targets} targets, "
+          f"{copies / args.messages:.2f} Message.copy calls per message; "
           "us per message, median [min, max] over rounds")
     for i, stage in enumerate(STAGES):
         values = [r[i] for r in rounds]

@@ -2,9 +2,11 @@
 
 The "mq:" endpoint scheme publishes to and subscribes from broker topics.
 The producer side renders the message body to its canonical wire text before
-publishing; headers travel with the message in-process. Without subscribers a
-published message is dropped (no retention). A subscriber whose queue stays
-full for ENQUEUE_TIMEOUT_S misses the message, counted in its `dropped`.
+publishing; headers travel with the message in-process, copied once per
+subscriber by the publish. Publishing takes only the topic's lock. Without
+subscribers a published message is dropped (no retention). A subscriber
+whose queue stays full for ENQUEUE_TIMEOUT_S misses the message, counted in
+its `dropped`.
 A subscription's queue is an :class:`~artifact.routing.Inbox`: its listeners
 hear of each message it receives, and the "mq:" consumer listens to schedule
 its route.
@@ -69,6 +71,9 @@ class _Topic:
         self.name = name
         self.lock = threading.Lock()
         self.subscribers: list[Subscription] = []
+        # guarded by `lock`, which every publish to the topic holds anyway
+        self.published = 0
+        self.delivered = 0
 
 
 class TopicBroker:
@@ -81,8 +86,6 @@ class TopicBroker:
         self._ids = itertools.count(1)
         self._capacity = queue_capacity
         self._stopped = False
-        self.published = 0
-        self.delivered = 0
 
     def _topic(self, name: str) -> _Topic:
         with self._lock:
@@ -133,20 +136,31 @@ class TopicBroker:
                     )
                     continue
                 delivered.append(sub)
+            t.published += 1
+            t.delivered += len(delivered)
         # Told outside the topic lock: a listener that drains on this thread
         # may publish to the same topic.
         for sub in delivered:
             sub.queue.listeners.notify()
-        with self._lock:
-            self.published += 1
-            self.delivered += len(delivered)
         return len(delivered)
+
+    @property
+    def published(self) -> int:
+        """Messages published, over all topics."""
+        return sum(t.published for t in self._all_topics())
+
+    @property
+    def delivered(self) -> int:
+        """Copies handed to subscribers, over all topics."""
+        return sum(t.delivered for t in self._all_topics())
+
+    def _all_topics(self) -> list[_Topic]:
+        with self._lock:
+            return list(self._topics.values())
 
     def stop(self) -> None:
         self._stopped = True
-        with self._lock:
-            topics = list(self._topics.values())
-        for t in topics:
+        for t in self._all_topics():
             with t.lock:
                 for sub in t.subscribers:
                     sub.queue.close()
@@ -191,7 +205,8 @@ class _MqProducer(Producer):
         self._topic = broker._topic(topic)
 
     def send(self, message: Message) -> None:
-        self._broker.publish(self._topic, message.with_body(render_value(message.body)))
+        # publish gives each subscriber its own copy, headers included.
+        self._broker.publish(self._topic, Message(message.headers, render_value(message.body)))
 
 
 class MqComponent(Component):

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import logging
 import threading
+from collections import deque
 from typing import Callable
 
 from ..errors import UnknownVariableError, VarStoreProtocolError
 from ..messages import Message
-from ..routing import Component, Consumer, Inbox, MessageQueue, Producer, Route, RouteMailbox
+from ..routing import Component, Consumer, Inbox, Producer, Route, RouteMailbox
 from ..uri import EndpointUri
 from ..values import Value, render_value
 from .tcp import LineServer, ServerConnection, shutdown_socket, tcp_connect
@@ -151,8 +152,24 @@ class VarSubscription:
         return self.queue.get(timeout=timeout)
 
 
+class _Pending:
+    """A request sent and not yet answered; `read_name` for a READ."""
+
+    __slots__ = ("read_name", "answered", "response")
+
+    def __init__(self, read_name: str | None):
+        self.read_name = read_name
+        self.answered = threading.Event()
+        self.response = None  # stays None when the connection closes first
+
+
 class VarClient:
-    """Protocol client; one outstanding request at a time.
+    """Protocol client.
+
+    The server answers the requests of a connection in the order they came,
+    so the client matches each reply to the oldest request still unanswered.
+    A request that gives up waiting keeps its place in that order, and the
+    reply that comes for it later is dropped, not handed to a later request.
 
     Subscribed names should not also be read through the same client: READ
     responses and subscription pushes share the VALUE line format. A client
@@ -163,11 +180,11 @@ class VarClient:
     def __init__(self, host: str, port: int, timeout: float = 5.0):
         self._timeout = timeout
         self._sock = tcp_connect(host, port, timeout=timeout)
-        self._request_lock = threading.Lock()
+        self._send_lock = threading.Lock()  # keeps `_pending` in send order
         self._state_lock = threading.Lock()
-        self._responses: MessageQueue = MessageQueue(64, "vars-client-responses")
+        self._pending: deque[_Pending] = deque()  # oldest first
         self._subs: dict[str, list[VarSubscription]] = {}
-        self._pending_read: str | None = None
+        self._reading = True  # the reader runs; guarded by _state_lock
         self.on_reply: Callable[[object], None] | None = None
         self._closed = False
         self._reader = threading.Thread(
@@ -192,7 +209,12 @@ class VarClient:
         except OSError:
             pass
         finally:
-            self._responses.close()
+            with self._state_lock:
+                self._reading = False
+                unanswered = list(self._pending)
+                self._pending.clear()
+            for pending in unanswered:
+                pending.answered.set()
 
     def _on_line(self, line: str) -> None:
         if line.startswith("VALUE "):
@@ -201,38 +223,55 @@ class VarClient:
                 log.warning("malformed VALUE line: %r", line)
                 return
             _, name, version, raw = parts
-            record = (name, parse_wire_value(raw), int(version))
+            response = (name, parse_wire_value(raw), int(version))
             with self._state_lock:
-                solicited = self._pending_read == name
-                subs = list(self._subs.get(name, ()))
-            if solicited:
-                self._respond(record)
-            else:
+                pending = self._pending[0] if self._pending else None
+                if pending is not None and pending.read_name == name:
+                    self._pending.popleft()
+                else:
+                    pending = None
+                    subs = list(self._subs.get(name, ()))
+            if pending is None:
                 for sub in subs:
-                    sub.queue.push((record[1], record[2]))
+                    sub.queue.push((response[1], response[2]))
+                return
         else:
-            self._respond(line)
-
-    def _respond(self, response) -> None:
-        on_reply = self.on_reply
-        if on_reply is None:
-            self._responses.put(response)
-        else:
-            on_reply(response)
-
-    def _request(self, line: str, read_name: str | None = None):
-        with self._request_lock:
+            response = line
             with self._state_lock:
-                self._pending_read = read_name
+                pending = self._pending.popleft() if self._pending else None
+            if pending is None:
+                log.warning("vars client dropped a line no request waits for: %r", line)
+                return
+        on_reply = self.on_reply
+        if on_reply is not None:
+            on_reply(response)
+        else:
+            pending.response = response
+            pending.answered.set()
+
+    def _send(self, line: str, read_name: str | None = None) -> _Pending:
+        pending = _Pending(read_name)
+        with self._send_lock:
+            with self._state_lock:
+                if not self._reading:
+                    raise VarStoreProtocolError(f"connection closed; {line!r} not sent")
+                self._pending.append(pending)
             try:
                 self._sock.sendall(line.encode("utf-8") + b"\n")
-                response = self._responses.get(timeout=self._timeout)
-            finally:
+            except BaseException:
                 with self._state_lock:
-                    self._pending_read = None
-            if response is None:
-                raise VarStoreProtocolError(f"no response to {line!r}")
-            return response
+                    if pending in self._pending:
+                        self._pending.remove(pending)
+                raise
+        return pending
+
+    def _request(self, line: str, read_name: str | None = None):
+        pending = self._send(line, read_name)
+        # Gives up after the timeout; the reply, should it come, is dropped.
+        pending.answered.wait(self._timeout)
+        if pending.response is None:
+            raise VarStoreProtocolError(f"no response to {line!r}")
+        return pending.response
 
     def read(self, name: str) -> tuple[Value, int]:
         response = self._request(f"READ {name}", read_name=name)
@@ -245,9 +284,7 @@ class VarClient:
     def read_later(self, name: str) -> None:
         """Send READ <name> and return at once; `on_reply` gets the reply, a
         (name, value, version) record or an ERR line."""
-        with self._state_lock:
-            self._pending_read = name
-        self._sock.sendall(f"READ {name}\n".encode("utf-8"))
+        self._send(f"READ {name}", read_name=name)
 
     def write(self, name: str, value: Value) -> None:
         response = self._request(f"WRITE {name} {render_value(value)}")
@@ -351,7 +388,7 @@ class _VarReadConsumer(Consumer):
         self._reading = True
         try:
             self._client.read_later(self._name)
-        except OSError as exc:
+        except (OSError, VarStoreProtocolError) as exc:
             # The client does not reconnect: stay "reading" and send no more.
             log.warning("vars read source %s lost its connection: %s", self._name, exc)
 

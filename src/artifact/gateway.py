@@ -5,12 +5,15 @@ A gateway bridges the artifact runtime to protocol endpoints through the
 which queues the message on the gateway's outgoing queue and schedules the
 routes consuming ``artifact:<channel>`` on their engine's worker pool; the
 agent's thread never runs a route. Inbound, a route producing to
-``artifact:<channel>`` appends to the addressed gateway's incoming queue and,
-like Camel's ``direct:`` endpoint, delivers it on the same thread. The
-incoming queue is a serial mailbox (:class:`~artifact.routing.Mailbox`): an
-enqueuing thread that finds no other thread delivering drains it in FIFO
-order, so one thread at a time delivers for a gateway, and no gateway owns a
-thread. Delivery reads the ``ArtifactName``/``OperationName`` header tags and
+``artifact:<channel>`` hands the message to the addressed gateway and, like
+Camel's ``direct:`` endpoint, delivers it on the same thread. The incoming
+queue is a serial mailbox (:class:`~artifact.routing.Mailbox`): a message
+that finds the gateway listening, idle and its queue empty is delivered at
+once without being queued; otherwise it is queued, and an enqueuing thread
+that finds no other thread delivering drains the queue in FIFO order. So one
+thread at a time delivers for a gateway, and no gateway owns a thread. The
+channel and gateway tables read per message are read without a lock; their
+writers hold one. Delivery reads the ``ArtifactName``/``OperationName`` header tags and
 either invokes the operation on itself, forwards to a linked plain artifact,
 hands the message to another known gateway, or dead-letters it.
 """
@@ -104,10 +107,14 @@ class GatewayStats:
 
 
 class _Channel:
+    """Writers hold `lock` and replace `members` with each change, so a
+    reader looks up `gateways` or iterates `members` without it."""
+
     def __init__(self, name: str):
         self.name = name
         self.lock = threading.Lock()
         self.gateways: dict[str, "GatewayArtifact"] = {}
+        self.members: tuple["GatewayArtifact", ...] = ()  # gateways.values()
         # ready() of each started route consuming this channel
         self.readers = Listeners()
 
@@ -135,6 +142,7 @@ class ChannelRegistry:
         with chan.lock:
             replaced = chan.gateways.get(name)
             chan.gateways[name] = gateway
+            chan.members = tuple(chan.gateways.values())
         with self._lock:
             self._unindex(name, replaced)
             self._by_name.setdefault(name, []).append(gateway)
@@ -144,6 +152,7 @@ class ChannelRegistry:
         name = gateway.id.name
         with chan.lock:
             removed = chan.gateways.pop(name, None)
+            chan.members = tuple(chan.gateways.values())
         with self._lock:
             self._unindex(name, removed)
 
@@ -293,7 +302,10 @@ class GatewayArtifact(Artifact):
         timeout: float | None = None,
     ) -> Message:
         """Queue an operation request for the routes consuming this channel
-        and schedule them on their engine's pool."""
+        and schedule them on their engine's pool; returns the queued message.
+
+        A route with an empty processor chain may deliver that very object,
+        so the caller must not modify it."""
         if not self._mailbox.open:
             raise GatewayStoppedError(f"gateway {self.id.name} is not listening")
         message = request.to_message(extra_headers)
@@ -309,14 +321,16 @@ class GatewayArtifact(Artifact):
     # -- inbound ------------------------------------------------------------------
 
     def enqueue_incoming(self, message: Message, timeout: float | None = None) -> None:
-        """Append to the incoming queue, then deliver what it holds on this
-        thread unless another thread already does or the gateway is stopped.
+        """Deliver the message on this thread when the gateway is listening,
+        idle and has nothing queued; otherwise append it to the incoming
+        queue and deliver what that holds on this thread, unless another
+        thread already does or the gateway is stopped.
 
         Accepted even while stopped; QueueFullError after `timeout` seconds
-        when the queue stays full.
+        when the queue stays full. An operation of this gateway that
+        enqueues into it gets the message after it returns.
         """
-        self.incoming.put(message, timeout=timeout)
-        self._mailbox.drain()
+        self._mailbox.offer(message, timeout)
 
     def forwarding_table(self) -> dict[str, str]:
         """Name resolution in dispatch order: self, linked artifacts, gateways."""
@@ -332,13 +346,15 @@ class GatewayArtifact(Artifact):
     def deliver(self, message: Message) -> DispatchOutcome:
         """Dispatch one message by its header tags; never raises."""
         outcome = self._dispatch(message)
-        self.stats.dispatched += 1
-        if isinstance(outcome, InvokedSelf):
-            self.stats.invoked_self += 1
-        elif isinstance(outcome, Forwarded):
-            self.stats.forwarded += 1
+        stats = self.stats
+        stats.dispatched += 1
+        kind = type(outcome)
+        if kind is Forwarded:
+            stats.forwarded += 1
+        elif kind is InvokedSelf:
+            stats.invoked_self += 1
         else:
-            self.stats.dead_lettered += 1
+            stats.dead_lettered += 1
             self.dead_letters.add(message, outcome.reason)
             log.warning(
                 "gateway %s dead-lettered a message: %s", self.id.name, outcome.reason
@@ -351,8 +367,7 @@ class GatewayArtifact(Artifact):
         if not isinstance(name, str) or not isinstance(op, str) or not name or not op:
             return DeadLettered(REASON_MISSING_HEADER)
         body = message.body
-        params = tuple(body) if isinstance(body, list) else (body,)
-        request = OpRequest(name, op, params)
+        request = _Call(op, tuple(body) if isinstance(body, list) else (body,))
 
         if name == self.id.name:
             return self._invoke_self(request)
@@ -394,7 +409,7 @@ class GatewayArtifact(Artifact):
             table[name] = link
         return link
 
-    def _invoke_self(self, request: OpRequest) -> DispatchOutcome:
+    def _invoke_self(self, request: "_Call") -> DispatchOutcome:
         try:
             result = self.runtime.exec_op(self.id, request, caller=f"gateway:{self.id.name}")
         except UnknownOperationError:
@@ -403,7 +418,7 @@ class GatewayArtifact(Artifact):
             return DeadLettered(f"{REASON_OPERATION_FAILED}: {exc}")
         return InvokedSelf(request.operation, result)
 
-    def _invoke_linked(self, link: LinkRef, request: OpRequest) -> DispatchOutcome:
+    def _invoke_linked(self, link: LinkRef, request: "_Call") -> DispatchOutcome:
         try:
             self.runtime.exec_op(link.target, request, caller=link)
         except UnknownOperationError:
@@ -411,6 +426,17 @@ class GatewayArtifact(Artifact):
         except (OperationFailedError, UnknownArtifactError) as exc:
             return DeadLettered(f"{REASON_OPERATION_FAILED}: {exc}")
         return Forwarded(link.target)
+
+
+class _Call:
+    """What `Runtime.exec_op` reads of a request, made from tags `_dispatch`
+    has already checked; an OpRequest would check them again."""
+
+    __slots__ = ("operation", "params")
+
+    def __init__(self, operation: str, params: tuple):
+        self.operation = operation
+        self.params = params
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +460,7 @@ class _ChannelConsumer(Consumer):
         self._channel.readers.detach(self._mailbox.ready)
 
     def try_get(self) -> Message | None:
-        gateways = list(self._channel.gateways.values())
+        gateways = self._channel.members
         count = len(gateways)
         for offset in range(count):
             gateway = gateways[(self._rr + offset) % count]
@@ -445,7 +471,7 @@ class _ChannelConsumer(Consumer):
         return None
 
     def __len__(self) -> int:
-        return sum(len(gateway.outgoing) for gateway in list(self._channel.gateways.values()))
+        return sum(len(gateway.outgoing) for gateway in self._channel.members)
 
 
 class _ChannelProducer(Producer):
@@ -459,17 +485,17 @@ class _ChannelProducer(Producer):
         self._route = route
 
     def send(self, message: Message) -> None:
+        # Lock-free reads of the channel (see _Channel).
         name = message.headers.get(ARTIFACT_NAME_HEADER)
-        gateway = None
-        with self._channel.lock:
-            if isinstance(name, str):
-                gateway = self._channel.gateways.get(name)
-            if gateway is None and self._route is not None:
-                owner = self._registry.route_owner(self._route.id)
-                if owner is not None and owner.channel == self._channel.name:
-                    gateway = owner
-            if gateway is None and len(self._channel.gateways) == 1:
-                gateway = next(iter(self._channel.gateways.values()))
+        gateway = self._channel.gateways.get(name) if isinstance(name, str) else None
+        if gateway is None and self._route is not None:
+            owner = self._registry.route_owner(self._route.id)
+            if owner is not None and owner.channel == self._channel.name:
+                gateway = owner
+        if gateway is None:
+            members = self._channel.members
+            if len(members) == 1:
+                gateway = members[0]
         if gateway is None:
             raise DeliveryError(
                 f"no gateway on channel {self._channel.name!r} accepts this message"

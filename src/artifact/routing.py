@@ -8,8 +8,10 @@ route to run. In-process sources schedule it on the engine's worker pool
 (SEDA, Camel's ``seda:``), which grows only while its workers are blocked;
 socket sources drain it on the thread that read the line (Camel's
 ``direct:``), and timer sources fire from the engine's one timer thread. A
-message whose processing or delivery fails moves to the route's dead-letter
-queue with the error attached.
+route with an empty processor chain hands the message its consumer took to
+its producer as is; a chain works on a private copy. A message whose
+processing or delivery fails moves to the route's dead-letter queue with
+the error attached.
 """
 from __future__ import annotations
 
@@ -84,7 +86,7 @@ class MessageQueue:
 
     def put(self, item, timeout: float | None = None) -> None:
         """Append; blocks while full. QueueFullError after `timeout` seconds."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = None  # read from the clock only once the queue is full
         with self._lock:
             while len(self._items) >= self.capacity:
                 if self._closed:
@@ -99,9 +101,11 @@ class MessageQueue:
                     finally:
                         self._lock.acquire()
                     continue
-                if deadline is None:
+                if timeout is None:
                     remaining = None
                 else:
+                    if deadline is None:
+                        deadline = time.monotonic() + timeout
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise QueueFullError(self.name)
@@ -161,8 +165,8 @@ class MessageQueue:
             return self._closed
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
+        # One atomic read of the deque; only writers take the lock.
+        return len(self._items)
 
 
 class Listeners:
@@ -211,11 +215,11 @@ class Mailbox:
     """A serial mailbox: messages taken from `source` in FIFO order and handed
     to `handle`, by one thread at a time.
 
-    `source` offers `try_get()` and `len()`. The draining thread holds the
-    box's claim, a lock taken without blocking; a thread that finds it held
-    leaves its message to the holder, who re-checks the source after letting
-    the claim go, so no message is stranded. Nothing drains while the box is
-    closed.
+    `source` offers `try_get()` and `len()`, and `put()` for `offer`. The
+    draining thread holds the box's claim, a lock taken without blocking; a
+    thread that finds it held leaves its message to the holder, who
+    re-checks the source after letting the claim go, so no message is
+    stranded. Nothing drains while the box is closed.
     """
 
     def __init__(self, source, handle: Callable[[Message], object]):
@@ -260,10 +264,46 @@ class Mailbox:
     def drain(self) -> None:
         """Drain on this thread until the source is empty, unless another
         thread drains or the box is closed."""
-        again = self.claim()
+        if self.claim():
+            self._drain_claimed()
+
+    def offer(self, message: Message, timeout: float | None = None) -> None:
+        """Hand `message` to the handler on this thread when the box is open,
+        no other thread drains it and nothing is queued; otherwise put it
+        behind what is queued (QueueFullError after `timeout` seconds while
+        the source stays full) and drain.
+
+        Offered from inside the handler of this box's drain, the message
+        is handed over only after that handler returns."""
+        if self.claim():
+            # Set before `open` is read again, so a closer that reads it
+            # None finds the box closed here, and one that reads it set
+            # waits for this delivery.
+            self.drainer = threading.get_ident()
+            if self.open and not len(self.source):
+                self._drain_claimed(message)
+                return
+            self.drainer = None
+            self._claim.release()
+        self.source.put(message, timeout=timeout)
+        self.drain()
+
+    def _drain_claimed(self, first: Message | None = None) -> None:
+        """Hand `first`, when given, and then what the source holds to the
+        handler until the re-check after letting the claim go finds nothing.
+        The caller holds the claim and, when it passes `first`, has set
+        `drainer`."""
+        again = True
         while again:
             try:
-                self.run()
+                if first is not None:
+                    try:
+                        self._handle(first)
+                    finally:
+                        self.drainer = None
+                    first = None
+                else:
+                    self.run()
             except BaseException:
                 self._claim.release()
                 raise
@@ -318,7 +358,10 @@ class RouteMailbox(Mailbox):
         route = self._route
         route.stats.consumed += 1
         try:
-            outgoing = process(message, route.processors)
+            # The consumer hands each message to this route alone, so an
+            # empty chain passes it on as is; a chain works on a copy, and
+            # a dead letter keeps the message as consumed.
+            outgoing = process(message, route.processors) if route.processors else message
             route._producer.send(outgoing)
             route.stats.delivered += 1
         except ProcessorEvalError as exc:
@@ -351,7 +394,8 @@ class WorkerPool:
     next slot and runs on it after the drain in hand (the LIFO slot of
     Tokio's scheduler); one already there moves to the shared FIFO run
     queue, where other threads schedule too. A queued task wakes the worker
-    idle the shortest time; the first task starts the first worker.
+    idle the shortest time; the first task starts the first worker, and
+    a worker starts the engine timer unless it runs.
 
     When every worker is busy a task waits. The engine timer looks at the
     queue one interpreter switch interval later, and then every interval
@@ -462,6 +506,10 @@ class WorkerPool:
 
     def _run(self, worker: _Worker) -> None:
         _thread_state.worker = worker
+        # The pool needs the timer whenever tasks outnumber workers; started
+        # here, with the first worker, it does not depend on whether one
+        # ever did.
+        self._timer.start()
         box: RouteMailbox | None = None
         try:
             while True:
@@ -533,7 +581,7 @@ class _TimerEntry:
 
 class _Timer:
     """Timed callbacks from one deadline heap, fired on one thread that
-    starts with the first entry."""
+    starts with the first entry or on `start()`."""
 
     def __init__(self, name: str):
         self._name = name
@@ -552,14 +600,22 @@ class _Timer:
         """Call `fire()` once, at monotonic time `due`."""
         return self._add(due, _TimerEntry(None, fire))
 
+    def start(self) -> None:
+        """Start the timer thread, unless it runs."""
+        with self._lock:
+            self._start()
+
     def _add(self, due: float, entry: _TimerEntry) -> _TimerEntry:
         with self._lock:
             heapq.heappush(self._heap, (due, next(self._seq), entry))
             self._changed.notify()
-            if self._thread is None:
-                self._thread = threading.Thread(target=self._run, name=self._name, daemon=True)
-                self._thread.start()
+            self._start()
         return entry
+
+    def _start(self) -> None:
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._run, name=self._name, daemon=True)
+            self._thread.start()
 
     def _run(self) -> None:
         heap = self._heap

@@ -7,7 +7,8 @@ and signals staged inside an operation become visible to observers only when
 the operation commits, and are discarded when it aborts.
 
 Observer notification is asynchronous (a single dispatcher thread per
-runtime) but order-preserving per artifact, and exactly-once per observer.
+runtime, started by the first `focus`) but order-preserving per artifact,
+and exactly-once per observer.
 """
 from __future__ import annotations
 
@@ -86,6 +87,10 @@ class OpResult:
     success: bool
     signals: list[Signal]
     property_versions: dict[str, int]
+
+
+def _link_key(source: ArtifactId, target: ArtifactId) -> tuple[str, str, str, str]:
+    return (source.workspace, source.name, target.workspace, target.name)
 
 
 def operation(fn: Callable) -> Callable:
@@ -324,6 +329,10 @@ class Runtime:
     Safe for concurrent use; a default workspace exists from the start. Use as
     a context manager or call :meth:`shutdown` to stop the dispatcher thread
     and dispose every artifact.
+
+    Writers of the artifact and link tables hold the runtime lock and leave
+    each table consistent after every single change, so `exec_op`, which
+    only reads them, takes no lock.
     """
 
     def __init__(self, default_workspace: str = DEFAULT_WORKSPACE):
@@ -331,15 +340,14 @@ class Runtime:
         self._workspaces: dict[str, dict[str, Artifact]] = {default_workspace: {}}
         self._default_workspace = default_workspace
         self._templates: dict[str, type[Artifact]] = {}
-        self._links: set[tuple[ArtifactId, ArtifactId]] = set()
+        # (source workspace, source name, target workspace, target name):
+        # tuples of strings hash and compare in C, ArtifactIds in Python.
+        self._links: set[tuple[str, str, str, str]] = set()
         self._generation = 0
         self._events: queue.SimpleQueue = queue.SimpleQueue()
         self._closed = False
         self.services: dict[str, object] = {}
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="artifact-observer-dispatch", daemon=True
-        )
-        self._dispatcher.start()
+        self._dispatcher: threading.Thread | None = None  # started by focus
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -358,8 +366,11 @@ class Runtime:
                 self.dispose_artifact(aid)
             except UnknownArtifactError:
                 pass
-        self._events.put(_SHUTDOWN)
-        self._dispatcher.join(timeout=5)
+        with self._lock:
+            dispatcher = self._dispatcher
+        if dispatcher is not None:
+            self._events.put(_SHUTDOWN)
+            dispatcher.join(timeout=5)
 
     @property
     def generation(self) -> int:
@@ -432,8 +443,10 @@ class Runtime:
             art = self._workspaces.get(artifact_id.workspace, {}).pop(artifact_id.name, None)
             if art is None:
                 raise UnknownArtifactError(str(artifact_id))
+            gone = (artifact_id.workspace, artifact_id.name)
+            # A new set, not one changed in place, for readers without the lock.
             self._links = {
-                link for link in self._links if artifact_id not in link
+                link for link in self._links if link[:2] != gone and link[2:] != gone
             }
             self._generation += 1
         with art._lock:
@@ -472,31 +485,35 @@ class Runtime:
         self.lookup(source)
         self.lookup(target)
         with self._lock:
-            self._links.add((source, target))
+            self._links.add(_link_key(source, target))
             self._generation += 1
         return LinkRef(source, target)
 
     def linked(self, source: ArtifactId, target: ArtifactId) -> bool:
-        with self._lock:
-            return (source, target) in self._links
+        return _link_key(source, target) in self._links
 
     def links_from(self, source: ArtifactId) -> list[ArtifactId]:
         with self._lock:
-            return [dst for (src, dst) in self._links if src == source]
+            return [
+                ArtifactId(ws, name)
+                for (src_ws, src_name, ws, name) in self._links
+                if src_ws == source.workspace and src_name == source.name
+            ]
 
     # -- operations and observation ---------------------------------------------------
 
     def exec_op(self, target: ArtifactId, request: OpRequest, caller=None) -> OpResult:
-        """Execute an operation atomically; `caller` is an agent identity or LinkRef."""
-        with self._lock:
-            artifacts = self._workspaces.get(target.workspace)
-            art = artifacts.get(target.name) if artifacts is not None else None
-            linked = not isinstance(caller, LinkRef) or (
-                caller.target == target and (caller.source, target) in self._links
-            )
+        """Execute an operation atomically; `caller` is an agent identity or
+        LinkRef. Only the request's `operation` and `params` are read."""
+        # Each read is one atomic dict or set lookup (see the class docstring).
+        artifacts = self._workspaces.get(target.workspace)
+        art = artifacts.get(target.name) if artifacts is not None else None
         if art is None:
             raise UnknownArtifactError(str(target))
-        if not linked:
+        if isinstance(caller, LinkRef) and not (
+            (caller.target is target or caller.target == target)
+            and _link_key(caller.source, target) in self._links
+        ):
             raise NotLinkedError(f"{caller.source} is not linked to {target}")
         with art._lock:
             if art._disposed:
@@ -511,6 +528,12 @@ class Runtime:
         delivered to the observer exactly once, in order.
         """
         art = self.lookup(target)
+        with self._lock:
+            if self._dispatcher is None:
+                self._dispatcher = threading.Thread(
+                    target=self._dispatch_loop, name="artifact-observer-dispatch", daemon=True
+                )
+                self._dispatcher.start()
         with art._lock:
             if art._disposed:
                 raise UnknownArtifactError(str(target))

@@ -208,12 +208,12 @@ def test_thread_count_does_not_grow_with_the_number_of_gateways():
     for n in (10, 200):
         env, built[n], busy = _terminals(n)
         try:
-            # the observer dispatcher, the engine timer and the pool's
-            # workers: operations that never block grow no pool
+            # the engine timer and the pool's workers: operations that
+            # never block grow no pool
             assert len(busy) <= 4, [t.name for t in busy]
         finally:
             env.close()
-    assert len(built[10]) == len(built[200]) == 1  # the observer dispatcher
+    assert len(built[10]) == len(built[200]) == 0  # nothing runs before traffic
 
 
 def test_blocking_operations_overlap_beyond_a_fixed_pool(monkeypatch):

@@ -22,6 +22,7 @@ from artifact import (
     parse_expr,
 )
 from artifact import gateway as gateway_module
+from artifact import messages as messages_module
 from artifact.errors import DeliveryError, GatewayStoppedError, QueueFullError, RouteNotOwnedError
 from artifact.bench.scenarios import BenchEnv
 from artifact.endpoints import TopicBroker, standard_components
@@ -496,27 +497,132 @@ def test_concurrent_enqueuers_deliver_exactly_once_in_order_and_serially(env):
     assert len(gateway.incoming) == 0
 
 
-def test_message_put_while_the_drainer_finishes_is_not_stranded(env):
-    gateway = _gateway(env, "m")
-    gateway.start_listening()
-    real_try_get = gateway.incoming.try_get
+def _late_sender(gateway):
+    """A thread that sends one message; the call it returns starts it once
+    and waits for it."""
     late = threading.Thread(
-        target=gateway.enqueue_incoming, args=(_msg("m", "recv", ["late"]),), daemon=True
+        target=gateway.enqueue_incoming, args=(_msg(gateway.id.name, "recv", ["late"]),),
+        daemon=True,
     )
+
+    def send_late():
+        if late.ident is None:
+            late.start()
+            late.join(5.0)
+
+    return late, send_late
+
+
+def test_message_put_while_the_drainer_finishes_is_not_stranded(env):
+    # The late sender arrives after a drain of the queue found it empty,
+    # while the drainer still holds the claim: it must leave its message to
+    # that drainer.
+    gateway = _gateway(env, "m")
+    gateway.enqueue_incoming(_msg("m", "recv", ["first"]))  # queued while stopped
+    late, send_late = _late_sender(gateway)
+    real_try_get = gateway.incoming.try_get
 
     def try_get():
         item = real_try_get()
-        if item is None and late.ident is None:
-            # Still holding the drain lock: the late sender must leave its
-            # message to this drainer.
-            late.start()
-            late.join(5.0)
+        if item is None:
+            send_late()
         return item
 
     gateway.incoming.try_get = try_get
-    gateway.enqueue_incoming(_msg("m", "recv", ["first"]))
-    assert not late.is_alive()
+    gateway.start_listening()
+    assert late.ident is not None and not late.is_alive()
     assert gateway.seen == ["first", "late"]
+
+
+def test_message_put_after_an_inline_delivery_is_not_stranded(env):
+    # The same after a message that found the gateway idle was delivered
+    # without being queued.
+    gateway = _gateway(env, "m")
+    late, send_late = _late_sender(gateway)
+    real_deliver = gateway.deliver
+
+    def deliver(message):
+        outcome = real_deliver(message)
+        send_late()
+        return outcome
+
+    gateway.deliver = deliver
+    gateway.start_listening()
+    gateway.enqueue_incoming(_msg("m", "recv", ["first"]))
+    assert late.ident is not None and not late.is_alive()
+    assert gateway.seen == ["first", "late"]
+
+
+class Echo(GatewayArtifact):
+    """Its first operation enqueues a second one into its own gateway."""
+
+    def init(self, channel=None):
+        super().init(channel)
+        self.trace: list = []
+
+    @operation
+    def step(self, i):
+        self.trace.append(("enter", i))
+        if i == 0:
+            self.enqueue_incoming(_msg(self.id.name, "step", [1]))
+        self.trace.append(("exit", i))
+
+
+def test_an_operation_enqueuing_into_its_own_gateway_gets_the_message_after_it_returns(env):
+    gateway = _gateway(env, "echo", Echo)
+    gateway.start_listening()
+    gateway.enqueue_incoming(_msg("echo", "step", [0]))
+    assert gateway.trace == [("enter", 0), ("exit", 0), ("enter", 1), ("exit", 1)]
+    assert len(gateway.incoming) == 0
+
+
+def test_a_message_sent_while_start_listening_runs_goes_after_those_queued(env, monkeypatch):
+    # start_listening opens the gateway, starts its routes and then drains
+    # what queued while it was stopped; a message arriving between the two
+    # finds the gateway open and idle, but not empty.
+    gateway = _gateway(env, "late")
+    gateway.attach_route(env.engine.define_route("artifact:late", [], "mq:late"), engine=env.engine)
+    for i in (1, 2):
+        gateway.enqueue_incoming(_msg("late", "recv", [i]))
+    start_route = env.engine.start_route
+
+    def start_route_then_send(route):
+        start_route(route)
+        gateway.enqueue_incoming(_msg("late", "recv", [3]))
+
+    monkeypatch.setattr(env.engine, "start_route", start_route_then_send)
+    gateway.start_listening()
+    assert gateway.seen == [1, 2, 3]
+
+
+def test_a_router_message_is_copied_once(env, monkeypatch):
+    # send_msg -> artifact:router -> mq:plant/router -> artifact:router ->
+    # linked target: the topic's subscriber gets the one private copy.
+    counts = {"copy": 0, "headers": 0}
+    copy, copy_headers = Message.copy, messages_module._copy_headers
+
+    def counted_copy(message):
+        counts["copy"] += 1
+        return copy(message)
+
+    def counted_copy_headers(headers):
+        counts["headers"] += 1
+        return copy_headers(headers)
+
+    router = _gateway(env, "router")
+    router.attach_route(env.engine.define_route("artifact:router", [], "mq:plant/router"),
+                        engine=env.engine)
+    router.attach_route(env.engine.define_route("mq:plant/router", [], "artifact:router"))
+    target = env.runtime.lookup(env.runtime.make_artifact("main", "t1", PlainRecorder, []))
+    env.runtime.link_artifacts(router.id, target.id)
+    router.start_listening()
+    monkeypatch.setattr(Message, "copy", counted_copy)
+    monkeypatch.setattr(messages_module, "_copy_headers", counted_copy_headers)
+    for i in range(10):
+        router.send_msg(OpRequest("t1", "recv", [i]))
+    assert wait_until(lambda: len(target.seen) == 10)
+    assert router.stats.forwarded == 10
+    assert counts == {"copy": 10, "headers": 10}
 
 
 class Slow(GatewayArtifact):

@@ -17,7 +17,15 @@ from artifact.errors import (
     UnknownSchemeError,
     UnsupportedEndpointRoleError,
 )
-from artifact.routing import Component, MessageQueue, Producer, RoutingEngine
+from artifact.routing import (
+    Component,
+    Consumer,
+    Inbox,
+    Mailbox,
+    MessageQueue,
+    Producer,
+    RoutingEngine,
+)
 
 from conftest import wait_until
 
@@ -316,3 +324,114 @@ def test_stop_route_that_does_not_exit_stays_started(env):
     assert producer.sent == [[1]]
     assert len(route._consumer) == 1
     assert wait_until(lambda: not route._mailbox.busy())
+
+
+# ---------------------------------------------------------------------------
+# what a route hands its producer
+
+
+class _HandOver(Consumer, Producer):
+    """Source and sink at once: hands out the messages pushed to it and
+    keeps each one it handed out, and each one it was sent."""
+
+    def __init__(self):
+        self.inbox = Inbox()
+        self.handed: list = []
+        self.sent: list = []
+        self._mailbox = None
+
+    def start(self, mailbox):
+        self._mailbox = mailbox
+        self.inbox.listeners.attach(mailbox.ready)
+
+    def stop(self):
+        self.inbox.listeners.detach(self._mailbox.ready)
+
+    def try_get(self):
+        message = self.inbox.try_get()
+        if message is not None:
+            self.handed.append(message)
+        return message
+
+    def __len__(self):
+        return len(self.inbox)
+
+    def send(self, message):
+        self.sent.append(message)
+
+
+class _HandOverComponent(Component):
+    def __init__(self, endpoint):
+        self.endpoint = endpoint
+
+    def create_consumer(self, uri, route):
+        return self.endpoint
+
+    def create_producer(self, uri, route):
+        return self.endpoint
+
+
+def _hand_over_route(env, processors):
+    endpoint = _HandOver()
+    env.registry.register("hand", _HandOverComponent(endpoint))
+    route = env.engine.define_route("hand:in", processors, "hand:out")
+    env.engine.start_route(route)
+    return endpoint
+
+
+def test_an_empty_chain_passes_the_consumers_message_on(env):
+    endpoint = _hand_over_route(env, [])
+    endpoint.inbox.push(Message(headers={"k": "v"}, body=[1]))
+    assert wait_until(lambda: len(endpoint.sent) == 1)
+    assert endpoint.sent[0] is endpoint.handed[0]
+
+
+def test_a_chain_leaves_its_source_message_unchanged(env):
+    endpoint = _hand_over_route(
+        env, [SetHeader("k", "new"), Transform(parse_expr("request.body[0] * 2"))]
+    )
+    endpoint.inbox.push(Message(headers={"k": "old", "hops": ["a"]}, body=[3]))
+    assert wait_until(lambda: len(endpoint.sent) == 1)
+    source, out = endpoint.handed[0], endpoint.sent[0]
+    assert out is not source and out.headers["hops"] is not source.headers["hops"]
+    assert (out.headers["k"], out.body) == ("new", 6.0)
+    assert source.headers == {"k": "old", "hops": ["a"]} and source.body == [3]
+
+
+# ---------------------------------------------------------------------------
+# Mailbox.offer
+
+
+def _box(handled: list) -> tuple[Mailbox, MessageQueue]:
+    queue = MessageQueue(name="box")
+    return Mailbox(queue, lambda message: handled.append(message.body)), queue
+
+
+def test_an_offered_message_goes_after_those_already_queued():
+    handled: list = []
+    box, queue = _box(handled)
+    box.offer(Message(body=1))  # queued: the box is closed
+    queue.put(Message(body=2))
+    box.open = True
+    box.offer(Message(body=3))
+    assert handled == [1, 2, 3]
+    box.offer(Message(body=4))  # open, idle and empty: delivered at once
+    assert handled == [1, 2, 3, 4] and len(queue) == 0
+
+
+def test_a_message_offered_as_the_mailbox_closes_stays_queued():
+    handled: list = []
+    box, queue = _box(handled)
+    box.open = True
+    claim = box.claim
+
+    def claim_then_close():
+        won = claim()
+        box.open = False  # a stop between the claim and the delivery
+        return won
+
+    box.claim = claim_then_close
+    box.offer(Message(body=1))
+    assert handled == []
+    assert len(queue) == 1
+    assert not box.busy() and box.drainer is None

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from artifact import GatewayArtifact, OpRequest, operation
+from artifact import GatewayArtifact, OpRequest, Runtime, operation
 from artifact.errors import (
     CalledOutsideOperationError,
     DuplicateNameError,
@@ -216,6 +216,58 @@ def test_linked_exec_requires_link(runtime):
     runtime.link_artifacts(a, b)
     runtime.exec_op(b, OpRequest("b", "inc", []), caller=LinkRef(a, b))
     assert runtime.lookup(b).property_value("count") == 1
+
+
+def test_linked_exec_follows_link_dispose_and_remake(runtime):
+    a = runtime.make_artifact("main", "a", "counter", [])
+    b = runtime.make_artifact("main", "b", "counter", [])
+    link = runtime.link_artifacts(a, b)
+    inc = OpRequest("b", "inc", [])
+    runtime.exec_op(b, inc, caller=link)
+    # equal ids, not the link's own objects
+    runtime.exec_op(ArtifactId("main", "b"), inc, caller=LinkRef(ArtifactId("main", "a"), b))
+    with pytest.raises(NotLinkedError):
+        runtime.exec_op(a, OpRequest("a", "inc", []), caller=link)  # the link names b
+    runtime.dispose_artifact(b)
+    with pytest.raises(UnknownArtifactError):
+        runtime.exec_op(b, inc, caller=link)
+    b = runtime.make_artifact("main", "b", "counter", [])
+    with pytest.raises(NotLinkedError):
+        runtime.exec_op(b, inc, caller=link)  # disposing b removed the link
+    assert not runtime.linked(a, b) and runtime.links_from(a) == []
+    runtime.link_artifacts(a, b)
+    runtime.exec_op(b, inc, caller=link)
+    assert runtime.lookup(b).property_value("count") == 1
+    runtime.dispose_artifact(a)
+    runtime.make_artifact("main", "a", "counter", [])
+    with pytest.raises(NotLinkedError):
+        runtime.exec_op(b, inc, caller=link)  # so did disposing a
+    runtime.exec_op(b, inc)  # no link needed without a LinkRef caller
+    assert runtime.lookup(b).property_value("count") == 2
+
+
+def _observer_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "artifact-observer-dispatch"]
+
+
+def test_only_focus_starts_the_observer_thread_and_shutdown_ends_it():
+    before = set(threading.enumerate())
+    runtime = Runtime()
+    try:
+        aid = runtime.make_artifact("main", "c", CounterArtifact, [])
+        runtime.exec_op(aid, OpRequest("c", "inc", []))
+        assert [t for t in threading.enumerate() if t not in before] == []
+        observer = RecordingObserver()
+        runtime.focus(observer, aid)
+        runtime.focus(RecordingObserver(), aid)
+        started = [t for t in threading.enumerate() if t not in before]
+        assert started == _observer_threads() and len(started) == 1
+        runtime.exec_op(aid, OpRequest("c", "inc", []))
+        assert wait_until(lambda: observer.change_count() == 1)
+    finally:
+        runtime.shutdown()
+    assert not any(t.is_alive() for t in started)
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 def test_signals_delivered_in_order(runtime):

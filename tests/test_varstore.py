@@ -9,7 +9,7 @@ import pytest
 from artifact import ARTIFACT_NAME_HEADER, OPERATION_NAME_HEADER, GatewayArtifact, Message, SetHeader, operation
 from artifact.endpoints import VarClient, VarStoreServer
 from artifact.endpoints.tcp import LineServer
-from artifact.errors import UnknownVariableError
+from artifact.errors import UnknownVariableError, VarStoreProtocolError
 
 from conftest import wait_until
 
@@ -195,3 +195,60 @@ def test_a_stalled_read_source_holds_up_no_other_route(env):
     finally:
         env.close()
         stalled.stop()
+
+
+class _LateFirstReply:
+    """A line server that answers its first request after `delay` seconds,
+    in order, and every later one at once."""
+
+    def __init__(self, first: str, later, delay: float):
+        self.requests: list[str] = []
+        self._first, self._later, self._delay = first, later, delay
+        self.server = LineServer(handler=self._handle)
+
+    def _handle(self, conn, line):
+        self.requests.append(line)
+        if len(self.requests) == 1:
+            time.sleep(self._delay)  # the reader thread: later requests wait
+            conn.send_line(self._first)
+        else:
+            conn.send_line(self._later(len(self.requests)))
+
+
+@pytest.mark.parametrize("op", ["write", "read"])
+def test_a_late_reply_is_not_taken_by_the_next_request(op):
+    # Each request waits 0.5 s. The first reply comes 0.75 s after its
+    # request, while the second request waits: it must not take it.
+    if op == "write":
+        server = _LateFirstReply("ERR first-write", lambda n: "OK", 0.75)
+    else:
+        server = _LateFirstReply("VALUE x 0 first", lambda n: f"VALUE x {n} v{n}", 0.75)
+    client = VarClient("127.0.0.1", server.server.port, timeout=0.5)
+    try:
+        if op == "write":
+            with pytest.raises(VarStoreProtocolError, match="no response"):
+                client.write("x", 1)
+            client.write("x", 2)  # the late ERR belongs to the first write
+            client.write("x", 3)
+        else:
+            with pytest.raises(VarStoreProtocolError, match="no response"):
+                client.read("x")
+            assert client.read("x") == ("v2", 2)
+            assert client.read("x") == ("v3", 3)
+        assert len(server.requests) == 3
+    finally:
+        client.close()
+        server.server.stop()
+
+
+def test_a_late_value_for_an_abandoned_read_is_no_subscription_push():
+    server = _LateFirstReply("VALUE x 0 first", lambda n: "OK", 0.75)
+    client = VarClient("127.0.0.1", server.server.port, timeout=0.5)
+    try:
+        with pytest.raises(VarStoreProtocolError):
+            client.read("x")
+        sub = client.subscribe("x")  # sent while the READ's reply is due
+        assert sub.poll(0.2) is None
+    finally:
+        client.close()
+        server.server.stop()
