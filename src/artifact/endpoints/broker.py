@@ -109,11 +109,6 @@ class TopicBroker:
                 t.subscribers.remove(sub)
         sub.queue.close()
 
-    def subscriber_count(self, topic: str) -> int:
-        t = self._topic(topic)
-        with t.lock:
-            return len(t.subscribers)
-
     def publish(self, topic: "str | _Topic", message: Message) -> int:
         """Deliver one copy to each current subscriber; returns the count.
 

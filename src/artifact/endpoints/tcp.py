@@ -1,17 +1,22 @@
 """Newline-framed TCP endpoints.
 
-Frames are UTF-8 text lines terminated by LF, no embedded newlines. The
-"tcp:" scheme addresses `tcp:<host>:<port>?role=client|server`. A client
-endpoint keeps one connection per (host, port), shared between the consumer
-and producer side of routes, and reconnects with exponential backoff capped
-at 5 seconds. A server endpoint accepts any number of peers; its consumer
+Frames are UTF-8 text lines terminated by LF, no embedded newlines. Every
+socket here and in the variable-server client is a :class:`LineConnection`:
+a send past its ENQUEUE_TIMEOUT_S deadline closes it, and its one read loop
+hands each line to a handler on the reading thread, dropping a CR before the
+LF, replacing invalid UTF-8 and discarding a partial last line. The "tcp:"
+scheme addresses `tcp:<host>:<port>?role=client|server`. A client endpoint
+keeps one connection per (host, port), shared between the consumer and
+producer side of routes, and reconnects with exponential backoff capped at 5
+seconds. A server endpoint accepts any number of peers; its consumer
 surfaces lines from all of them, its producer broadcasts. A route consuming
 from "tcp:" runs on the thread that read the line, as Camel's ``direct:``
 does, so a reply reaches its gateway without a thread hand-off. That thread
-reads nothing more until the route returns, so such a route must not wait
-on its own connection: a client send made on the thread that keeps the
+reads nothing more until the route returns, so such a route must not wait on
+its own connection: a client send made on the thread that keeps the
 connection fails at once while it is down, since only that thread could
-bring it back.
+bring it back. A line that finds a stopped route's source full for
+ENQUEUE_TIMEOUT_S is dropped and counted in the source's `dropped`.
 """
 from __future__ import annotations
 
@@ -19,6 +24,8 @@ import logging
 import socket
 import threading
 import time
+from functools import partial
+from typing import Callable, Iterable
 
 from ..errors import ConnectionClosedError, FramingError
 from ..messages import Message
@@ -30,7 +37,7 @@ log = logging.getLogger(__name__)
 
 BACKOFF_INITIAL_S = 0.05
 BACKOFF_CAP_S = 5.0
-ACCEPT_JOIN_S = 5.0
+JOIN_S = 5.0
 
 REMOTE_HEADER = "tcp.remote"
 
@@ -61,71 +68,84 @@ def shutdown_socket(sock: socket.socket) -> None:
         pass
 
 
-class _SocketLineReader:
-    """Reads LF-terminated lines from a socket into a callback."""
-
-    def __init__(self, sock: socket.socket, on_line, on_close, name: str):
-        self._sock = sock
-        self._on_line = on_line
-        self._on_close = on_close
-        self.thread = threading.Thread(target=self._run, name=name, daemon=True)
-        self.thread.start()
-
-    def _run(self) -> None:
-        buffer = b""
-        try:
-            while True:
-                chunk = self._sock.recv(4096)
-                if not chunk:
-                    break
-                buffer += chunk
-                while b"\n" in buffer:
-                    raw, buffer = buffer.split(b"\n", 1)
-                    self._on_line(raw.rstrip(b"\r").decode("utf-8", errors="replace"))
-        except OSError:
-            pass
-        finally:
-            self._on_close()
+def join_threads(threads: Iterable[threading.Thread]) -> None:
+    """Join `threads` within JOIN_S in all, skipping the calling thread."""
+    deadline = time.monotonic() + JOIN_S
+    for thread in threads:
+        if thread is threading.current_thread():
+            continue
+        thread.join(max(0.0, deadline - time.monotonic()))
+        if thread.is_alive():
+            log.warning("%s did not exit within %.1fs", thread.name, JOIN_S)
 
 
-class ServerConnection:
-    def __init__(self, server: "LineServer", sock: socket.socket, peer):
-        self._server = server
-        self._sock = sock
-        self.peer = f"{peer[0]}:{peer[1]}"
+class LineConnection:
+    """A connected socket carrying LF-framed UTF-8 lines.
+
+    The socket's timeout is the send deadline, ENQUEUE_TIMEOUT_S: a send
+    that cannot finish by then closes the connection, since part of its
+    frame may be gone. The same timeout ends a silent recv, which the read
+    loop takes as no more than a silence.
+    """
+
+    def __init__(self, sock: socket.socket, peer: str):
+        sock.settimeout(ENQUEUE_TIMEOUT_S)
+        self.sock = sock
+        self.peer = peer
         self._send_lock = threading.Lock()
-        self.closed = threading.Event()
-        # Listed before its reader starts, so no line is handled, and no
-        # close forgotten, before the server knows the connection.
-        server._register(self)
-        self._reader = _SocketLineReader(
-            sock, self._on_line, self._on_close, f"tcp-server-conn-{self.peer}"
-        )
+        self._closing = threading.Lock()  # taken, never released, by close()
 
-    def _on_line(self, line: str) -> None:
-        self._server._handle_line(self, line)
-
-    def _on_close(self) -> None:
-        self.close()
+    @property
+    def closed(self) -> bool:
+        return self._closing.locked()
 
     def send_line(self, line: str) -> None:
+        """Send one frame. FramingError, sending nothing, for a line with a
+        newline; ConnectionClosedError, closing, if the send fails or times out."""
         data = frame_line(line)
         with self._send_lock:
             try:
-                self._sock.sendall(data)
+                self.sock.sendall(data)
             except OSError as exc:
                 self.close()
                 raise ConnectionClosedError(self.peer) from exc
 
+    def read_lines(self, on_line: Callable[[str], object]) -> None:
+        """Hand each line received to `on_line` until the peer or `close`
+        ends the connection, then close it. A handler that raises is logged
+        with its line, and reading goes on."""
+        buffer = bytearray()
+        try:
+            while True:
+                try:
+                    chunk = self.sock.recv(4096)
+                except TimeoutError:
+                    continue
+                if not chunk:
+                    break
+                buffer += chunk
+                start = 0
+                while (end := buffer.find(b"\n", start)) >= 0:
+                    line = buffer[start:end].rstrip(b"\r").decode("utf-8", errors="replace")
+                    start = end + 1
+                    try:
+                        on_line(line)
+                    except Exception:
+                        log.exception("tcp %s line handler failed for %r", self.peer, line)
+                del buffer[:start]
+        except OSError:
+            pass
+        finally:
+            self.close()
+
     def close(self) -> None:
-        if not self.closed.is_set():
-            self.closed.set()
-            shutdown_socket(self._sock)
-            self._server._forget(self)
+        if self._closing.acquire(blocking=False):
+            shutdown_socket(self.sock)
 
 
 class LineServer:
-    """TCP listener delivering each received line to `handler(conn, line)`."""
+    """TCP listener delivering each received line to `handler(conn, line)`
+    on a reader thread per connection."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, handler=None, name: str = "tcp"):
         self.handler = handler
@@ -136,7 +156,7 @@ class LineServer:
         self._listener.listen(32)
         self.host, self.port = self._listener.getsockname()
         self._lock = threading.Lock()
-        self._conns: list[ServerConnection] = []
+        self._conns: dict[LineConnection, threading.Thread] = {}  # with their readers
         self._conn_event = threading.Condition(self._lock)
         self._stopped = False
         self._accept_thread = threading.Thread(
@@ -154,26 +174,27 @@ class LineServer:
             if self._stopped:
                 shutdown_socket(sock)
                 return
-            ServerConnection(self, sock, peer)
+            conn = LineConnection(sock, f"{peer[0]}:{peer[1]}")
+            reader = threading.Thread(
+                target=self._serve, args=(conn,), name=f"tcp-server-conn-{conn.peer}", daemon=True
+            )
+            # Listed before its reader starts, so no line is handled before
+            # the server knows the connection.
+            with self._lock:
+                self._conns[conn] = reader
+                self._conn_event.notify_all()
+            reader.start()
 
-    def _register(self, conn: ServerConnection) -> None:
+    def _serve(self, conn: LineConnection) -> None:
+        conn.read_lines(partial(self._handle_line, conn))
         with self._lock:
-            self._conns.append(conn)
-            self._conn_event.notify_all()
+            self._conns.pop(conn, None)
 
-    def _handle_line(self, conn: ServerConnection, line: str) -> None:
+    def _handle_line(self, conn: LineConnection, line: str) -> None:
         if self.handler is not None:
-            try:
-                self.handler(conn, line)
-            except Exception:
-                log.exception("%s handler failed for %r", self.name, line)
+            self.handler(conn, line)
 
-    def _forget(self, conn: ServerConnection) -> None:
-        with self._lock:
-            if conn in self._conns:
-                self._conns.remove(conn)
-
-    def connections(self) -> list[ServerConnection]:
+    def connections(self) -> list[LineConnection]:
         with self._lock:
             return list(self._conns)
 
@@ -199,20 +220,23 @@ class LineServer:
 
     def drop_connections(self) -> int:
         """Close every current connection (used for fault injection)."""
-        conns = self.connections()
+        with self._lock:
+            conns, self._conns = self._conns, {}
         for conn in conns:
             conn.close()
         return len(conns)
 
     def stop(self) -> None:
-        """Stop accepting, wait for the accept thread, then drop every peer."""
+        """Stop accepting, wait for the accept thread, then drop every peer
+        and wait for its reader."""
         self._stopped = True
         # close() alone leaves the accept thread blocked in accept() for good.
         shutdown_socket(self._listener)
-        self._accept_thread.join(ACCEPT_JOIN_S)
-        if self._accept_thread.is_alive():
-            log.warning("%s accept thread did not exit within %.1fs", self.name, ACCEPT_JOIN_S)
+        join_threads([self._accept_thread])
+        with self._lock:
+            readers = list(self._conns.values())
         self.drop_connections()
+        join_threads(readers)
 
 
 class _ClientHub:
@@ -221,97 +245,82 @@ class _ClientHub:
     def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.inbox = Inbox(1024, f"tcp:{host}:{port}")
+        self.peer = f"{host}:{port}"
+        self.inbox = Inbox(1024, f"tcp:{self.peer}")
         self._lock = threading.Lock()
         self._connected = threading.Condition(self._lock)
-        self._sock: socket.socket | None = None
+        self._conn: LineConnection | None = None
         self._closed = False
         self.refs = 0
         self._thread = threading.Thread(
-            target=self._connection_loop, name=f"tcp-client-{host}:{port}", daemon=True
+            target=self._connection_loop, name=f"tcp-client-{self.peer}", daemon=True
         )
         self._thread.start()
+
+    @property
+    def _sock(self) -> socket.socket | None:
+        """The connected socket, or None."""
+        conn = self._conn
+        return None if conn is None else conn.sock
 
     def _connection_loop(self) -> None:
         backoff = BACKOFF_INITIAL_S
         while not self._closed:
             try:
-                sock = socket.create_connection((self.host, self.port), timeout=5.0)
+                conn = LineConnection(tcp_connect(self.host, self.port), self.peer)
             except OSError as exc:
-                log.warning(
-                    "tcp %s:%d connect failed (%s); retrying in %.2fs",
-                    self.host, self.port, exc, backoff,
-                )
-                time.sleep(backoff)
+                log.warning("tcp %s connect failed (%s); retrying in %.2fs", self.peer, exc, backoff)
+                with self._lock:
+                    self._connected.wait_for(lambda: self._closed, backoff)
                 backoff = min(backoff * 2, BACKOFF_CAP_S)
                 continue
             backoff = BACKOFF_INITIAL_S
-            peer = f"{self.host}:{self.port}"
             with self._lock:
-                self._sock = sock
+                if self._closed:
+                    conn.close()
+                    return
+                self._conn = conn
                 self._connected.notify_all()
-            log.info("tcp %s connected", peer)
-            buffer = b""
-            try:
-                while not self._closed:
-                    try:
-                        chunk = sock.recv(4096)
-                    except TimeoutError:
-                        continue  # the connect timeout bounds each recv too
-                    if not chunk:
-                        break
-                    buffer += chunk
-                    while b"\n" in buffer:
-                        raw, buffer = buffer.split(b"\n", 1)
-                        line = raw.rstrip(b"\r").decode("utf-8", errors="replace")
-                        self.inbox.push(
-                            Message(headers={REMOTE_HEADER: peer}, body=[line])
-                        )
-            except OSError:
-                pass
+            log.info("tcp %s connected", self.peer)
+            conn.read_lines(self._on_line)
             with self._lock:
-                self._sock = None
-            shutdown_socket(sock)
+                self._conn = None
             if not self._closed:
-                log.warning("tcp %s disconnected; reconnecting", peer)
+                log.warning("tcp %s disconnected; reconnecting", self.peer)
+
+    def _on_line(self, line: str) -> None:
+        self.inbox.push(Message(headers={REMOTE_HEADER: self.peer}, body=[line]))
 
     def send_line(self, line: str, timeout: float = ENQUEUE_TIMEOUT_S) -> None:
         """Send one frame, waiting through reconnects up to `timeout`; on
         the connection's own thread, not waiting at all."""
-        data = frame_line(line)
         deadline = time.monotonic() + timeout
         while True:
             with self._lock:
-                while self._sock is None:
+                while self._conn is None or self._conn.closed:
                     if self._closed or threading.current_thread() is self._thread:
-                        raise ConnectionClosedError(f"{self.host}:{self.port}")
+                        raise ConnectionClosedError(self.peer)
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        raise ConnectionClosedError(
-                            f"{self.host}:{self.port} unavailable for {timeout:.1f}s"
-                        )
+                        raise ConnectionClosedError(f"{self.peer} unavailable for {timeout:.1f}s")
                     self._connected.wait(remaining)
-                sock = self._sock
+                conn = self._conn
             try:
-                sock.sendall(data)
+                conn.send_line(line)
                 return
-            except OSError:
-                with self._lock:
-                    if self._sock is sock:
-                        self._sock = None
-                shutdown_socket(sock)
+            except ConnectionClosedError:
                 if time.monotonic() >= deadline:
-                    raise ConnectionClosedError(f"{self.host}:{self.port}") from None
+                    raise
 
     def close(self) -> None:
-        self._closed = True
         with self._lock:
-            sock = self._sock
-            self._sock = None
+            self._closed = True
+            conn = self._conn
             self._connected.notify_all()
-        if sock is not None:
-            shutdown_socket(sock)
+        if conn is not None:
+            conn.close()
         self.inbox.close()
+        join_threads([self._thread])
 
 
 class _ServerHub:
@@ -322,12 +331,12 @@ class _ServerHub:
         self.server = LineServer(host, port, handler=self._on_line, name=f"tcp-server:{port}")
         self.refs = 0
 
-    def _on_line(self, conn: ServerConnection, line: str) -> None:
+    def _on_line(self, conn: LineConnection, line: str) -> None:
         self.inbox.push(Message(headers={REMOTE_HEADER: conn.peer}, body=[line]))
 
     def close(self) -> None:
+        self.inbox.close()  # wakes a reader blocked on it, for stop to join
         self.server.stop()
-        self.inbox.close()
 
 
 class _TcpConsumer(Consumer):
@@ -375,9 +384,8 @@ class _TcpServerProducer(Producer):
 
     def send(self, message: Message) -> None:
         line = render_value(message.body)
-        if not self._hub.server.connections():
-            if not self._hub.server.wait_for_connection(timeout=10.0):
-                raise ConnectionClosedError("no connected peer to send to")
+        if not self._hub.server.wait_for_connection(timeout=10.0):
+            raise ConnectionClosedError("no connected peer to send to")
         if self._hub.server.broadcast(line) == 0:
             raise ConnectionClosedError("no connected peer accepted the frame")
 

@@ -32,7 +32,7 @@ from ..messages import Message
 from ..routing import Component, Consumer, Inbox, Producer, Route, RouteMailbox
 from ..uri import EndpointUri
 from ..values import Value, render_value
-from .tcp import LineServer, ServerConnection, shutdown_socket, tcp_connect
+from .tcp import LineConnection, LineServer, join_threads, tcp_connect
 
 log = logging.getLogger(__name__)
 
@@ -68,7 +68,7 @@ class VarStoreServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._vars: dict[str, _Var] = {}
-        self._subs: dict[str, list[ServerConnection]] = {}
+        self._subs: dict[str, list[LineConnection]] = {}
         self._lock = threading.Lock()
         self.server = LineServer(host, port, handler=self._handle, name="varstore")
         self.host, self.port = self.server.host, self.server.port
@@ -102,39 +102,36 @@ class VarStoreServer:
                 raise UnknownVariableError(name)
             return var.value, var.version
 
-    def _drop_sub(self, name: str, conn: ServerConnection) -> None:
+    def _drop_sub(self, name: str, conn: LineConnection) -> None:
         subs = self._subs.get(name)
         if subs and conn in subs:
             subs.remove(conn)
 
     # -- protocol ---------------------------------------------------------------
 
-    def _handle(self, conn: ServerConnection, line: str) -> None:
+    def _handle(self, conn: LineConnection, line: str) -> None:
         parts = line.split(" ", 2)
         command = parts[0] if parts else ""
-        try:
-            if command == "READ" and len(parts) == 2:
-                try:
-                    value, version = self.read(parts[1])
-                except UnknownVariableError:
-                    conn.send_line(f"ERR unknown-variable {parts[1]}")
+        if command == "READ" and len(parts) == 2:
+            try:
+                value, version = self.read(parts[1])
+            except UnknownVariableError:
+                conn.send_line(f"ERR unknown-variable {parts[1]}")
+                return
+            conn.send_line(f"VALUE {parts[1]} {version} {render_value(value)}")
+        elif command == "WRITE" and len(parts) == 3:
+            self.write(parts[1], parse_wire_value(parts[2]))
+            conn.send_line("OK")
+        elif command == "SUB" and len(parts) == 2:
+            name = parts[1]
+            with self._lock:
+                if name not in self._vars:
+                    conn.send_line(f"ERR unknown-variable {name}")
                     return
-                conn.send_line(f"VALUE {parts[1]} {version} {render_value(value)}")
-            elif command == "WRITE" and len(parts) == 3:
-                self.write(parts[1], parse_wire_value(parts[2]))
-                conn.send_line("OK")
-            elif command == "SUB" and len(parts) == 2:
-                name = parts[1]
-                with self._lock:
-                    if name not in self._vars:
-                        conn.send_line(f"ERR unknown-variable {name}")
-                        return
-                    self._subs.setdefault(name, []).append(conn)
-                conn.send_line("OK")
-            else:
-                conn.send_line(f"ERR bad-request {command or '<empty>'}")
-        except Exception:
-            log.exception("varstore request failed: %r", line)
+                self._subs.setdefault(name, []).append(conn)
+            conn.send_line("OK")
+        else:
+            conn.send_line(f"ERR bad-request {command or '<empty>'}")
 
     def stop(self) -> None:
         self.server.stop()
@@ -179,35 +176,21 @@ class VarClient:
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
         self._timeout = timeout
-        self._sock = tcp_connect(host, port, timeout=timeout)
+        self._conn = LineConnection(tcp_connect(host, port, timeout=timeout), f"{host}:{port}")
         self._send_lock = threading.Lock()  # keeps `_pending` in send order
         self._state_lock = threading.Lock()
         self._pending: deque[_Pending] = deque()  # oldest first
         self._subs: dict[str, list[VarSubscription]] = {}
         self._reading = True  # the reader runs; guarded by _state_lock
         self.on_reply: Callable[[object], None] | None = None
-        self._closed = False
         self._reader = threading.Thread(
             target=self._read_loop, name=f"vars-client-{host}:{port}", daemon=True
         )
         self._reader.start()
 
     def _read_loop(self) -> None:
-        buffer = b""
         try:
-            while not self._closed:
-                try:
-                    chunk = self._sock.recv(4096)
-                except TimeoutError:
-                    continue  # the connect timeout bounds each recv too
-                if not chunk:
-                    break
-                buffer += chunk
-                while b"\n" in buffer:
-                    raw, buffer = buffer.split(b"\n", 1)
-                    self._on_line(raw.rstrip(b"\r").decode("utf-8", errors="replace"))
-        except OSError:
-            pass
+            self._conn.read_lines(self._on_line)
         finally:
             with self._state_lock:
                 self._reading = False
@@ -219,11 +202,11 @@ class VarClient:
     def _on_line(self, line: str) -> None:
         if line.startswith("VALUE "):
             parts = line.split(" ", 3)
-            if len(parts) != 4:
-                log.warning("malformed VALUE line: %r", line)
-                return
-            _, name, version, raw = parts
-            response = (name, parse_wire_value(raw), int(version))
+            name = parts[1]
+            try:
+                response = (name, parse_wire_value(parts[3]), int(parts[2]))
+            except (IndexError, ValueError):
+                response = line  # malformed: an error for the READ it answers
             with self._state_lock:
                 pending = self._pending[0] if self._pending else None
                 if pending is not None and pending.read_name == name:
@@ -232,6 +215,9 @@ class VarClient:
                     pending = None
                     subs = list(self._subs.get(name, ()))
             if pending is None:
+                if response is line:
+                    log.warning("malformed VALUE line: %r", line)
+                    return
                 for sub in subs:
                     sub.queue.push((response[1], response[2]))
                 return
@@ -257,7 +243,7 @@ class VarClient:
                     raise VarStoreProtocolError(f"connection closed; {line!r} not sent")
                 self._pending.append(pending)
             try:
-                self._sock.sendall(line.encode("utf-8") + b"\n")
+                self._conn.send_line(line)
             except BaseException:
                 with self._state_lock:
                     if pending in self._pending:
@@ -314,8 +300,12 @@ class VarClient:
                 subs.remove(sub)
 
     def close(self) -> None:
-        self._closed = True
-        shutdown_socket(self._sock)
+        self._conn.close()
+        with self._state_lock:
+            subs = [sub for subs in self._subs.values() for sub in subs]
+        for sub in subs:
+            sub.queue.close()  # ends it, and wakes a reader blocked on it
+        join_threads([self._reader])
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +408,7 @@ class _VarReadConsumer(Consumer):
         return len(self._inbox)
 
     def close(self) -> None:
+        self._inbox.close()  # wakes a reader blocked on it
         self._client.close()
 
 

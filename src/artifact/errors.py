@@ -186,8 +186,8 @@ class FramingError(ArtifactError):
     """Payload cannot be framed as a single text line."""
 
 
-class ConnectionClosedError(ArtifactError):
-    pass
+class ConnectionClosedError(ArtifactError, ConnectionError):
+    """A connection is down, or could not take a frame before its deadline."""
 
 
 # ---------------------------------------------------------------------------

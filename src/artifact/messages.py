@@ -31,10 +31,6 @@ class Message:
             body = copy_value(body)
         return Message(_copy_headers(self.headers), body)
 
-    def with_body(self, body: Value) -> "Message":
-        """A message with a private copy of these headers and `body` as is."""
-        return Message(_copy_headers(self.headers), body)
-
     def header(self, key: str, default: Value | None = None) -> Value | None:
         return self.headers.get(key, default)
 

@@ -38,13 +38,14 @@ from .errors import (
 from .exprlang import Expr, eval_expr
 from .messages import Message
 from .uri import EndpointUri, parse_endpoint_uri
-from .values import Value, copy_value, is_value
+from .values import Value, copy_value
 
 log = logging.getLogger(__name__)
 
 DEFAULT_QUEUE_CAPACITY = 1024
 # How long a hand-off into a full queue waits before the sender gives up and
-# counts the message as lost to that receiver.
+# counts the message as lost to that receiver; also the deadline of a line
+# sent on a socket.
 ENQUEUE_TIMEOUT_S = 10.0
 # A pool worker left idle this long exits; workers start again on demand.
 IDLE_RETIRE_S = 10.0
@@ -201,9 +202,19 @@ class Inbox(MessageQueue):
     def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY, name: str = ""):
         super().__init__(capacity, name)
         self.listeners = Listeners()
+        self.dropped = 0  # items `push` gave up on; guarded by _lock
 
-    def push(self, item, timeout: float | None = None) -> None:
-        self.put(item, timeout)
+    def push(self, item) -> None:
+        """Put `item` and tell the listeners. An item that finds the inbox
+        full for ENQUEUE_TIMEOUT_S is dropped, counted and logged, so the
+        socket reader that pushes it goes on serving its connection."""
+        try:
+            self.put(item, ENQUEUE_TIMEOUT_S)
+        except QueueFullError:
+            with self._lock:
+                self.dropped += 1
+            log.warning("%s stayed full for %.1fs; item dropped", self.name, ENQUEUE_TIMEOUT_S)
+            return
         self.listeners.notify()
 
 

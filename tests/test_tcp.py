@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from artifact import Message, SetHeader, parse_endpoint_uri
-from artifact.endpoints.tcp import LineServer, TcpComponent, frame_line, shutdown_socket, tcp_connect
+from artifact import Message, SetHeader, parse_endpoint_uri, routing
+from artifact.endpoints import tcp
+from artifact.endpoints.tcp import LineConnection, LineServer, TcpComponent, frame_line, shutdown_socket, tcp_connect
 from artifact.errors import ConnectionClosedError, FramingError
 
 from conftest import wait_until
@@ -206,3 +207,92 @@ def test_no_accept_thread_outlives_stop(with_peer):
             peer.close()
     assert _accept_threads(server) == []
     assert server.connections() == []
+
+
+class _ScriptedSocket:
+    """Stands in for a socket: recv returns (or raises) each scripted chunk
+    in turn, then reports the peer closed."""
+
+    def __init__(self, *chunks):
+        self.chunks = list(chunks)
+
+    def settimeout(self, timeout):
+        pass
+
+    def recv(self, size):
+        if not self.chunks:
+            return b""
+        chunk = self.chunks.pop(0)
+        if isinstance(chunk, BaseException):
+            raise chunk
+        return chunk
+
+    def shutdown(self, how):
+        pass
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("chunks, lines", [
+    pytest.param((b"MOVE sta", b"tion-1\nAT", b" x\n"), ["MOVE station-1", "AT x"], id="split-across-chunks"),
+    pytest.param((b"".join(b"L%d\n" % i for i in range(100)),), [f"L{i}" for i in range(100)], id="100-lines-in-one-chunk"),
+    pytest.param((b"a\r\nb\r\n",), ["a", "b"], id="crlf"),
+    pytest.param(("caf\u00e9\n".encode()[:4], "caf\u00e9\n".encode()[4:]), ["caf\u00e9"], id="utf8-split-across-chunks"),
+    pytest.param((b"ok\xff\xfe\n",), ["ok\ufffd\ufffd"], id="invalid-utf8-replaced"),
+    pytest.param((b"whole\npart",), ["whole"], id="partial-line-at-close-discarded"),
+    pytest.param((b"be", TimeoutError(), b"fore\n"), ["before"], id="recv-timeout-is-a-silence"),
+])
+def test_the_framer(chunks, lines):
+    got = []
+    conn = LineConnection(_ScriptedSocket(*chunks), "peer")
+    conn.read_lines(got.append)
+    assert got == lines
+    assert conn.closed
+
+
+def test_a_line_handler_that_raises_is_logged_and_reading_goes_on(caplog):
+    got = []
+
+    def on_line(line):
+        if line == "bad":
+            raise ValueError("boom")
+        got.append(line)
+
+    with caplog.at_level(logging.ERROR, logger="artifact.endpoints.tcp"):
+        LineConnection(_ScriptedSocket(b"bad\ngood\n"), "peer").read_lines(on_line)
+    assert got == ["good"]
+    assert any("'bad'" in record.getMessage() for record in caplog.records)
+
+
+def test_a_closed_client_hub_leaves_no_thread_behind(monkeypatch, caplog):
+    monkeypatch.setattr(tcp, "BACKOFF_INITIAL_S", 2.0)  # a long wait after a refused connect
+    component = TcpComponent()
+    uri = parse_endpoint_uri(f"tcp:127.0.0.1:{_free_port()}?role=client")
+    with caplog.at_level(logging.WARNING, logger="artifact.endpoints.tcp"):
+        key, hub = component._hub_for(uri)
+        assert wait_until(lambda: any("retrying in 2.00s" in r.getMessage() for r in caplog.records))
+    closed_at = time.monotonic()
+    component._release(key)
+    hub._thread.join(max(0.0, closed_at + 0.5 - time.monotonic()))
+    assert not hub._thread.is_alive()
+
+
+def test_a_full_source_drops_lines_and_its_reader_keeps_serving(monkeypatch):
+    monkeypatch.setattr(routing, "ENQUEUE_TIMEOUT_S", 0.05)
+    server = LineServer()
+    component = TcpComponent()
+    key, hub = component._hub_for(parse_endpoint_uri(f"tcp:127.0.0.1:{server.port}?role=client"))
+    try:
+        assert server.wait_for_connection(5.0)
+        for i in range(hub.inbox.capacity + 3):  # no route takes them
+            server.broadcast(f"line {i}")
+        assert wait_until(lambda: hub.inbox.dropped == 3)
+        while hub.inbox.try_get() is not None:
+            pass
+        server.broadcast("after")
+        message = hub.inbox.get(timeout=5.0)
+        assert message is not None and message.body == ["after"]
+    finally:
+        component._release(key)
+        server.stop()

@@ -6,10 +6,10 @@ import time
 
 import pytest
 
-from artifact import ARTIFACT_NAME_HEADER, OPERATION_NAME_HEADER, GatewayArtifact, Message, SetHeader, operation
-from artifact.endpoints import VarClient, VarStoreServer
+from artifact import ARTIFACT_NAME_HEADER, OPERATION_NAME_HEADER, GatewayArtifact, Message, SetHeader, operation, routing
+from artifact.endpoints import VarClient, VarStoreServer, tcp
 from artifact.endpoints.tcp import LineServer
-from artifact.errors import UnknownVariableError, VarStoreProtocolError
+from artifact.errors import FramingError, UnknownVariableError, VarStoreProtocolError
 
 from conftest import wait_until
 
@@ -252,3 +252,85 @@ def test_a_late_value_for_an_abandoned_read_is_no_subscription_push():
     finally:
         client.close()
         server.server.stop()
+
+
+def test_a_value_with_a_newline_is_refused_and_nothing_is_sent(store):
+    client = VarClient(store.host, store.port)
+    try:
+        client.write("x", 1)
+        with pytest.raises(FramingError):
+            client.write("x", "a\nWRITE y 7")
+        with pytest.raises(UnknownVariableError):
+            store.read("y")
+        assert client.read("x") == (1, 0)
+    finally:
+        client.close()
+
+
+def test_a_malformed_value_reply_fails_its_read_and_the_client_stays_in_step():
+    def answer(conn, line):
+        conn.send_line("VALUE x notanumber 5" if line.startswith("READ ") else "OK")
+
+    server = LineServer(handler=answer)
+    client = VarClient("127.0.0.1", server.port, timeout=1.0)
+    try:
+        with pytest.raises(VarStoreProtocolError, match="unexpected response"):
+            client.read("x")
+        client.write("x", 1)
+        assert client._reader.is_alive()
+    finally:
+        client.close()
+        server.stop()
+
+
+def test_a_subscriber_that_stops_reading_is_dropped_and_others_are_served(monkeypatch, store):
+    monkeypatch.setattr(tcp, "ENQUEUE_TIMEOUT_S", 0.2)  # the send deadline
+    store.write("x", 0)
+    stalled = _WireClient(store)
+    try:
+        stalled.send("SUB x")
+        assert stalled.recv_line() == b"OK"  # and it reads nothing more
+        written = threading.Event()
+
+        def write_many():
+            for _ in range(400):  # 25 MB, more than the socket buffers hold
+                store.write("x", "v" * 65536)
+            written.set()
+
+        threading.Thread(target=write_many, daemon=True).start()
+        assert written.wait(5.0)
+        assert store._subs["x"] == []
+        assert store.read("x")[1] == 400
+        client = VarClient(store.host, store.port)
+        try:
+            client.write("y", 1)
+            assert client.read("y") == (1, 0)
+        finally:
+            client.close()
+    finally:
+        stalled.close()
+
+
+def test_a_full_subscription_drops_pushes_and_replies_still_come(monkeypatch, store):
+    monkeypatch.setattr(routing, "ENQUEUE_TIMEOUT_S", 0.05)
+    store.write("x", 0)
+    client = VarClient(store.host, store.port)
+    try:
+        sub = client.subscribe("x")  # never polled
+        for i in range(sub.queue.capacity + 3):
+            store.write("x", i)
+        client.write("y", 1)  # answered after every push
+        assert client.read("y") == (1, 0)
+        assert sub.queue.dropped == 3
+    finally:
+        client.close()
+
+
+def test_no_reader_thread_outlives_stop_or_close(store):
+    client = VarClient(store.host, store.port)
+    client.write("x", 1)
+    readers = [client._reader, *store.server._conns.values()]
+    assert len(readers) == 2 and all(t.is_alive() for t in readers)
+    client.close()
+    store.stop()
+    assert not any(t.is_alive() for t in readers)
