@@ -69,7 +69,9 @@ class MessageQueue:
     side counts its blocked threads, so an item or a free slot wakes one
     waiter, and only when there is one. A woken thread re-checks the deque
     even when its wait timed out, because a notify can race the timeout and
-    would otherwise be lost.
+    would otherwise be lost. Most queues never wait, so each condition is
+    made by the first thread that waits on it; a side is notified only while
+    it counts a waiter, so its condition exists by then.
     """
 
     def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY, name: str = ""):
@@ -79,8 +81,8 @@ class MessageQueue:
         self.name = name
         self._items: deque = deque()
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
+        self._not_empty: threading.Condition | None = None  # made by the first get that waits
+        self._not_full: threading.Condition | None = None  # made by the first put that waits
         self._getters = 0  # threads blocked in get, guarded by _lock
         self._putters = 0  # threads blocked in put, guarded by _lock
         self._closed = False
@@ -110,6 +112,8 @@ class MessageQueue:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise QueueFullError(self.name)
+                if self._not_full is None:
+                    self._not_full = threading.Condition(self._lock)
                 self._putters += 1
                 try:
                     self._not_full.wait(remaining)
@@ -134,6 +138,8 @@ class MessageQueue:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         return None
+                if self._not_empty is None:
+                    self._not_empty = threading.Condition(self._lock)
                 self._getters += 1
                 try:
                     self._not_empty.wait(remaining)
@@ -157,8 +163,9 @@ class MessageQueue:
         """Refuse further puts and wake every blocked getter and putter."""
         with self._lock:
             self._closed = True
-            self._not_empty.notify_all()
-            self._not_full.notify_all()
+            for waiters in (self._not_empty, self._not_full):
+                if waiters is not None:
+                    waiters.notify_all()
 
     @property
     def closed(self) -> bool:
@@ -203,18 +210,25 @@ class Inbox(MessageQueue):
         super().__init__(capacity, name)
         self.listeners = Listeners()
         self.dropped = 0  # items `push` gave up on; guarded by _lock
+        self._shedding = False  # a push dropped an item and none has fit since
 
     def push(self, item) -> None:
         """Put `item` and tell the listeners. An item that finds the inbox
         full for ENQUEUE_TIMEOUT_S is dropped, counted and logged, so the
-        socket reader that pushes it goes on serving its connection."""
+        socket reader that pushes it goes on serving its connection; later
+        items that find it still full are dropped at once, until one fits."""
+        shedding = self._shedding
         try:
-            self.put(item, ENQUEUE_TIMEOUT_S)
+            self.put(item, 0.0 if shedding else ENQUEUE_TIMEOUT_S)
         except QueueFullError:
             with self._lock:
                 self.dropped += 1
-            log.warning("%s stayed full for %.1fs; item dropped", self.name, ENQUEUE_TIMEOUT_S)
+            if not shedding:
+                self._shedding = True
+                log.warning("%s stayed full for %.1fs; dropping items until it has room",
+                            self.name, ENQUEUE_TIMEOUT_S)
             return
+        self._shedding = False
         self.listeners.notify()
 
 

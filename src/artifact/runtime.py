@@ -331,8 +331,8 @@ class Runtime:
     and dispose every artifact.
 
     Writers of the artifact and link tables hold the runtime lock and leave
-    each table consistent after every single change, so `exec_op`, which
-    only reads them, takes no lock.
+    each table consistent after every single change, so `exec_op`, `lookup`
+    and `find_artifact`, which only read them, take no lock.
     """
 
     def __init__(self, default_workspace: str = DEFAULT_WORKSPACE):
@@ -402,14 +402,14 @@ class Runtime:
             self._templates[name] = cls
 
     def _resolve_template(self, template) -> type[Artifact]:
+        if isinstance(template, type) and issubclass(template, Artifact):
+            return template
         if isinstance(template, str):
             with self._lock:
                 cls = self._templates.get(template)
             if cls is None:
                 raise UnknownTemplateError(template)
             return cls
-        if isinstance(template, type) and issubclass(template, Artifact):
-            return template
         raise UnknownTemplateError(repr(template))
 
     # -- artifact lifecycle ------------------------------------------------------
@@ -430,8 +430,10 @@ class Runtime:
             art = cls()
             art._runtime = self
             art._id = ArtifactId(ws, name)
-            with art._lock:
-                art._run_atomically(art.init, tuple(init_params), "init")
+            params = tuple(init_params)
+            if cls.init is not Artifact.init:  # the base init stages nothing
+                with art._lock:
+                    art._run_atomically(art.init, params, "init")
             registry[name] = art
             self._generation += 1
         art.on_created()
@@ -466,8 +468,9 @@ class Runtime:
         return self._find(ws, name)
 
     def _find(self, ws: str, name: str) -> Artifact | None:
-        with self._lock:
-            return self._workspaces.get(ws, {}).get(name)
+        # Each read is one atomic dict lookup (see the class docstring).
+        artifacts = self._workspaces.get(ws)
+        return artifacts.get(name) if artifacts is not None else None
 
     def artifact_ids(self) -> list[ArtifactId]:
         with self._lock:
@@ -480,12 +483,14 @@ class Runtime:
     # -- links ---------------------------------------------------------------------
 
     def link_artifacts(self, source: ArtifactId, target: ArtifactId) -> LinkRef:
-        if source == target:
+        key = _link_key(source, target)
+        if key[:2] == key[2:]:
             raise SelfLinkError(str(source))
-        self.lookup(source)
-        self.lookup(target)
         with self._lock:
-            self._links.add(_link_key(source, target))
+            for end in (source, target):
+                if end.name not in self._workspaces.get(end.workspace, ()):
+                    raise UnknownArtifactError(str(end))
+            self._links.add(key)
             self._generation += 1
         return LinkRef(source, target)
 

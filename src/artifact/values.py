@@ -39,6 +39,17 @@ def number_to_text(x: int | float) -> str:
 
 def render_value(v: Value) -> str:
     """Canonical wire text: text as-is, numbers minimal, lists space-separated."""
+    # The exact types come first, so a common value costs one type check;
+    # bool (an int subclass) and other subclasses take the isinstance chain.
+    kind = type(v)
+    if kind is str:
+        return v
+    if kind is float:
+        return str(int(v)) if v.is_integer() else repr(v)
+    if kind is int:
+        return str(v)
+    if kind is list:
+        return " ".join([render_value(x) for x in v])
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, float)):

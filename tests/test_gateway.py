@@ -472,6 +472,30 @@ def test_start_listening_starts_no_gateway_thread(env):
     assert gateway.seen == ["now"]  # delivered before enqueue_incoming returned
 
 
+def test_building_a_gateway_and_delivering_through_it_makes_no_condition(env, monkeypatch):
+    made: list = []
+
+    class CountingCondition(threading.Condition):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Condition", CountingCondition)
+    router = _gateway(env, "router")
+    publish = env.engine.define_route("artifact:router", [], "mq:plant/router")
+    subscribe = env.engine.define_route("mq:plant/router", [], "artifact:router")
+    router.attach_route(publish, engine=env.engine)
+    router.attach_route(subscribe)
+    target_id = env.runtime.make_artifact("main", "t1", PlainRecorder, [])
+    env.runtime.link_artifacts(router.id, target_id)
+    router.start_listening()
+    router.enqueue_incoming(_msg("router", "recv", ["self"]))
+    router.enqueue_incoming(_msg("t1", "recv", ["linked"]))
+    assert router.seen == ["self"]
+    assert env.runtime.lookup(target_id).seen == ["linked"]
+    assert made == []
+
+
 def test_concurrent_enqueuers_deliver_exactly_once_in_order_and_serially(env):
     gateway = _gateway(env, "hub", Overlapping)
     gateway.start_listening()

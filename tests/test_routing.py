@@ -7,6 +7,7 @@ import time
 import pytest
 
 from artifact import Message, RouteStatus, Runtime, SetHeader, Transform, parse_expr, process
+from artifact import routing as routing_module
 from artifact.endpoints import TopicBroker, standard_components
 from artifact.endpoints import broker as broker_module
 from artifact.errors import (
@@ -280,6 +281,94 @@ def test_message_queue_close_wakes_every_waiter():
         t.join(max(0.0, deadline - time.monotonic()))
     assert not any(t.is_alive() for t in threads)
     assert sorted(results) == [("get", None)] * 3 + [("put", "closed")] * 3
+
+
+def _start(target) -> threading.Thread:
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread
+
+
+def test_a_queue_that_never_waits_makes_no_condition():
+    q = MessageQueue(capacity=1)
+    q.put("a")
+    with pytest.raises(QueueFullError):
+        q.put("b", timeout=0.0)
+    assert q.try_get() == "a"
+    assert q.get(timeout=0.0) is None
+    q.close()
+    assert (q._not_empty, q._not_full) == (None, None)
+
+
+def test_the_first_waiters_of_a_queue_are_woken_by_the_other_side():
+    q = MessageQueue(capacity=1)
+    got: list = []
+    getter = _start(lambda: got.append(q.get(timeout=10.0)))
+    assert wait_until(lambda: q._getters == 1)
+    q.put("a")  # wakes the getter
+    getter.join(5.0)
+    assert not getter.is_alive() and got == ["a"]
+
+    q.put("b")
+    putter = _start(lambda: q.put("c", timeout=10.0))
+    assert wait_until(lambda: q._putters == 1)
+    assert q.get() == "b"  # wakes the putter
+    putter.join(5.0)
+    assert not putter.is_alive() and q.try_get() == "c"
+
+
+@pytest.mark.parametrize("waiting", ["nobody", "getter", "putter"])
+def test_close_wakes_one_side_while_the_other_has_no_condition(waiting):
+    empty = MessageQueue(capacity=1)
+    full = MessageQueue(capacity=1)
+    full.put("x")
+    results: list = []
+
+    def getter():
+        results.append(("get", empty.get(timeout=10.0)))
+
+    def putter():
+        try:
+            full.put("y", timeout=10.0)
+        except QueueClosedError:
+            results.append(("put", "closed"))
+
+    threads = []
+    if waiting == "getter":
+        threads.append(_start(getter))
+        assert wait_until(lambda: empty._getters == 1)
+    if waiting == "putter":
+        threads.append(_start(putter))
+        assert wait_until(lambda: full._putters == 1)
+    empty.close()
+    full.close()
+    for t in threads:
+        t.join(5.0)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == len(threads)
+    # A thread that comes after the close does not block either.
+    getter()
+    putter()
+    assert results[-2:] == [("get", None), ("put", "closed")]
+
+
+def test_an_inbox_that_stays_full_drops_at_once_until_it_has_room(monkeypatch):
+    monkeypatch.setattr(routing_module, "ENQUEUE_TIMEOUT_S", 0.2)
+    inbox = Inbox(capacity=1, name="t")
+    inbox.push("a")
+
+    def timed_push(item) -> float:
+        started = time.monotonic()
+        inbox.push(item)
+        return time.monotonic() - started
+
+    assert timed_push("b") >= 0.2  # the first item it cannot take waits
+    assert sum(timed_push(i) for i in range(20)) < 0.2  # the next are dropped at once
+    assert inbox.dropped == 21
+    assert inbox.try_get() == "a"
+    assert timed_push("c") < 0.2  # it has room again
+    assert timed_push("d") >= 0.2  # so a full inbox is waited on again
+    assert inbox.dropped == 22 and inbox.try_get() == "c"
 
 
 class _StuckProducer(Producer):

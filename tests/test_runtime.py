@@ -117,6 +117,58 @@ def test_operation_staging_nothing_returns_a_fresh_result(runtime):
     assert runtime.exec_op(aid, OpRequest("q1", "noop", [])) == OpResult(True, [], {})
 
 
+class NoInit(Artifact):
+    @operation
+    def set(self, value):
+        self.update_property("value", value)
+
+
+def test_an_artifact_without_init_takes_any_parameters_and_behaves_alike(runtime):
+    aid = runtime.make_artifact("main", "n1", NoInit, iter([1, "two", [3]]))
+    art = runtime.lookup(aid)
+    assert art.properties() == {}
+    observer = RecordingObserver()
+    assert runtime.focus(observer, aid) == {}
+    runtime.exec_op(aid, OpRequest("n1", "set", [7]))
+    assert wait_until(lambda: observer.change_count() == 1)
+    assert observer.changes == [(aid, "value", 7, 0)]
+    with pytest.raises(TypeError):
+        runtime.make_artifact("main", "n2", NoInit, 5)  # parameters not iterable
+    assert runtime.find_artifact("main", "n2") is None
+    with pytest.raises(DuplicateNameError):
+        runtime.make_artifact("main", "n1", NoInit, [])
+
+
+class InitInOperation(Artifact):
+    def init(self, *params):
+        self.params = params
+        self.inside_operation = self._current_ctx() is not None
+        self.update_property("params", list(params))
+
+
+class InheritsInit(InitInOperation):
+    pass
+
+
+class FailingInit(Artifact):
+    def init(self):
+        self.update_property("half", 1)
+        raise RuntimeError("init failed")
+
+
+@pytest.mark.parametrize("template", [InitInOperation, InheritsInit])
+def test_an_overridden_init_runs_as_an_operation(runtime, template):
+    art = runtime.lookup(runtime.make_artifact("main", "i1", template, (1, 2)))
+    assert art.params == (1, 2) and art.inside_operation
+    assert art.properties()["params"].value == [1, 2]
+
+
+def test_a_failing_init_commits_nothing_and_registers_nothing(runtime):
+    with pytest.raises(OperationFailedError):
+        runtime.make_artifact("main", "f1", FailingInit, [])
+    assert runtime.find_artifact("main", "f1") is None
+
+
 def test_failed_operation_rolls_back(runtime):
     aid = runtime.make_artifact("main", "c1", "counter", [])
     observer = RecordingObserver()
@@ -204,8 +256,14 @@ def test_links(runtime):
     assert runtime.links_from(b) == []  # directional
     with pytest.raises(SelfLinkError):
         runtime.link_artifacts(a, a)
-    with pytest.raises(UnknownArtifactError):
+    with pytest.raises(UnknownArtifactError, match="main/ghost"):
         runtime.link_artifacts(a, ArtifactId("main", "ghost"))
+    with pytest.raises(UnknownArtifactError, match="main/ghost"):
+        runtime.link_artifacts(ArtifactId("main", "ghost"), a)
+    with pytest.raises(UnknownArtifactError, match="nowhere/a"):
+        runtime.link_artifacts(ArtifactId("nowhere", "a"), b)
+    assert runtime.links_from(ArtifactId("main", "ghost")) == []
+    assert runtime.links_from(a) == [b]
 
 
 def test_linked_exec_requires_link(runtime):

@@ -31,6 +31,62 @@ def test_render_value_kinds():
     assert render_value([["x", 1], 2]) == "x 1 2"
 
 
+class _Level(int):
+    pass
+
+
+class _Reading(float):
+    pass
+
+
+class _Label(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (True, "true"),
+        (False, "false"),
+        (0, "0"),
+        (-17, "-17"),
+        (10**30, "1" + "0" * 30),
+        (-0.0, "0"),
+        (2.0, "2"),
+        (1e20, "100000000000000000000"),
+        (0.5, "0.5"),
+        (-68.4, "-68.4"),
+        (1 / 3, "0.3333333333333333"),
+        (1e-07, "1e-07"),
+        (1.5e300 + 0.5, str(int(1.5e300))),
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+        (float("nan"), "nan"),
+        ("", ""),
+        ("two words", "two words"),
+        ([], ""),
+        ([True, [1, 2.0, ["x", -0.0]], [], 0.25], "true 1 2 x 0  0.25"),
+        (_Level(3), "3"),
+        (_Reading(4.0), "4"),
+        (_Reading(4.5), "4.5"),
+        (_Label("tag"), "tag"),
+    ],
+)
+def test_render_value_output_is_pinned(value, text):
+    assert render_value(value) == text
+
+
+@pytest.mark.parametrize("value", [None, (1, 2), {"a": 1}, b"raw", [1, None], object()])
+def test_render_value_rejects_what_is_not_a_value(value):
+    with pytest.raises(TypeError, match="not a value"):
+        render_value(value)
+
+
+@given(st.floats())
+def test_render_value_of_a_float_is_its_number_text(x):
+    assert render_value(x) == number_to_text(x)
+
+
 def test_coerce_number():
     assert coerce_number(3) == 3.0
     assert coerce_number("212") == 212.0

@@ -311,17 +311,71 @@ def test_a_subscriber_that_stops_reading_is_dropped_and_others_are_served(monkey
         stalled.close()
 
 
+def test_a_stalled_subscriber_holds_up_no_read_and_no_other_variable(monkeypatch, store):
+    monkeypatch.setattr(tcp, "ENQUEUE_TIMEOUT_S", 1.0)  # the send deadline
+    store.write("x", 0)
+    store.write("other", 0)
+    stalled = _WireClient(store)
+    try:
+        stalled.send("SUB x")
+        assert stalled.recv_line() == b"OK"  # and it reads nothing more
+        written = threading.Event()
+
+        def write_many():
+            for _ in range(400):  # 25 MB, more than the socket buffers hold
+                store.write("x", "v" * 65536)
+            written.set()
+
+        started = time.monotonic()
+        threading.Thread(target=write_many, daemon=True).start()
+        slowest = 0.0
+        while not written.is_set():
+            before = time.monotonic()
+            store.read("other")
+            store.write("other", 1)
+            slowest = max(slowest, time.monotonic() - before)
+            time.sleep(0.01)
+        assert time.monotonic() - started >= 0.9  # the writer did stall
+        assert slowest < 0.3
+    finally:
+        stalled.close()
+
+
+def test_pushes_of_concurrent_writers_arrive_in_version_order(store):
+    store.write("x", 0)
+    client = VarClient(store.host, store.port)
+    try:
+        sub = client.subscribe("x")
+        writers = [
+            threading.Thread(target=lambda: [store.write("x", i) for i in range(100)], daemon=True)
+            for _ in range(4)
+        ]
+        for t in writers:
+            t.start()
+        for t in writers:
+            t.join(10.0)
+        assert not any(t.is_alive() for t in writers)
+        versions = [sub.poll(2.0)[1] for _ in range(400)]
+        assert versions == list(range(1, 401))
+    finally:
+        client.close()
+
+
 def test_a_full_subscription_drops_pushes_and_replies_still_come(monkeypatch, store):
     monkeypatch.setattr(routing, "ENQUEUE_TIMEOUT_S", 0.05)
     store.write("x", 0)
     client = VarClient(store.host, store.port)
     try:
         sub = client.subscribe("x")  # never polled
-        for i in range(sub.queue.capacity + 3):
+        over = 200
+        for i in range(sub.queue.capacity + over):
             store.write("x", i)
+        started = time.monotonic()
         client.write("y", 1)  # answered after every push
+        # One wait for the first push that found no room, not one per push.
+        assert time.monotonic() - started < 0.5
         assert client.read("y") == (1, 0)
-        assert sub.queue.dropped == 3
+        assert sub.queue.dropped == over
     finally:
         client.close()
 
