@@ -56,23 +56,14 @@ def parse_wire_value(text: str) -> Value:
 
 
 class _Var:
-    """A variable and, once subscribed, its pushes not yet sent.
+    __slots__ = ("value", "version", "push_lock")
 
-    Pushes go out without the store lock, so a subscriber that stops reading
-    holds up no read and no other variable. A write queues its push under
-    the lock; the writer that finds no other one pushing this variable sends
-    what is queued, in version order, until nothing is left.
-    """
-
-    __slots__ = ("value", "version", "pushes", "pushing")
-
-    def __init__(self, value: Value, version: int):
+    def __init__(self, value: Value):
         self.value = value
-        self.version = version
-        # (line, subscribers) per write; made by the first SUB. Both are
-        # guarded by the store lock.
-        self.pushes: deque[tuple[str, tuple[LineConnection, ...]]] | None = None
-        self.pushing = False
+        self.version = 0
+        # Held by a writer from its commit until its push has gone out; taken
+        # before the store lock, never while holding it.
+        self.push_lock = threading.Lock()
 
 
 class VarStoreServer:
@@ -88,48 +79,34 @@ class VarStoreServer:
     # -- local API (used by tests and in-process writers) ----------------------
 
     def write(self, name: str, value: Value) -> int:
-        """Commit a write and push it to subscribers; returns the new version.
-        The push has gone out by then, unless another writer of the variable
-        was pushing: that one sends it after its own."""
+        """Commit a write and push it to subscribers; returns the new version
+        once its push has gone out.
+
+        Writers of one variable take turns on its push lock, so pushes go out
+        in version order and a slow subscriber slows the writers of its
+        variable. The push is sent without the store lock, so a subscriber
+        that stops reading holds up no read and no other variable.
+        """
         with self._lock:
             var = self._vars.get(name)
             if var is None:
-                var = _Var(value, 0)
-                self._vars[name] = var
-            else:
+                self._vars[name] = _Var(value)
+                return 0  # nobody can have subscribed to it yet
+        with var.push_lock:
+            with self._lock:
                 var.value = value
                 var.version += 1
-            version = var.version
-            subscribers = self._subs.get(name)
-            if not subscribers:
-                return version
-            var.pushes.append((f"VALUE {name} {version} {render_value(value)}", tuple(subscribers)))
-            if var.pushing:
-                return version
-            var.pushing = True
-        try:
-            self._push(name, var)
-        except BaseException:
-            with self._lock:
-                var.pushing = False
-            raise
+                version = var.version
+                subscribers = tuple(self._subs.get(name, ()))
+            if subscribers:
+                line = f"VALUE {name} {version} {render_value(value)}"
+                for conn in subscribers:
+                    try:
+                        conn.send_line(line)
+                    except Exception:
+                        with self._lock:
+                            self._drop_sub(name, conn)
         return version
-
-    def _push(self, name: str, var: _Var) -> None:
-        """Send the variable's queued pushes until none is left; the caller
-        set `var.pushing`, and this clears it."""
-        while True:
-            with self._lock:
-                if not var.pushes:
-                    var.pushing = False
-                    return
-                line, subscribers = var.pushes.popleft()
-            for conn in subscribers:
-                try:
-                    conn.send_line(line)
-                except Exception:
-                    with self._lock:
-                        self._drop_sub(name, conn)
 
     def read(self, name: str) -> tuple[Value, int]:
         with self._lock:
@@ -161,12 +138,10 @@ class VarStoreServer:
         elif command == "SUB" and len(parts) == 2:
             name = parts[1]
             with self._lock:
-                var = self._vars.get(name)
-                if var is not None:
-                    if var.pushes is None:
-                        var.pushes = deque()
+                known = name in self._vars
+                if known:
                     self._subs.setdefault(name, []).append(conn)
-            conn.send_line("OK" if var is not None else f"ERR unknown-variable {name}")
+            conn.send_line("OK" if known else f"ERR unknown-variable {name}")
         else:
             conn.send_line(f"ERR bad-request {command or '<empty>'}")
 

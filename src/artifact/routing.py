@@ -210,25 +210,31 @@ class Inbox(MessageQueue):
         super().__init__(capacity, name)
         self.listeners = Listeners()
         self.dropped = 0  # items `push` gave up on; guarded by _lock
-        self._shedding = False  # a push dropped an item and none has fit since
+        # A push dropped an item and none has fit since. Set under _lock, so
+        # one warning is logged per spell of drops; read without it, so with
+        # several pushing threads it is a hint: a push may wait once more, or
+        # drop at once just after another thread's item fit.
+        self._shedding = False
 
     def push(self, item) -> None:
         """Put `item` and tell the listeners. An item that finds the inbox
         full for ENQUEUE_TIMEOUT_S is dropped, counted and logged, so the
         socket reader that pushes it goes on serving its connection; later
         items that find it still full are dropped at once, until one fits."""
-        shedding = self._shedding
         try:
-            self.put(item, 0.0 if shedding else ENQUEUE_TIMEOUT_S)
+            self.put(item, 0.0 if self._shedding else ENQUEUE_TIMEOUT_S)
         except QueueFullError:
             with self._lock:
                 self.dropped += 1
-            if not shedding:
+                first = not self._shedding
                 self._shedding = True
+            if first:
                 log.warning("%s stayed full for %.1fs; dropping items until it has room",
                             self.name, ENQUEUE_TIMEOUT_S)
             return
-        self._shedding = False
+        if self._shedding:
+            with self._lock:
+                self._shedding = False
         self.listeners.notify()
 
 

@@ -39,23 +39,14 @@ def number_to_text(x: int | float) -> str:
 
 def render_value(v: Value) -> str:
     """Canonical wire text: text as-is, numbers minimal, lists space-separated."""
-    # The exact types come first, so a common value costs one type check;
-    # bool (an int subclass) and other subclasses take the isinstance chain.
-    kind = type(v)
-    if kind is str:
-        return v
-    if kind is float:
-        return str(int(v)) if v.is_integer() else repr(v)
-    if kind is int:
-        return str(v)
-    if kind is list:
-        return " ".join([render_value(x) for x in v])
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, float)):
-        return number_to_text(v)
     if isinstance(v, str):
         return v
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return str(int(v)) if v.is_integer() else repr(v)
+    if isinstance(v, int):
+        return str(v)
     if isinstance(v, list):
         return " ".join([render_value(x) for x in v])
     raise TypeError(f"not a value: {type(v).__name__}")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import sys
 import threading
 import time
@@ -369,6 +370,30 @@ def test_an_inbox_that_stays_full_drops_at_once_until_it_has_room(monkeypatch):
     assert timed_push("c") < 0.2  # it has room again
     assert timed_push("d") >= 0.2  # so a full inbox is waited on again
     assert inbox.dropped == 22 and inbox.try_get() == "c"
+
+
+def test_an_inbox_pushed_by_two_threads_waits_once_and_warns_once(monkeypatch, caplog):
+    monkeypatch.setattr(routing_module, "ENQUEUE_TIMEOUT_S", 0.2)
+    inbox = Inbox(capacity=1, name="t")
+    inbox.push("a")
+    barrier = threading.Barrier(2)
+
+    def push_many() -> None:
+        barrier.wait()
+        for i in range(20):
+            inbox.push(i)
+
+    started = time.monotonic()
+    with caplog.at_level(logging.WARNING, logger="artifact.routing"):
+        pushers = [_start(push_many) for _ in range(2)]
+        for t in pushers:
+            t.join(5.0)
+    assert not any(t.is_alive() for t in pushers)
+    # Each thread waits at most once, not once per item.
+    assert time.monotonic() - started < 0.6
+    assert inbox.dropped == 40
+    assert len([r for r in caplog.records if "stayed full" in r.getMessage()]) == 1
+    assert inbox.try_get() == "a"
 
 
 class _StuckProducer(Producer):

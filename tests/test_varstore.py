@@ -361,6 +361,48 @@ def test_pushes_of_concurrent_writers_arrive_in_version_order(store):
         client.close()
 
 
+class _SlowSubscriber:
+    """A subscriber connection that takes 2 ms per push and notes how many
+    committed versions of `x` had not been pushed to it at each one."""
+
+    def __init__(self, store: VarStoreServer):
+        self._store = store
+        self.lines: list[str] = []
+        self.unpushed: list[int] = []
+
+    def send_line(self, line: str) -> None:
+        if line.startswith("VALUE "):
+            time.sleep(0.002)
+            self.unpushed.append(self._store.read("x")[1] - int(line.split(" ")[2]))
+        self.lines.append(line)
+
+
+def test_writers_wait_for_a_slow_subscriber_and_nothing_queues(store):
+    store.write("x", 0)
+    slow = _SlowSubscriber(store)
+    store._handle(slow, "SUB x")
+    late: list[str] = []
+
+    def write_many(tag: str) -> None:
+        for i in range(50):
+            value = f"{tag}{i}"
+            version = store.write("x", value)
+            if f"VALUE x {version} {value}" not in slow.lines:
+                late.append(value)  # write returned before its push went out
+
+    writers = [threading.Thread(target=write_many, args=(tag,), daemon=True) for tag in "ab"]
+    for t in writers:
+        t.start()
+    for t in writers:
+        t.join(10.0)
+    assert not any(t.is_alive() for t in writers)
+    assert late == []
+    assert slow.lines[0] == "OK"
+    assert [int(line.split(" ")[2]) for line in slow.lines[1:]] == list(range(1, 101))
+    # No write commits while another's push is out, so none waits in a queue.
+    assert max(slow.unpushed) == 0
+
+
 def test_a_full_subscription_drops_pushes_and_replies_still_come(monkeypatch, store):
     monkeypatch.setattr(routing, "ENQUEUE_TIMEOUT_S", 0.05)
     store.write("x", 0)
