@@ -43,21 +43,14 @@ class Subscription:
         self.topic = topic
         self.sub_id = sub_id
         self.queue = Inbox(capacity, f"mq:{topic}#{sub_id}")
-        self.received = 0
         self.dropped = 0  # messages skipped because the queue stayed full
 
     def poll(self, timeout: float = 0.0) -> Message | None:
         """The next message, waiting up to `timeout` seconds; None if none."""
-        message = self.queue.get(timeout=timeout)
-        if message is not None:
-            self.received += 1
-        return message
+        return self.queue.get(timeout=timeout)
 
     def try_get(self) -> Message | None:
-        message = self.queue.try_get()
-        if message is not None:
-            self.received += 1
-        return message
+        return self.queue.try_get()
 
     def __len__(self) -> int:
         return len(self.queue)
@@ -175,20 +168,21 @@ class _MqConsumer(Consumer):
 
     def __init__(self, subscription: Subscription):
         self._sub = subscription
+        self._queue = subscription.queue
         self._mailbox: RouteMailbox | None = None
 
     def start(self, mailbox: RouteMailbox) -> None:
         self._mailbox = mailbox
-        self._sub.queue.listeners.attach(mailbox.ready)
+        self._queue.listeners.attach(mailbox.ready)
 
     def stop(self) -> None:
-        self._sub.queue.listeners.detach(self._mailbox.ready)
+        self._queue.listeners.detach(self._mailbox.ready)
 
     def try_get(self) -> Message | None:
-        return self._sub.try_get()
+        return self._queue.try_get()
 
     def __len__(self) -> int:
-        return len(self._sub)
+        return len(self._queue)
 
     def close(self) -> None:
         self._sub.close()

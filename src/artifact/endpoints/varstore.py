@@ -27,12 +27,12 @@ import threading
 from collections import deque
 from typing import Callable
 
-from ..errors import UnknownVariableError, VarStoreProtocolError
+from ..errors import ConnectionClosedError, UnknownVariableError, VarStoreProtocolError
 from ..messages import Message
 from ..routing import Component, Consumer, Inbox, Producer, Route, RouteMailbox
 from ..uri import EndpointUri
 from ..values import Value, render_value
-from .tcp import LineConnection, LineServer, join_threads, tcp_connect
+from .tcp import LineConnection, LineServer, ServedConnection, join_threads
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +61,7 @@ class _Var:
     def __init__(self, value: Value):
         self.value = value
         self.version = 0
-        # Held by a writer from its commit until its push has gone out; taken
+        # Held by a writer from its commit until its push is queued; taken
         # before the store lock, never while holding it.
         self.push_lock = threading.Lock()
 
@@ -71,7 +71,7 @@ class VarStoreServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._vars: dict[str, _Var] = {}
-        self._subs: dict[str, list[LineConnection]] = {}
+        self._subs: dict[str, list[ServedConnection]] = {}
         self._lock = threading.Lock()
         self.server = LineServer(host, port, handler=self._handle, name="varstore")
         self.host, self.port = self.server.host, self.server.port
@@ -80,18 +80,23 @@ class VarStoreServer:
 
     def write(self, name: str, value: Value) -> int:
         """Commit a write and push it to subscribers; returns the new version
-        once its push has gone out.
+        once its push has gone out, or at once on the server's loop (a wire
+        WRITE), which never waits on a peer.
 
-        Writers of one variable take turns on its push lock, so pushes go out
-        in version order and a slow subscriber slows the writers of its
-        variable. The push is sent without the store lock, so a subscriber
-        that stops reading holds up no read and no other variable.
+        Writers of one variable take turns on its push lock to commit and
+        queue their pushes, so pushes go out in version order. Each writer
+        waits for its push after letting the lock go, so a writer on the loop
+        is never held up behind one that waits for a subscriber that stopped
+        reading; the loop closes that subscriber's connection once its output
+        has waited ENQUEUE_TIMEOUT_S. Nothing is sent under the store lock, so
+        such a subscriber holds up no read and no other variable.
         """
         with self._lock:
             var = self._vars.get(name)
             if var is None:
                 self._vars[name] = _Var(value)
                 return 0  # nobody can have subscribed to it yet
+        queued = []
         with var.push_lock:
             with self._lock:
                 var.value = value
@@ -102,10 +107,14 @@ class VarStoreServer:
                 line = f"VALUE {name} {version} {render_value(value)}"
                 for conn in subscribers:
                     try:
-                        conn.send_line(line)
+                        queued.append((conn, conn.queue_line(line)))
                     except Exception:
-                        with self._lock:
-                            self._drop_sub(name, conn)
+                        self._drop_sub(name, conn)
+        for conn, wait in queued:
+            try:
+                wait()
+            except ConnectionClosedError:
+                self._drop_sub(name, conn)
         return version
 
     def read(self, name: str) -> tuple[Value, int]:
@@ -115,14 +124,15 @@ class VarStoreServer:
                 raise UnknownVariableError(name)
             return var.value, var.version
 
-    def _drop_sub(self, name: str, conn: LineConnection) -> None:
-        subs = self._subs.get(name)
-        if subs and conn in subs:
-            subs.remove(conn)
+    def _drop_sub(self, name: str, conn: ServedConnection) -> None:
+        with self._lock:
+            subs = self._subs.get(name)
+            if subs and conn in subs:
+                subs.remove(conn)
 
     # -- protocol ---------------------------------------------------------------
 
-    def _handle(self, conn: LineConnection, line: str) -> None:
+    def _handle(self, conn: ServedConnection, line: str) -> None:
         parts = line.split(" ", 2)
         command = parts[0] if parts else ""
         if command == "READ" and len(parts) == 2:
@@ -188,7 +198,7 @@ class VarClient:
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
         self._timeout = timeout
-        self._conn = LineConnection(tcp_connect(host, port, timeout=timeout), f"{host}:{port}")
+        self._conn = LineConnection.connect(host, port, timeout=timeout)
         self._send_lock = threading.Lock()  # keeps `_pending` in send order
         self._state_lock = threading.Lock()
         self._pending: deque[_Pending] = deque()  # oldest first

@@ -85,26 +85,25 @@ _TOKEN_RE = re.compile(
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number", "string", "ident", "end", or the punct character
-    text: str
-    pos: int
+# A token is a tuple (kind, text, pos): kind is "number", "string", "ident",
+# "end", or the punctuation character itself.
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
     out: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+    match = _TOKEN_RE.match
+    pos, size = 0, len(text)
+    while pos < size:
+        m = match(text, pos)
         if m is None:
             raise ExprSyntaxError(pos, "a valid token")
-        kind = m.lastgroup
+        kind, end = m.lastgroup, m.end()
         if kind != "ws":
-            token_kind = m.group() if kind == "punct" else kind
-            out.append(_Token(token_kind, m.group(), pos))
-        pos = m.end()
-    out.append(_Token("end", "", len(text)))
+            token = text[pos:end]
+            out.append((token if kind == "punct" else kind, token, pos))
+        pos = end
+    out.append(("end", "", size))
     return out
 
 
@@ -145,92 +144,93 @@ class _Parser:
     def _peek(self) -> _Token:
         return self._tokens[self._i]
 
+    def _kind(self) -> str:
+        return self._tokens[self._i][0]
+
     def _take(self) -> _Token:
         tok = self._tokens[self._i]
         self._i += 1
         return tok
 
     def _expect(self, kind: str, expected: str) -> _Token:
-        tok = self._peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(tok.pos, expected)
-        return self._take()
+        tok = self._take()
+        if tok[0] != kind:
+            raise ExprSyntaxError(tok[2], expected)
+        return tok
 
     def parse(self) -> Expr:
         node = self._expr()
-        tail = self._peek()
-        if tail.kind != "end":
-            raise ExprSyntaxError(tail.pos, "end of input")
+        kind, _, pos = self._peek()
+        if kind != "end":
+            raise ExprSyntaxError(pos, "end of input")
         return node
 
     def _expr(self) -> Expr:
         node = self._term()
-        while self._peek().kind in ("+", "-"):
-            op = self._take().kind
+        while self._kind() in ("+", "-"):
+            op = self._take()[0]
             node = BinOp(op, node, self._term())
         return node
 
     def _term(self) -> Expr:
         node = self._factor()
-        while self._peek().kind in ("*", "/"):
-            op = self._take().kind
+        while self._kind() in ("*", "/"):
+            op = self._take()[0]
             node = BinOp(op, node, self._factor())
         return node
 
     def _factor(self) -> Expr:
-        tok = self._peek()
-        if tok.kind == "-":
+        kind, text, pos = self._peek()
+        if kind == "-":
             self._take()
-            num = self._expect("number", "a number")
-            node: Expr = NumberLit(-float(num.text))
-        elif tok.kind == "number":
+            node: Expr = NumberLit(-float(self._expect("number", "a number")[1]))
+        elif kind == "number":
             self._take()
-            node = NumberLit(float(tok.text))
-        elif tok.kind == "string":
+            node = NumberLit(float(text))
+        elif kind == "string":
             self._take()
-            node = StringLit(_unescape(tok.text))
-        elif tok.kind == "[":
+            node = StringLit(_unescape(text))
+        elif kind == "[":
             self._take()
             items = [self._expr()]
-            while self._peek().kind == ",":
+            while self._kind() == ",":
                 self._take()
                 items.append(self._expr())
             self._expect("]", "']'")
             node = ListLit(tuple(items))
-        elif tok.kind == "(":
+        elif kind == "(":
             self._take()
             node = self._expr()
             self._expect(")", "')'")
-        elif tok.kind == "ident" and tok.text == "request":
+        elif kind == "ident" and text == "request":
             node = self._request_ref()
         else:
-            raise ExprSyntaxError(tok.pos, "a number, string, list, request reference or '('")
+            raise ExprSyntaxError(pos, "a number, string, list, request reference or '('")
         return self._postfix(node)
 
     def _request_ref(self) -> Expr:
         self._take()  # "request"
         self._expect(".", "'.'")
-        field = self._expect("ident", "'body' or 'headers'")
-        if field.text not in ("body", "headers"):
-            raise ExprSyntaxError(field.pos, "'body' or 'headers'")
+        _, field, pos = self._expect("ident", "'body' or 'headers'")
+        if field not in ("body", "headers"):
+            raise ExprSyntaxError(pos, "'body' or 'headers'")
         self._expect("[", "'['")
-        if field.text == "body":
-            idx = self._expect("number", "an integer index")
-            if not idx.text.isdigit():
-                raise ExprSyntaxError(idx.pos, "an integer index")
-            node: Expr = BodyIndex(int(idx.text))
+        if field == "body":
+            _, index, pos = self._expect("number", "an integer index")
+            if not index.isdigit():
+                raise ExprSyntaxError(pos, "an integer index")
+            node: Expr = BodyIndex(int(index))
         else:
-            key = self._expect("string", "a quoted header name")
-            node = HeaderRef(_unescape(key.text))
+            node = HeaderRef(_unescape(self._expect("string", "a quoted header name")[1]))
         self._expect("]", "']'")
         return node
 
     def _postfix(self, node: Expr) -> Expr:
-        while self._peek().kind == ".":
+        while self._kind() == ".":
             self._take()
-            name = self._peek()
-            if name.kind != "ident" or name.text != "toString":
-                raise ExprSyntaxError(name.pos, "'toString()'")
+            kind, text, pos = self._peek()
+            if kind != "ident" or text != "toString":
+                raise ExprSyntaxError(pos, "'toString()'")
             self._take()
             self._expect("(", "'('")
             self._expect(")", "')'")

@@ -267,7 +267,7 @@ class GatewayArtifact(Artifact):
         for route in self.routes:
             if route.status != RouteStatus.STARTED:
                 self._engine.start_route(route)
-        log.info("gateway %s listening on channel %r", self.id.name, self.channel)
+        log.debug("gateway %s listening on channel %r", self.id.name, self.channel)
         self._mailbox.drain()  # what queued while stopped
 
     def stop_listening(self) -> None:
@@ -291,7 +291,7 @@ class GatewayArtifact(Artifact):
                 "gateway %s: an operation still runs %.1fs after stop",
                 self.id.name, STOP_TIMEOUT_S,
             )
-        log.info("gateway %s stopped listening", self.id.name)
+        log.debug("gateway %s stopped listening", self.id.name)
 
     # -- outbound ---------------------------------------------------------------
 

@@ -13,6 +13,7 @@ Statements are separated by newlines or semicolons; `#` starts a comment.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,57 +36,43 @@ class RouteFileEntry:
         return chain
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "string", "punct"
-    text: str
-    line: int
+# A token is a tuple (kind, text, line): kind is "ident", "string" or
+# "punct"; a newline is a ";" punct.
+_Token = tuple[str, str, int]
+
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)"
+    r"|(?P<space>[ \t\r]+)"
+    r"|(?P<comment>#[^\n]*)"
+    r"|(?P<punct>[{}=;])"
+    r'|(?P<string>"(?:[^"\\\n]|\\[\s\S])*")'
+    r"|(?P<ident>\w+)"
+)
+_ESCAPE_RE = re.compile(r"\\([\s\S])")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
+    match = _TOKEN_RE.match
     line = 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            tokens.append(_Token("punct", ";", line))
+    pos, size = 0, len(text)
+    while pos < size:
+        m = match(text, pos)
+        kind = m.lastgroup if m is not None else None
+        if kind == "newline":
+            tokens.append(("punct", ";", line))
             line += 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-        elif c == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c in "{}=;":
-            tokens.append(_Token("punct", c, line))
-            i += 1
-        elif c == '"':
-            j = i + 1
-            out: list[str] = []
-            while j < len(text):
-                if text[j] == "\\" and j + 1 < len(text):
-                    out.append(text[j + 1])
-                    j += 2
-                elif text[j] == '"':
-                    break
-                elif text[j] == "\n":
-                    raise RouteFileError(line, "unterminated string")
-                else:
-                    out.append(text[j])
-                    j += 1
-            else:
+        elif kind == "punct":
+            tokens.append(("punct", m.group(), line))
+        elif kind == "string":
+            tokens.append(("string", _ESCAPE_RE.sub(r"\1", m.group()[1:-1]), line))
+        elif kind == "ident" and (text[pos].isalpha() or text[pos] == "_"):
+            tokens.append(("ident", m.group(), line))
+        elif kind is None or kind == "ident":
+            if text[pos] == '"':
                 raise RouteFileError(line, "unterminated string")
-            tokens.append(_Token("string", "".join(out), line))
-            i = j + 1
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line))
-            i = j
-        else:
-            raise RouteFileError(line, f"unexpected character {c!r}")
+            raise RouteFileError(line, f"unexpected character {text[pos]!r}")
+        pos = m.end()
     return tokens
 
 
@@ -107,7 +94,7 @@ class _EntryParser:
     def _skip_separators(self) -> None:
         while self._i < len(self._tokens):
             token = self._tokens[self._i]
-            if token.kind == "punct" and token.text == ";":
+            if token[1] == ";" and token[0] == "punct":
                 self._i += 1
             else:
                 break
@@ -115,10 +102,10 @@ class _EntryParser:
     def _expect(self, kind: str, text: str | None, what: str) -> _Token:
         token = self._peek()
         if token is None:
-            last = self._tokens[-1].line if self._tokens else 1
+            last = self._tokens[-1][2] if self._tokens else 1
             raise RouteFileError(last, f"expected {what}, got end of file")
-        if token.kind != kind or (text is not None and token.text != text):
-            raise RouteFileError(token.line, f"expected {what}, got {token.text!r}")
+        if token[0] != kind or (text is not None and token[1] != text):
+            raise RouteFileError(token[2], f"expected {what}, got {token[1]!r}")
         return self._take()
 
     def parse(self) -> list[RouteFileEntry]:
@@ -138,32 +125,31 @@ class _EntryParser:
             self._skip_separators()
             token = self._peek()
             if token is None:
-                raise RouteFileError(self._tokens[-1].line, "expected '}', got end of file")
-            if token.kind == "punct" and token.text == "}":
-                self._take()
+                raise RouteFileError(self._tokens[-1][2], "expected '}', got end of file")
+            kind, stmt, line = self._take()
+            if kind == "punct" and stmt == "}":
                 break
-            if token.kind != "ident":
-                raise RouteFileError(token.line, f"expected a statement, got {token.text!r}")
-            stmt = self._take()
-            if stmt.text in ("from", "to", "transform"):
+            if kind != "ident":
+                raise RouteFileError(line, f"expected a statement, got {stmt!r}")
+            if stmt in ("from", "to", "transform"):
                 self._expect("punct", "=", "'='")
-                value = self._expect("string", None, "a quoted value").text
-                if stmt.text == "from":
+                value = self._expect("string", None, "a quoted value")[1]
+                if stmt == "from":
                     source = value
-                elif stmt.text == "to":
+                elif stmt == "to":
                     sink = value
                 else:
                     transform = value
-            elif stmt.text == "set_header":
-                key = self._expect("string", None, "a quoted header name").text
+            elif stmt == "set_header":
+                key = self._expect("string", None, "a quoted header name")[1]
                 self._expect("punct", "=", "'='")
-                headers.append((key, self._expect("string", None, "a quoted value").text))
+                headers.append((key, self._expect("string", None, "a quoted value")[1]))
             else:
-                raise RouteFileError(stmt.line, f"unknown statement {stmt.text!r}")
+                raise RouteFileError(line, f"unknown statement {stmt!r}")
         if source is None:
-            raise RouteFileError(self._tokens[self._i - 1].line, "route entry has no 'from'")
+            raise RouteFileError(self._tokens[self._i - 1][2], "route entry has no 'from'")
         if sink is None:
-            raise RouteFileError(self._tokens[self._i - 1].line, "route entry has no 'to'")
+            raise RouteFileError(self._tokens[self._i - 1][2], "route entry has no 'to'")
         return RouteFileEntry(source=source, sink=sink, set_headers=headers, transform=transform)
 
 

@@ -216,13 +216,14 @@ class Inbox(MessageQueue):
         # drop at once just after another thread's item fit.
         self._shedding = False
 
-    def push(self, item) -> None:
+    def push(self, item, wait: bool = True) -> None:
         """Put `item` and tell the listeners. An item that finds the inbox
-        full for ENQUEUE_TIMEOUT_S is dropped, counted and logged, so the
-        socket reader that pushes it goes on serving its connection; later
-        items that find it still full are dropped at once, until one fits."""
+        full for ENQUEUE_TIMEOUT_S, or at all without `wait`, is dropped,
+        counted and logged, so the socket reader that pushes it goes on
+        serving its connection; later items that find it still full are
+        dropped at once, until one fits."""
         try:
-            self.put(item, 0.0 if self._shedding else ENQUEUE_TIMEOUT_S)
+            self.put(item, ENQUEUE_TIMEOUT_S if wait and not self._shedding else 0.0)
         except QueueFullError:
             with self._lock:
                 self.dropped += 1
@@ -939,7 +940,7 @@ class RoutingEngine:
             route._consumer.start(mailbox)
         if mailbox.pending():
             mailbox.ready()  # what arrived while stopped
-        log.info("route %s started: %s -> %s", route.id, route.source, route.sink)
+        log.debug("route %s started: %s -> %s", route.id, route.source, route.sink)
 
     def stop_route(self, route: Route, join_timeout: float = 10.0) -> None:
         """Stop the route and wait for a drain of it on another thread.
@@ -957,7 +958,7 @@ class RoutingEngine:
                 f"{route.id} drain still running after {join_timeout:.1f}s; still started"
             )
         route.status = RouteStatus.STOPPED
-        log.info("route %s stopped", route.id)
+        log.debug("route %s stopped", route.id)
 
     @staticmethod
     def _halt(route: Route) -> None:

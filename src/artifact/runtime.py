@@ -19,7 +19,7 @@ import sys
 import threading
 import types
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     CalledOutsideOperationError,
@@ -48,8 +48,10 @@ class WorkspaceId:
     name: str
 
 
-@dataclass(frozen=True)
-class ArtifactId:
+class ArtifactId(NamedTuple):
+    """Immutable, hashable, equal by value; a tuple, so cheaper to make than
+    a frozen dataclass."""
+
     workspace: str
     name: str
 
@@ -74,8 +76,7 @@ class Signal:
     seq: int
 
 
-@dataclass(frozen=True)
-class LinkRef:
+class LinkRef(NamedTuple):
     """Directional permission for `source` to invoke operations on `target`."""
 
     source: ArtifactId

@@ -23,6 +23,22 @@ def wait_until(predicate, timeout: float = 5.0, interval: float = 0.005) -> bool
     return predicate()
 
 
+# Threads that serve sockets: a LineServer's loop and a client's reader.
+_SOCKET_THREADS = ("server-loop-", "vars-client-", "tcp-client-")
+
+
+@pytest.fixture(autouse=True)
+def no_socket_thread_left():
+    """Fail a test that leaves a socket thread it started alive after its
+    teardown."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate()
+            if t not in before and t.name.startswith(_SOCKET_THREADS)]
+    if left:
+        pytest.fail(f"socket threads alive after teardown: {left}")
+
+
 class CounterArtifact(Artifact):
     def init(self):
         self.update_property("count", 0)

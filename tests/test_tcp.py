@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import logging
 import socket
+import struct
+import sys
 import threading
 import time
 
@@ -188,25 +190,149 @@ def test_server_role_endpoints(env):
         sock.close()
 
 
-def _accept_threads(server: LineServer) -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == f"{server.name}-accept"]
+def _loop_threads(server: LineServer) -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == f"server-loop-{server.name}"]
 
 
 @pytest.mark.parametrize("with_peer", [False, True])
-def test_no_accept_thread_outlives_stop(with_peer):
+def test_no_loop_thread_outlives_stop(with_peer):
     server = LineServer(name="stop-probe")
     peer = None
     try:
         if with_peer:
             peer = tcp_connect("127.0.0.1", server.port)
             assert server.wait_for_connection(5.0)
-        assert len(_accept_threads(server)) == 1
+        assert len(_loop_threads(server)) == 1
     finally:
         server.stop()
         if peer is not None:
             peer.close()
-    assert _accept_threads(server) == []
+    assert _loop_threads(server) == []
     assert server.connections() == []
+
+
+def test_stop_with_live_peers_closes_them_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(tcp, "ENQUEUE_TIMEOUT_S", 30.0)  # no deadline during the test
+    server = LineServer(name="stop-peers", handler=lambda conn, line: conn.send_line(f"echo {line}"))
+    peers = [tcp_connect("127.0.0.1", server.port) for _ in range(3)]
+    stalled = socket.socket()
+    stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    stalled.connect(("127.0.0.1", server.port))  # reads nothing
+    outcome = []
+    try:
+        assert wait_until(lambda: len(server.connections()) == 4)
+        for peer in peers:
+            peer.sendall(b"hi\n")
+            assert peer.recv(64) == b"echo hi\n"
+        conn = next(c for c in server.connections() if c.peer.endswith(f":{stalled.getsockname()[1]}"))
+
+        def send_until_it_waits():  # a sender off the loop, left waiting by the stalled peer
+            try:
+                while True:
+                    conn.send_line("x" * 65536)
+            except ConnectionClosedError:
+                outcome.append("closed")
+
+        sender = threading.Thread(target=send_until_it_waits, daemon=True)
+        sender.start()
+        assert wait_until(lambda: conn._out)  # its output waits for the socket
+        server.stop()
+        sender.join(5.0)
+        assert outcome == ["closed"]
+        assert _loop_threads(server) == []
+        assert server.connections() == []
+        for peer in peers:
+            peer.settimeout(5.0)
+            assert peer.recv(64) == b""  # each peer saw its connection end
+    finally:
+        for peer in peers:
+            peer.close()
+        stalled.close()
+
+
+def test_frames_from_the_loop_and_other_threads_arrive_whole_and_in_order():
+    server = LineServer(handler=lambda conn, line: conn.send_line(f"loop {line} " + "." * 500))
+    peer = socket.socket()
+    peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    peer.connect(("127.0.0.1", server.port))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert server.wait_for_connection(5.0)
+        conn = server.connections()[0]
+        conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)  # so output waits
+
+        def send(tag):
+            for i in range(100):
+                conn.send_line(f"{tag} {i} " + "." * 500)
+
+        senders = [threading.Thread(target=send, args=(f"t{k}",), daemon=True) for k in range(4)]
+        for t in senders:
+            t.start()
+        peer.sendall(b"".join(b"%d\n" % i for i in range(100)))  # the loop answers each
+        got: dict[str, list[int]] = {}
+        data = b""
+        peer.settimeout(10.0)
+        while sum(map(len, got.values())) < 500:
+            data += peer.recv(65536)
+            *lines, data = data.split(b"\n")
+            for line in lines:
+                tag, i, pad = line.decode().split(" ")
+                assert pad == "." * 500
+                got.setdefault(tag, []).append(int(i))
+        for t in senders:
+            t.join(5.0)
+        assert not any(t.is_alive() for t in senders)
+        assert got == {tag: list(range(100)) for tag in ("loop", "t0", "t1", "t2", "t3")}
+    finally:
+        sys.setswitchinterval(switch)
+        peer.close()
+        server.stop()
+
+
+def test_a_peer_that_drops_mid_frame_loses_its_partial_line_and_others_are_served():
+    received = []
+
+    def echo(conn, line):
+        received.append(line)
+        conn.send_line(f"echo {line}")
+
+    server = LineServer(handler=echo)
+    dropping = tcp_connect("127.0.0.1", server.port)
+    other = tcp_connect("127.0.0.1", server.port)
+    try:
+        assert wait_until(lambda: len(server.connections()) == 2)
+        dropping.sendall(b"whole\npart of a li")
+        assert wait_until(lambda: received == ["whole"])
+        dropping.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        dropping.close()  # a reset, mid-frame
+        assert wait_until(lambda: len(server.connections()) == 1)
+        other.sendall(b"still here\n")
+        data = b""
+        while not data.endswith(b"\n"):
+            data += other.recv(64)
+        assert data == b"echo still here\n"
+        assert received == ["whole", "still here"]
+    finally:
+        other.close()
+        server.stop()
+
+
+def test_a_client_reconnects_after_its_server_restarts_on_the_same_port(env):
+    received = []
+    server = LineServer(handler=lambda conn, line: received.append(line))
+    port = server.port
+    try:
+        route = env.engine.define_route("mq:tcp/restart", [], f"tcp:127.0.0.1:{port}?role=client")
+        env.engine.start_route(route)
+        env.broker.publish("tcp/restart", Message(body=["before"]))
+        assert wait_until(lambda: received == ["before"])
+        server.stop()
+        server = LineServer(port=port, handler=lambda conn, line: received.append(line))
+        env.broker.publish("tcp/restart", Message(body=["after"]))
+        assert wait_until(lambda: received == ["before", "after"], timeout=10)
+    finally:
+        server.stop()
 
 
 class _ScriptedSocket:
@@ -296,3 +422,25 @@ def test_a_full_source_drops_lines_and_its_reader_keeps_serving(monkeypatch):
     finally:
         component._release(key)
         server.stop()
+
+
+def test_a_full_server_source_drops_lines_at_once_and_its_peers_are_served(monkeypatch):
+    monkeypatch.setattr(routing, "ENQUEUE_TIMEOUT_S", 1.0)
+    component = TcpComponent()
+    key, hub = component._hub_for(parse_endpoint_uri(f"tcp:127.0.0.1:{_free_port()}?role=server"))
+    flooding = tcp_connect("127.0.0.1", hub.server.port)
+    other = tcp_connect("127.0.0.1", hub.server.port)
+    try:
+        assert wait_until(lambda: len(hub.server.connections()) == 2)
+        # No route takes them: one line more than the source holds.
+        flooding.sendall(b"".join(b"line %d\n" % i for i in range(hub.inbox.capacity + 1)))
+        assert wait_until(lambda: hub.inbox.dropped == 1, timeout=0.5)
+        started = time.monotonic()
+        assert hub.server.broadcast("to every peer") == 2
+        assert time.monotonic() - started < 0.3
+        other.settimeout(5.0)
+        assert other.recv(64) == b"to every peer\n"
+    finally:
+        flooding.close()
+        other.close()
+        component._release(key)

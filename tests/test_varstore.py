@@ -376,6 +376,10 @@ class _SlowSubscriber:
             self.unpushed.append(self._store.read("x")[1] - int(line.split(" ")[2]))
         self.lines.append(line)
 
+    def queue_line(self, line: str):
+        self.send_line(line)
+        return lambda: None  # taken by the time it is queued
+
 
 def test_writers_wait_for_a_slow_subscriber_and_nothing_queues(store):
     store.write("x", 0)
@@ -425,8 +429,52 @@ def test_a_full_subscription_drops_pushes_and_replies_still_come(monkeypatch, st
 def test_no_reader_thread_outlives_stop_or_close(store):
     client = VarClient(store.host, store.port)
     client.write("x", 1)
-    readers = [client._reader, *store.server._conns.values()]
-    assert len(readers) == 2 and all(t.is_alive() for t in readers)
+    threads = [client._reader, store.server._thread]  # the client's reader, the server's loop
+    assert len(store.server.connections()) == 1
+    assert all(t.is_alive() for t in threads)
     client.close()
     store.stop()
-    assert not any(t.is_alive() for t in readers)
+    assert not any(t.is_alive() for t in threads)
+    assert store.server.connections() == []
+
+
+def test_a_subscriber_that_stops_reading_holds_up_no_wire_request(monkeypatch, store):
+    monkeypatch.setattr(tcp, "ENQUEUE_TIMEOUT_S", 0.5)  # the send deadline
+    store.write("x", 0)
+    store.write("other", 0)
+    stalled = socket.socket()
+    stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    stalled.connect((store.host, store.port))
+    stalled.sendall(b"SUB x\n")
+    assert stalled.recv(3) == b"OK\n"  # and it reads nothing more
+    writer = VarClient(store.host, store.port)
+    reader = VarClient(store.host, store.port)
+    started = time.monotonic()
+    dropped_after = []
+
+    def write_until_dropped(write):
+        while store._subs["x"] and time.monotonic() - started < 10.0:
+            write("x", "v" * 16384)
+            time.sleep(0.001)
+        dropped_after.append(time.monotonic() - started)
+
+    # Wire WRITEs, whose pushes the server's loop queues, and local writes,
+    # which wait for their pushes off the loop.
+    writers = [threading.Thread(target=write_until_dropped, args=(write,), daemon=True)
+               for write in (writer.write, store.write)]
+    try:
+        for t in writers:
+            t.start()
+        slowest = 0.0
+        while any(t.is_alive() for t in writers):
+            before = time.monotonic()
+            assert reader.read("other") == (0, 0)
+            slowest = max(slowest, time.monotonic() - before)
+            time.sleep(0.01)
+        assert store._subs["x"] == []
+        assert min(dropped_after) >= 0.5  # not before its output waited out the deadline
+        assert slowest < 0.3
+    finally:
+        writer.close()
+        reader.close()
+        stalled.close()
