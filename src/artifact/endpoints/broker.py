@@ -81,10 +81,14 @@ class TopicBroker:
         self._stopped = False
 
     def _topic(self, name: str) -> _Topic:
-        with self._lock:
-            if name not in self._topics:
-                self._topics[name] = _Topic(name)
-            return self._topics[name]
+        # Topics are never removed, so only the first use takes the lock.
+        t = self._topics.get(name)
+        if t is None:
+            with self._lock:
+                t = self._topics.get(name)
+                if t is None:
+                    t = self._topics[name] = _Topic(name)
+        return t
 
     def subscribe(self, topic: str) -> Subscription:
         if self._stopped:
@@ -129,7 +133,7 @@ class TopicBroker:
         # Told outside the topic lock: a listener that drains on this thread
         # may publish to the same topic.
         for sub in delivered:
-            sub.queue.listeners.notify()
+            sub.queue.notify_listeners()
         return len(delivered)
 
     @property
@@ -173,10 +177,10 @@ class _MqConsumer(Consumer):
 
     def start(self, mailbox: RouteMailbox) -> None:
         self._mailbox = mailbox
-        self._queue.listeners.attach(mailbox.ready)
+        self._queue.add_listener(mailbox.ready)
 
     def stop(self) -> None:
-        self._queue.listeners.detach(self._mailbox.ready)
+        self._queue.remove_listener(self._mailbox.ready)
 
     def try_get(self) -> Message | None:
         return self._queue.try_get()

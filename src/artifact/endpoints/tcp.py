@@ -651,10 +651,10 @@ class _TcpConsumer(Consumer):
 
     def start(self, mailbox: RouteMailbox) -> None:
         self._mailbox = mailbox
-        self._inbox.listeners.attach(mailbox.drain)
+        self._inbox.add_listener(mailbox.drain)
 
     def stop(self) -> None:
-        self._inbox.listeners.detach(self._mailbox.drain)
+        self._inbox.remove_listener(self._mailbox.drain)
 
     def try_get(self) -> Message | None:
         return self._inbox.try_get()

@@ -353,10 +353,10 @@ class _VarSubscribeConsumer(Consumer):
 
     def start(self, mailbox: RouteMailbox) -> None:
         self._mailbox = mailbox
-        self._sub.queue.listeners.attach(mailbox.drain)
+        self._sub.queue.add_listener(mailbox.drain)
 
     def stop(self) -> None:
-        self._sub.queue.listeners.detach(self._mailbox.drain)
+        self._sub.queue.remove_listener(self._mailbox.drain)
 
     def try_get(self) -> Message | None:
         record = self._sub.queue.try_get()
@@ -391,7 +391,7 @@ class _VarReadConsumer(Consumer):
 
     def start(self, mailbox: RouteMailbox) -> None:
         self._mailbox = mailbox
-        self._inbox.listeners.attach(mailbox.drain)
+        self._inbox.add_listener(mailbox.drain)
         self._timer = mailbox.every(READ_PERIOD_S, self._fire)
 
     def _fire(self) -> None:
@@ -421,7 +421,7 @@ class _VarReadConsumer(Consumer):
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        self._inbox.listeners.detach(self._mailbox.drain)
+        self._inbox.remove_listener(self._mailbox.drain)
 
     def try_get(self) -> Message | None:
         return self._inbox.try_get()

@@ -17,7 +17,6 @@ decimal parse at binary operators.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     DivisionByZeroError,
@@ -32,41 +31,77 @@ from .values import Value, coerce_number, copy_value, number_to_text, render_val
 # AST
 
 
-@dataclass(frozen=True)
-class NumberLit:
-    value: float
+class _Node:
+    """An AST node: equal to a node of the same type with equal fields, and
+    hashable. Parsed trees are shared, so treat a node as immutable."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._fields()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class StringLit:
-    value: str
+class NumberLit(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class ListLit:
-    items: tuple
+class StringLit(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class BodyIndex:
-    index: int
+class ListLit(_Node):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        self.items = items
 
 
-@dataclass(frozen=True)
-class HeaderRef:
-    key: str
+class BodyIndex(_Node):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    lhs: "Expr"
-    rhs: "Expr"
+class HeaderRef(_Node):
+    __slots__ = ("key",)
+
+    def __init__(self, key: str):
+        self.key = key
 
 
-@dataclass(frozen=True)
-class ToString:
-    inner: "Expr"
+class BinOp(_Node):
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: "Expr", rhs: "Expr"):
+        self.op = op
+        self.lhs = lhs
+        self.rhs = rhs
+
+
+class ToString(_Node):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: "Expr"):
+        self.inner = inner
 
 
 Expr = NumberLit | StringLit | ListLit | BodyIndex | HeaderRef | BinOp | ToString

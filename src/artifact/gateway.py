@@ -38,7 +38,7 @@ from .routing import (
     ENQUEUE_TIMEOUT_S,
     Component,
     Consumer,
-    DeadLetterQueue,
+    DeadLetters,
     Listeners,
     Mailbox,
     MessageQueue,
@@ -48,7 +48,7 @@ from .routing import (
     RouteStatus,
     RoutingEngine,
 )
-from .runtime import Artifact, ArtifactId, LinkRef, OpResult, Runtime
+from .runtime import Artifact, ArtifactId, LinkRef, OpResult, Runtime, stages_nothing
 from .uri import EndpointUri
 from .values import Value
 
@@ -93,8 +93,10 @@ class DeadLettered:
 DispatchOutcome = InvokedSelf | Forwarded | DeadLettered
 
 
-@dataclass
+@dataclass(frozen=True)
 class GatewayStats:
+    """A gateway's counters at the moment they were read."""
+
     sent: int = 0
     dispatched: int = 0
     invoked_self: int = 0
@@ -106,74 +108,86 @@ class GatewayStats:
 # channel registry ("artifact:" scheme)
 
 
-class _Channel:
-    """Writers hold `lock` and replace `members` with each change, so a
-    reader looks up `gateways` or iterates `members` without it."""
+class _Channel(Listeners):
+    """Writers hold the registry's lock and replace `members` with each
+    change, so a reader looks up `gateways` or iterates `members` without it.
+    Its listeners are the `ready` of each started route consuming it."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, lock: threading.Lock):
         self.name = name
-        self.lock = threading.Lock()
+        self._lock = lock
         self.gateways: dict[str, "GatewayArtifact"] = {}
         self.members: tuple["GatewayArtifact", ...] = ()  # gateways.values()
-        # ready() of each started route consuming this channel
-        self.readers = Listeners()
 
 
 class ChannelRegistry:
     """Maps channel names to the gateways registered on them, and gateway
-    names to their gateways."""
+    names to their gateways.
+
+    Writers hold `lock`, which also guards each channel's gateways and
+    listeners and whether each gateway listens; `channel`, `find_gateway`
+    and `route_owner`, each one atomic dict read, take none.
+    """
 
     def __init__(self):
-        self._lock = threading.Lock()
+        self.lock = threading.Lock()
         self._channels: dict[str, _Channel] = {}
         self._route_owners: dict[str, "GatewayArtifact"] = {}
         # Gateways by name, in registration order; the first one answers.
-        self._by_name: dict[str, list["GatewayArtifact"]] = {}
+        # Each entry is a gateway, or a tuple of two or more, replaced whole.
+        self._by_name: dict[str, "GatewayArtifact | tuple[GatewayArtifact, ...]"] = {}
 
     def channel(self, name: str) -> _Channel:
-        with self._lock:
-            if name not in self._channels:
-                self._channels[name] = _Channel(name)
-            return self._channels[name]
+        chan = self._channels.get(name)
+        if chan is None:
+            with self.lock:
+                chan = self._channels.get(name)
+                if chan is None:
+                    chan = self._channels[name] = _Channel(name, self.lock)
+        return chan
 
-    def register(self, channel_name: str, gateway: "GatewayArtifact") -> None:
+    def register(self, channel_name: str, gateway: "GatewayArtifact") -> _Channel:
+        """Register `gateway` on the channel; returns the channel."""
         chan = self.channel(channel_name)
         name = gateway.id.name
-        with chan.lock:
+        with self.lock:
             replaced = chan.gateways.get(name)
             chan.gateways[name] = gateway
             chan.members = tuple(chan.gateways.values())
-        with self._lock:
-            self._unindex(name, replaced)
-            self._by_name.setdefault(name, []).append(gateway)
+            named = self._unindexed(name, replaced)
+            self._by_name[name] = gateway if not named else named + (gateway,)
+        return chan
 
     def unregister(self, channel_name: str, gateway: "GatewayArtifact") -> None:
         chan = self.channel(channel_name)
         name = gateway.id.name
-        with chan.lock:
+        with self.lock:
             removed = chan.gateways.pop(name, None)
             chan.members = tuple(chan.gateways.values())
-        with self._lock:
-            self._unindex(name, removed)
-
-    def _unindex(self, name: str, gateway: "GatewayArtifact | None") -> None:
-        named = self._by_name.get(name)
-        if named and gateway in named:
-            named.remove(gateway)
+            named = self._unindexed(name, removed)
             if not named:
-                del self._by_name[name]
+                self._by_name.pop(name, None)
+            else:
+                self._by_name[name] = named[0] if len(named) == 1 else named
+
+    def _unindexed(self, name: str, gateway: "GatewayArtifact | None") -> tuple:
+        """The gateways named `name`, in order, less `gateway`; the caller
+        holds the lock."""
+        named = self._by_name.get(name, ())
+        if type(named) is not tuple:
+            named = (named,)
+        return tuple(g for g in named if g is not gateway)
 
     def find_gateway(self, name: str) -> "GatewayArtifact | None":
-        with self._lock:
-            named = self._by_name.get(name)
-            return named[0] if named else None
+        named = self._by_name.get(name)
+        return named[0] if type(named) is tuple else named
 
     def all_gateways(self) -> list["GatewayArtifact"]:
-        with self._lock:
-            return [named[0] for named in self._by_name.values()]
+        with self.lock:
+            return [named[0] if type(named) is tuple else named for named in self._by_name.values()]
 
     def set_route_owner(self, route_id: str, gateway: "GatewayArtifact") -> None:
-        with self._lock:
+        with self.lock:
             self._route_owners[route_id] = gateway
 
     def route_owner(self, route_id: str) -> "GatewayArtifact | None":
@@ -195,34 +209,57 @@ def gateway_channels(runtime: Runtime) -> ChannelRegistry:
 # the gateway artifact
 
 
-class GatewayArtifact(Artifact):
+class _GatewayMailbox(Mailbox):
+    """A gateway's incoming queue as a serial mailbox, open while it listens.
+    Looks `deliver` up per message, so a wrapper set on the class later
+    still sees every delivery."""
+
+    def __init__(self, gateway: "GatewayArtifact"):
+        super().__init__(gateway.incoming)
+        self._gateway = gateway
+
+    def _handle(self, message: Message) -> None:
+        self._gateway.deliver(message)
+
+
+# The links table of a gateway that has resolved no name; never written, as
+# its generation is no runtime's.
+_NO_LINKS: tuple[int, dict] = (-1, {})
+
+
+class GatewayArtifact(DeadLetters, Artifact):
     """Artifact owning incoming/outgoing FIFO queues and attached routes.
 
     ``init`` parameters: an optional channel name the gateway serves (defaults
     to the artifact's own name). Gateways never share queues; several gateways
-    may serve one channel, distinguished by the ``ArtifactName`` header.
+    may serve one channel, distinguished by the ``ArtifactName`` header. The
+    dead-letter queue is made with the first dead letter.
     """
 
+    # Counters read through `stats`; each instance counts from these.
+    _sent = _dispatched = _invoked_self = _forwarded = _dead_lettered = 0
+
+    @stages_nothing
     def init(self, channel: str | None = None):
         self.channel = channel or self.id.name
         self.outgoing = MessageQueue(DEFAULT_QUEUE_CAPACITY, f"{self.id.name}.outgoing")
         self.incoming = MessageQueue(DEFAULT_QUEUE_CAPACITY, f"{self.id.name}.incoming")
         self.routes: list[Route] = []
-        self.dead_letters = DeadLetterQueue()
-        self.stats = GatewayStats()
         self._engine: RoutingEngine | None = None
-        self._gw_lock = threading.Lock()
-        # Open while listening. Looks `deliver` up per message, so a wrapper
-        # set on the class later still sees every delivery.
-        self._mailbox = Mailbox(self.incoming, lambda message: self.deliver(message))
+        self._mailbox = _GatewayMailbox(self)
         # (runtime generation, name -> link to a linked plain artifact or
         # None); a table whose generation is not the runtime's is stale.
-        self._links_table: tuple[int, dict[str, LinkRef | None]] = (-1, {})
+        self._links_table: tuple[int, dict[str, LinkRef | None]] = _NO_LINKS
 
     def on_created(self):
         self._channels = gateway_channels(self.runtime)
-        self._channel = self._channels.channel(self.channel)
-        self._channels.register(self.channel, self)
+        self._channel = self._channels.register(self.channel, self)
+
+    @property
+    def stats(self) -> GatewayStats:
+        return GatewayStats(
+            self._sent, self._dispatched, self._invoked_self, self._forwarded, self._dead_lettered
+        )
 
     def on_dispose(self):
         self._channels.unregister(self.channel, self)
@@ -237,11 +274,12 @@ class GatewayArtifact(Artifact):
         """Attach a route whose artifact-scheme side names this gateway."""
         if engine is not None:
             self._engine = engine
-        owns = any(
-            uri.scheme == "artifact" and uri.path in (self.id.name, self.channel)
-            for uri in (route.source, route.sink)
-        )
-        if not owns:
+        names = (self._id.name, self.channel)
+        source, sink = route.source, route.sink
+        if not (
+            (source.scheme == "artifact" and source.path in names)
+            or (sink.scheme == "artifact" and sink.path in names)
+        ):
             raise RouteNotOwnedError(
                 f"route {route.id} does not name gateway {self.id.name} "
                 f"or channel {self.channel}"
@@ -256,7 +294,7 @@ class GatewayArtifact(Artifact):
         return self._mailbox.open
 
     def start_listening(self) -> None:
-        with self._gw_lock:
+        with self._channels.lock:
             if self._mailbox.open:
                 raise InvalidTransitionError(f"gateway {self.id.name} is already listening")
             if self.routes and self._engine is None:
@@ -268,7 +306,8 @@ class GatewayArtifact(Artifact):
             if route.status != RouteStatus.STARTED:
                 self._engine.start_route(route)
         log.debug("gateway %s listening on channel %r", self.id.name, self.channel)
-        self._mailbox.drain()  # what queued while stopped
+        if self._mailbox.pending():
+            self._mailbox.drain()  # what queued while stopped
 
     def stop_listening(self) -> None:
         """Stop delivering and stop the attached routes.
@@ -279,7 +318,7 @@ class GatewayArtifact(Artifact):
         is queued stays queued until start_listening.
         """
         mailbox = self._mailbox
-        with self._gw_lock:
+        with self._channels.lock:
             running = [r for r in self.routes if r.status == RouteStatus.STARTED]
             if not mailbox.open and not running and not mailbox.busy():
                 raise InvalidTransitionError(f"gateway {self.id.name} is not listening")
@@ -310,8 +349,8 @@ class GatewayArtifact(Artifact):
             raise GatewayStoppedError(f"gateway {self.id.name} is not listening")
         message = request.to_message(extra_headers)
         self.outgoing.put(message, timeout=timeout)
-        self.stats.sent += 1
-        self._channel.readers.notify()
+        self._sent += 1
+        self._channel.notify_listeners()
         return message
 
     def poll_outgoing(self, max_wait: float = 0.0) -> Message | None:
@@ -346,16 +385,15 @@ class GatewayArtifact(Artifact):
     def deliver(self, message: Message) -> DispatchOutcome:
         """Dispatch one message by its header tags; never raises."""
         outcome = self._dispatch(message)
-        stats = self.stats
-        stats.dispatched += 1
+        self._dispatched += 1
         kind = type(outcome)
         if kind is Forwarded:
-            stats.forwarded += 1
+            self._forwarded += 1
         elif kind is InvokedSelf:
-            stats.invoked_self += 1
+            self._invoked_self += 1
         else:
-            stats.dead_lettered += 1
-            self.dead_letters.add(message, outcome.reason)
+            self._dead_lettered += 1
+            self.dead_letter(message, outcome.reason)
             log.warning(
                 "gateway %s dead-lettered a message: %s", self.id.name, outcome.reason
             )
@@ -454,10 +492,10 @@ class _ChannelConsumer(Consumer):
 
     def start(self, mailbox: RouteMailbox) -> None:
         self._mailbox = mailbox
-        self._channel.readers.attach(mailbox.ready)
+        self._channel.add_listener(mailbox.ready)
 
     def stop(self) -> None:
-        self._channel.readers.detach(self._mailbox.ready)
+        self._channel.remove_listener(self._mailbox.ready)
 
     def try_get(self) -> Message | None:
         gateways = self._channel.members

@@ -11,7 +11,9 @@ socket sources drain it on the thread that read the line (Camel's
 route with an empty processor chain hands the message its consumer took to
 its producer as is; a chain works on a private copy. A message whose
 processing or delivery fails moves to the route's dead-letter queue with
-the error attached.
+the error attached; the queue is made with the route's first dead letter.
+An engine parses each endpoint URI string once and shares the immutable
+`EndpointUri` between the routes that name it.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -178,37 +180,52 @@ class MessageQueue:
 
 
 class Listeners:
-    """Callbacks told, in attach order, that a source has something waiting.
+    """Mixin for a source that tells its listeners, in the order they were
+    added, that it has something waiting.
 
-    attach and detach swap a tuple under a lock, so `notify` takes none; a
-    push-driven consumer attaches its mailbox's `ready` or `drain` when it
-    starts and detaches it when it stops.
+    `add_listener` and `remove_listener` replace the listeners under the
+    source's `_lock`, so `notify_listeners` takes no lock. One listener is
+    kept as is and more in a tuple, so a source with one listener carries no
+    object for it but the callable. A push-driven consumer adds its
+    mailbox's `ready` or `drain` when it starts and removes it when it stops.
     """
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._calls: tuple[Callable[[], None], ...] = ()
+    _lock: threading.Lock
+    _listening: "Callable[[], None] | tuple[Callable[[], None], ...] | None" = None
 
-    def attach(self, call: Callable[[], None]) -> None:
+    def add_listener(self, call: Callable[[], None]) -> None:
         with self._lock:
-            self._calls += (call,)
+            current = self._listening
+            if current is None:
+                self._listening = call
+            elif type(current) is tuple:
+                self._listening = current + (call,)
+            else:
+                self._listening = (current, call)
 
-    def detach(self, call: Callable[[], None]) -> None:
+    def remove_listener(self, call: Callable[[], None]) -> None:
         with self._lock:
-            self._calls = tuple(c for c in self._calls if c != call)
+            current = self._listening
+            if type(current) is not tuple:
+                current = () if current is None else (current,)
+            left = tuple(c for c in current if c != call)
+            self._listening = left[0] if len(left) == 1 else left or None
 
-    def notify(self) -> None:
-        for call in self._calls:
-            call()
+    def notify_listeners(self) -> None:
+        calls = self._listening
+        if type(calls) is tuple:
+            for call in calls:
+                call()
+        elif calls is not None:
+            calls()
 
 
-class Inbox(MessageQueue):
-    """A bounded FIFO whose `listeners` hear of each item put with `push`:
-    the buffer of a push-driven route source."""
+class Inbox(MessageQueue, Listeners):
+    """A bounded FIFO whose listeners hear of each item put with `push`: the
+    buffer of a push-driven route source."""
 
     def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY, name: str = ""):
         super().__init__(capacity, name)
-        self.listeners = Listeners()
         self.dropped = 0  # items `push` gave up on; guarded by _lock
         # A push dropped an item and none has fit since. Set under _lock, so
         # one warning is logged per spell of drops; read without it, so with
@@ -236,7 +253,7 @@ class Inbox(MessageQueue):
         if self._shedding:
             with self._lock:
                 self._shedding = False
-        self.listeners.notify()
+        self.notify_listeners()
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +262,8 @@ class Inbox(MessageQueue):
 
 class Mailbox:
     """A serial mailbox: messages taken from `source` in FIFO order and handed
-    to `handle`, by one thread at a time.
+    to `handle`, by one thread at a time. A subclass may define the method
+    `_handle` instead of passing `handle`.
 
     `source` offers `try_get()` and `len()`, and `put()` for `offer`. The
     draining thread holds the box's claim, a lock taken without blocking; a
@@ -254,9 +272,10 @@ class Mailbox:
     stranded. Nothing drains while the box is closed.
     """
 
-    def __init__(self, source, handle: Callable[[Message], object]):
+    def __init__(self, source, handle: Callable[[Message], object] | None = None):
         self.source = source
-        self._handle = handle
+        if handle is not None:
+            self._handle = handle
         self._claim = threading.Lock()
         self.open = False
         self.drainer: int | None = None  # thread id of the running drain
@@ -366,7 +385,7 @@ class RouteMailbox(Mailbox):
     call back periodically."""
 
     def __init__(self, route: "Route", pool: "WorkerPool", timer: "_Timer"):
-        super().__init__(route._consumer, self._step)
+        super().__init__(route._consumer)
         self._route = route
         self._pool = pool
         self._timer = timer
@@ -386,23 +405,23 @@ class RouteMailbox(Mailbox):
         """A pool task: drain at most what was waiting when it began."""
         self.run(max(1, len(self.source)))
 
-    def _step(self, message: Message) -> None:
+    def _handle(self, message: Message) -> None:
         route = self._route
-        route.stats.consumed += 1
+        route._consumed += 1
         try:
             # The consumer hands each message to this route alone, so an
             # empty chain passes it on as is; a chain works on a copy, and
             # a dead letter keeps the message as consumed.
             outgoing = process(message, route.processors) if route.processors else message
             route._producer.send(outgoing)
-            route.stats.delivered += 1
+            route._delivered += 1
         except ProcessorEvalError as exc:
-            route.stats.dead_lettered += 1
-            route.dead_letters.add(message, f"ProcessorEvalError: {exc}", exc)
+            route._dead_lettered += 1
+            route.dead_letter(message, f"ProcessorEvalError: {exc}", exc)
             log.warning("route %s dead-lettered a message: %s", route.id, exc)
         except Exception as exc:
-            route.stats.dead_lettered += 1
-            route.dead_letters.add(message, f"DeliveryFailed: {exc}", exc)
+            route._dead_lettered += 1
+            route.dead_letter(message, f"DeliveryFailed: {exc}", exc)
             log.warning("route %s delivery failed: %s", route.id, exc)
 
 
@@ -733,6 +752,44 @@ class DeadLetterQueue:
             return len(self._entries)
 
 
+class _NoDeadLetters:
+    """Reads as an empty DeadLetterQueue and takes no entry."""
+
+    dropped = 0
+    total = 0
+
+    def entries(self) -> list[DeadLetter]:
+        return []
+
+    def __len__(self) -> int:
+        return 0
+
+
+_NO_DEAD_LETTERS = _NoDeadLetters()
+_first_dead_letter = threading.Lock()  # makes each owner's queue once
+
+
+class DeadLetters:
+    """Mixin for an owner of a DeadLetterQueue that is made with its first
+    dead letter; until then `dead_letters` reads empty and makes nothing."""
+
+    _dead_letter_queue: DeadLetterQueue | None = None
+
+    @property
+    def dead_letters(self) -> "DeadLetterQueue | _NoDeadLetters":
+        queue = self._dead_letter_queue
+        return _NO_DEAD_LETTERS if queue is None else queue
+
+    def dead_letter(self, message: Message, reason: str, error: Exception | None = None) -> DeadLetter:
+        queue = self._dead_letter_queue
+        if queue is None:
+            with _first_dead_letter:
+                if self._dead_letter_queue is None:
+                    self._dead_letter_queue = DeadLetterQueue()
+                queue = self._dead_letter_queue
+        return queue.add(message, reason, error)
+
+
 # ---------------------------------------------------------------------------
 # processors
 
@@ -827,6 +884,9 @@ class Component:
 
 
 class ComponentRegistry:
+    """Components by scheme. Writers hold the lock; `get`, one atomic dict
+    read, takes none."""
+
     def __init__(self):
         self._components: dict[str, Component] = {}
         self._lock = threading.Lock()
@@ -836,8 +896,7 @@ class ComponentRegistry:
             self._components[scheme] = component
 
     def get(self, scheme: str) -> Component | None:
-        with self._lock:
-            return self._components.get(scheme)
+        return self._components.get(scheme)
 
     def schemes(self) -> list[str]:
         with self._lock:
@@ -854,25 +913,33 @@ class RouteStatus(Enum):
     STOPPED = "stopped"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RouteStats:
+    """A route's counters at the moment they were read."""
+
     consumed: int = 0
     delivered: int = 0
     dead_lettered: int = 0
 
 
 @dataclass
-class Route:
+class Route(DeadLetters):
     id: str
     source: EndpointUri
-    processors: list[Processor]
+    processors: tuple[Processor, ...]
     sink: EndpointUri
     status: RouteStatus = RouteStatus.DEFINED
-    stats: RouteStats = field(default_factory=RouteStats)
-    dead_letters: DeadLetterQueue = field(default_factory=DeadLetterQueue)
+    # Counted by the route's drain, which runs on one thread at a time.
+    _consumed: int = 0
+    _delivered: int = 0
+    _dead_lettered: int = 0
     _consumer: Consumer | None = None
     _producer: Producer | None = None
     _mailbox: RouteMailbox | None = None
+
+    @property
+    def stats(self) -> RouteStats:
+        return RouteStats(self._consumed, self._delivered, self._dead_lettered)
 
 
 class RoutingEngine:
@@ -888,6 +955,8 @@ class RoutingEngine:
     def __init__(self, registry: ComponentRegistry):
         self.registry = registry
         self._routes: dict[str, Route] = {}
+        # Each endpoint string parsed once; routes share the immutable URI.
+        self._uris: dict[str, EndpointUri] = {}
         self._lock = threading.Lock()
         self._timer = _Timer("route-timer")
         self._pool = WorkerPool("route-worker", self._timer)
@@ -899,22 +968,25 @@ class RoutingEngine:
         sink: EndpointUri | str,
         route_id: str | None = None,
     ) -> Route:
-        src = parse_endpoint_uri(source) if isinstance(source, str) else source
-        dst = parse_endpoint_uri(sink) if isinstance(sink, str) else sink
+        src = self._uri(source)
+        dst = self._uri(sink)
         for uri, side in ((src, "source"), (dst, "sink")):
             component = self.registry.get(uri.scheme)
             if component is None:
                 raise UnknownSchemeError(uri.scheme, side)
             component.validate(uri, side)
-        route = Route(
-            id=route_id or f"route-{next(self._ids)}",
-            source=src,
-            processors=list(processors),
-            sink=dst,
-        )
+        route = Route(route_id or f"route-{next(self._ids)}", src, tuple(processors), dst)
         with self._lock:
             self._routes[route.id] = route
         return route
+
+    def _uri(self, endpoint: EndpointUri | str) -> EndpointUri:
+        if not isinstance(endpoint, str):
+            return endpoint
+        uri = self._uris.get(endpoint)
+        if uri is None:
+            uri = self._uris[endpoint] = parse_endpoint_uri(endpoint)
+        return uri
 
     def routes(self) -> list[Route]:
         with self._lock:

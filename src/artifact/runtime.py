@@ -104,6 +104,15 @@ def operation(fn: Callable) -> Callable:
     return fn
 
 
+def stages_nothing(init: Callable) -> Callable:
+    """Mark an artifact's ``init`` as one that stages no property update or
+    signal, so ``make_artifact`` runs it without an atomic context. An
+    override of a marked ``init`` runs atomically again unless it is marked
+    too."""
+    init.__stages_nothing__ = True
+    return init
+
+
 def _positional_counts(member: Callable) -> range:
     """The parameter counts with which `member(*params)` binds its signature.
 
@@ -196,7 +205,8 @@ class Artifact:
     # -- template hooks ----------------------------------------------------
 
     def init(self, *params):
-        """Initialization routine; runs atomically before the artifact is usable."""
+        """Initialization routine; runs atomically before the artifact is
+        usable, unless marked with :func:`stages_nothing`."""
 
     def on_created(self):
         """Called once the artifact is registered with its workspace."""
@@ -432,9 +442,16 @@ class Runtime:
             art._runtime = self
             art._id = ArtifactId(ws, name)
             params = tuple(init_params)
-            if cls.init is not Artifact.init:  # the base init stages nothing
-                with art._lock:
-                    art._run_atomically(art.init, params, "init")
+            init = cls.init
+            if init is not Artifact.init:  # the base init does nothing
+                if getattr(init, "__stages_nothing__", False):
+                    try:
+                        init(art, *params)
+                    except Exception as exc:
+                        raise OperationFailedError("init", exc) from exc
+                else:
+                    with art._lock:
+                        art._run_atomically(art.init, params, "init")
             registry[name] = art
             self._generation += 1
         art.on_created()

@@ -1,26 +1,50 @@
 """Endpoint URIs: `<scheme>:<path>[?k=v&k=v...]` with percent-escaped values."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 from urllib.parse import unquote
 
 from .errors import EmptySchemeError, MalformedQueryError, MissingSchemeError
 
+_NO_PARAMS: Mapping[str, str] = MappingProxyType({})
 
-@dataclass
+
 class EndpointUri:
-    scheme: str
-    path: str
-    params: dict[str, str] = field(default_factory=dict)
+    """An endpoint URI; immutable, so an engine shares one parsed URI between
+    all the routes that name its text.
+
+    `params` is a read-only mapping in query order. Two URIs are equal when
+    their schemes, paths and parameters, in order, are equal.
+    """
+
+    __slots__ = ("scheme", "path", "params")
+
+    def __init__(self, scheme: str, path: str, params: Mapping[str, str] | None = None):
+        set_field = object.__setattr__
+        set_field(self, "scheme", scheme)
+        set_field(self, "path", path)
+        set_field(self, "params", MappingProxyType(dict(params)) if params else _NO_PARAMS)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EndpointUri is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"EndpointUri is immutable; cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.scheme, self.path, tuple(self.params.items()))
 
     def __eq__(self, other):
         if not isinstance(other, EndpointUri):
             return NotImplemented
-        return (
-            self.scheme == other.scheme
-            and self.path == other.path
-            and list(self.params.items()) == list(other.params.items())
-        )
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"EndpointUri(scheme={self.scheme!r}, path={self.path!r}, params={dict(self.params)!r})"
 
     def param(self, key: str, default: str | None = None) -> str | None:
         return self.params.get(key, default)
@@ -47,7 +71,7 @@ def parse_endpoint_uri(text: str) -> EndpointUri:
             if not key:
                 raise MalformedQueryError(f"query pair {pair!r} has an empty key")
             params[key] = unquote(value)
-    return EndpointUri(scheme=scheme.lower(), path=path, params=params)
+    return EndpointUri(scheme.lower(), path, params)
 
 
 def _quote_param_value(value: str) -> str:

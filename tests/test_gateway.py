@@ -128,6 +128,25 @@ def test_deliver_missing_header_dead_letters(env):
     assert len(gateway.dead_letters) == 1
 
 
+def test_a_gateway_reads_no_dead_letters_without_making_a_queue(env):
+    gateway = _gateway(env, "s1")
+    gateway.start_listening()
+    gateway.deliver(Message(headers={ARTIFACT_NAME_HEADER: "s1", OPERATION_NAME_HEADER: "recv"}))
+    assert len(gateway.dead_letters) == 0 and gateway.dead_letters.entries() == []
+    assert gateway.dead_letters.total == 0 and env.dead_letter_total() == 0
+    assert gateway._dead_letter_queue is None  # made with the first dead letter
+
+
+def test_a_gateways_first_dead_letter_shows_everywhere(env):
+    gateway = _gateway(env, "s1")
+    gateway.start_listening()
+    gateway.deliver(Message(headers={ARTIFACT_NAME_HEADER: "nobody", OPERATION_NAME_HEADER: "recv"}))
+    assert len(gateway.dead_letters) == 1
+    assert gateway.dead_letters.entries()[0].reason == "UnknownArtifact"
+    assert gateway.dead_letters.total == 1 and env.dead_letter_total() == 1
+    assert gateway.stats.dead_lettered == 1
+
+
 def test_deliver_forwards_to_linked_plain_artifact(env):
     router = _gateway(env, "router")
     target_id = env.runtime.make_artifact("main", "t1", PlainRecorder, [])

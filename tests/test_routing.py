@@ -134,6 +134,27 @@ def test_stopped_route_buffers_then_flows(env):
     assert got == [str(i) for i in range(5)]
 
 
+def test_a_route_reads_no_dead_letters_without_making_a_queue(env):
+    route = env.engine.define_route("mq:ok/in", [], "mq:ok/out")
+    env.engine.start_route(route)
+    tap = env.broker.subscribe("ok/out")
+    env.broker.publish("ok/in", Message(body=[1]))
+    assert tap.poll(2.0).body == "1"
+    assert wait_until(lambda: route.stats.delivered == 1)
+    assert len(route.dead_letters) == 0 and route.dead_letters.entries() == []
+    assert route.dead_letters.total == 0 and env.dead_letter_total() == 0
+    assert route._dead_letter_queue is None  # made with the first dead letter
+
+
+def test_a_routes_first_dead_letter_shows_everywhere(env):
+    route = env.engine.define_route("mq:bad/in", [Transform(parse_expr("1 / 0"))], "mq:bad/out")
+    env.engine.start_route(route)
+    env.broker.publish("bad/in", Message(body=[1]))
+    assert wait_until(lambda: env.dead_letter_total() == 1)
+    assert len(route.dead_letters) == 1 and route.dead_letters.total == 1
+    assert "ProcessorEvalError" in route.dead_letters.entries()[0].reason
+
+
 def test_failing_transform_goes_to_dead_letter_queue(env):
     route = env.engine.define_route(
         "mq:dl/in", [Transform(parse_expr("request.body[0] * 2"))], "mq:dl/out"
@@ -456,10 +477,10 @@ class _HandOver(Consumer, Producer):
 
     def start(self, mailbox):
         self._mailbox = mailbox
-        self.inbox.listeners.attach(mailbox.ready)
+        self.inbox.add_listener(mailbox.ready)
 
     def stop(self):
-        self.inbox.listeners.detach(self._mailbox.ready)
+        self.inbox.remove_listener(self._mailbox.ready)
 
     def try_get(self):
         message = self.inbox.try_get()

@@ -18,7 +18,7 @@ from artifact.errors import (
     UnknownTemplateError,
     UnknownWorkspaceError,
 )
-from artifact.runtime import Artifact, ArtifactId, LinkRef, OpResult
+from artifact.runtime import Artifact, ArtifactId, LinkRef, OpResult, stages_nothing
 
 from conftest import CounterArtifact, RecordingObserver, wait_until
 
@@ -167,6 +167,37 @@ def test_a_failing_init_commits_nothing_and_registers_nothing(runtime):
     with pytest.raises(OperationFailedError):
         runtime.make_artifact("main", "f1", FailingInit, [])
     assert runtime.find_artifact("main", "f1") is None
+
+
+class MarkedInit(Artifact):
+    @stages_nothing
+    def init(self, *params):
+        self.params = params
+        self.inside_operation = self._current_ctx() is not None
+        if params == ("stage",):
+            self.update_property("half", 1)
+        if params == ("raise",):
+            raise RuntimeError("init failed")
+
+
+class OverridesMarkedInit(MarkedInit):
+    def init(self, *params):
+        super().init(*params)
+        self.update_property("params", list(params))
+
+
+def test_a_marked_init_runs_outside_an_operation_and_an_override_inside(runtime):
+    marked = runtime.lookup(runtime.make_artifact("main", "m1", MarkedInit, (1, 2)))
+    assert marked.params == (1, 2) and not marked.inside_operation
+    override = runtime.lookup(runtime.make_artifact("main", "m2", OverridesMarkedInit, (3,)))
+    assert override.inside_operation and override.properties()["params"].value == [3]
+
+
+@pytest.mark.parametrize("params", [("stage",), ("raise",)])
+def test_a_marked_init_that_stages_or_fails_registers_nothing(runtime, params):
+    with pytest.raises(OperationFailedError):
+        runtime.make_artifact("main", "m3", MarkedInit, params)
+    assert runtime.find_artifact("main", "m3") is None
 
 
 def test_failed_operation_rolls_back(runtime):

@@ -128,7 +128,7 @@ def test_a_send_on_the_connections_own_reader_fails_at_once_while_it_is_down():
         except ConnectionClosedError:
             waited.append(time.monotonic() - start)
 
-    hub.inbox.listeners.attach(on_line)
+    hub.inbox.add_listener(on_line)
     try:
         assert server.wait_for_connection(5.0)
         server.broadcast("ping")

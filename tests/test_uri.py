@@ -66,6 +66,38 @@ def test_empty_query_and_empty_value():
     assert parse_endpoint_uri("mq:foo?a=") == EndpointUri("mq", "foo", {"a": ""})
 
 
+def test_uris_are_immutable():
+    uri = parse_endpoint_uri("mq:foo?a=1")
+    for field in ("scheme", "path", "params"):
+        with pytest.raises(AttributeError):
+            setattr(uri, field, "x")
+    with pytest.raises(TypeError):
+        uri.params["a"] = "2"
+    with pytest.raises(TypeError):
+        uri.params["b"] = "2"
+    params = {"a": "1"}
+    built = EndpointUri("mq", "foo", params)
+    params["a"] = "2"  # the URI keeps its own copy
+    assert built == uri and built.param("a") == "1"
+
+
+def test_equal_uris_hash_equal_and_parameter_order_counts():
+    first = parse_endpoint_uri("vars:h:1/x?mode=read&b=2")
+    again = EndpointUri("vars", "h:1/x", {"mode": "read", "b": "2"})
+    swapped = parse_endpoint_uri("vars:h:1/x?b=2&mode=read")
+    assert first == again and hash(first) == hash(again)
+    assert first != swapped
+    assert len({first, again, swapped}) == 2
+
+
+def test_routes_defined_from_one_string_share_its_uri(env):
+    out = env.engine.define_route("artifact:hub", [], "mq:plant/hub")
+    back = env.engine.define_route("mq:plant/hub", [], "artifact:hub")
+    assert out.sink == back.source == parse_endpoint_uri("mq:plant/hub")
+    assert out.source == back.sink == parse_endpoint_uri("artifact:hub")
+    assert out.sink is back.source  # parsed once by the engine
+
+
 _schemes = st.from_regex(r"[a-z][a-z0-9]{0,9}", fullmatch=True)
 _paths = st.text(
     st.characters(blacklist_characters="?", min_codepoint=32, max_codepoint=0x2FF),
