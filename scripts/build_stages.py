@@ -13,10 +13,20 @@ microseconds per call of each step, as the median [min, max] over
     gateway: make_artifact, define_route, attach_route, start_listening
     target:  make_artifact, link_artifacts
 
-and the sum of a gateway's ``make_artifact`` and ``start_listening``. It then
-builds ``--count-n`` gateways and as many targets once more and prints the
-GC-tracked objects each leaves and the generation-0 collections the build
-ran. The cyclic GC stays on throughout, as in a real build.
+and the sum of a gateway's ``make_artifact`` and ``start_listening``. A
+device-chain build makes the topology of perfbench's device_chain: a
+variable server, a robot simulator, the mirror, sensor and robot gateways
+with their four routes, started, and a variable-server client. It prints
+the microseconds of each of its steps that touches a socket, as the median
+[min, max] over ``--builds`` builds, and of the whole build:
+
+    VarStoreServer(), RobotSimulator(), vars_route_start (connect and SUB),
+    tcp_route_start (the route whose source is the robot's tcp: endpoint),
+    VarClient(), whole_build
+
+It then builds ``--count-n`` gateways and as many targets once more and
+prints the GC-tracked objects each leaves and the generation-0 collections
+the build ran. The cyclic GC stays on throughout, as in a real build.
 
     PYTHONPATH=src python scripts/build_stages.py [--gateways N] [--targets N] [--builds B]
 """
@@ -27,10 +37,16 @@ import gc
 import statistics
 from time import perf_counter
 
+from artifact import ARTIFACT_NAME_HEADER, OPERATION_NAME_HEADER, GatewayArtifact, SetHeader
+from artifact.bench.industry import COUNTER_VAR, SENSOR_TOPIC, MirrorGateway, RobotSimulator
 from artifact.bench.scenarios import BenchEnv, PlainTarget, RouterGateway, TerminalGateway
+from artifact.endpoints import VarClient, VarStoreServer
+from artifact.runtime import CallbackObserver
 
 GATEWAY_STAGES = ("make_artifact", "define_route", "attach_route", "start_listening")
 TARGET_STAGES = ("make_artifact", "link_artifacts")
+CHAIN_STAGES = ("VarStoreServer()", "RobotSimulator()", "vars_route_start", "tcp_route_start",
+                "VarClient()", "whole_build")
 
 
 def build_terminals(env: BenchEnv, count: int) -> list[float]:
@@ -82,6 +98,78 @@ def build_router(env: BenchEnv, count: int) -> list[float]:
         spent[0] += t1 - t0
         spent[1] += t2 - t1
     return spent
+
+
+def build_chain() -> tuple[list[float], object]:
+    """Build one device chain as perfbench's device_chain does; returns the
+    seconds of each chain stage and a callable that tears the chain down."""
+    t0 = perf_counter()
+    vars_server = VarStoreServer()
+    t1 = perf_counter()
+    robot_sim = RobotSimulator()
+    t2 = perf_counter()
+    env = BenchEnv()
+    client = None
+
+    def close() -> None:
+        if client is not None:
+            client.close()
+        env.close()
+        vars_server.stop()
+        robot_sim.stop()
+
+    vars_server.write(COUNTER_VAR, 0)
+    runtime, engine = env.runtime, env.engine
+    ws = runtime.default_workspace
+    mirror = runtime.lookup(runtime.make_artifact(ws, "plc", MirrorGateway, []))
+    sensor = runtime.lookup(runtime.make_artifact(ws, "sensor", GatewayArtifact, []))
+    robot = runtime.lookup(runtime.make_artifact(ws, "robot", GatewayArtifact, []))
+    env.gateways.extend([mirror, sensor, robot])
+    tcp_uri = f"tcp:{robot_sim.host}:{robot_sim.port}?role=client"
+    sync = engine.define_route(
+        f"vars:{vars_server.host}:{vars_server.port}/{COUNTER_VAR}?mode=subscribe",
+        [SetHeader(ARTIFACT_NAME_HEADER, "plc"), SetHeader(OPERATION_NAME_HEADER, "counter_changed")],
+        "artifact:plc",
+    )
+    publish = engine.define_route("artifact:sensor", [], f"mq:{SENSOR_TOPIC}")
+    commands = engine.define_route("artifact:robot", [], tcp_uri)
+    replies = engine.define_route(
+        tcp_uri,
+        [SetHeader(ARTIFACT_NAME_HEADER, "robot"), SetHeader(OPERATION_NAME_HEADER, "robot_reply")],
+        "artifact:robot",
+    )
+    mirror.attach_route(sync, engine=engine)
+    sensor.attach_route(publish, engine=engine)
+    robot.attach_route(commands, engine=engine)
+    robot.attach_route(replies)
+    env.broker.subscribe(SENSOR_TOPIC)
+    t3 = perf_counter()
+    engine.start_route(sync)
+    t4 = perf_counter()
+    engine.start_route(replies)
+    t5 = perf_counter()
+    for gateway in env.gateways:
+        gateway.start_listening()  # the routes not yet started
+    runtime.focus(CallbackObserver(on_change=lambda *event: None), mirror.id)
+    t6 = perf_counter()
+    client = VarClient(vars_server.host, vars_server.port)
+    t7 = perf_counter()
+    if not robot_sim.server.wait_for_connection(timeout=10.0):
+        close()
+        raise RuntimeError("robot link did not come up")
+    t8 = perf_counter()
+    return [t1 - t0, t2 - t1, t4 - t3, t5 - t4, t7 - t6, t8 - t0], close
+
+
+def chain_us(builds: int) -> list[list[float]]:
+    """One row per device-chain build: µs of each chain stage."""
+    rows = []
+    for _ in range(builds):
+        gc.collect()  # each build starts from the same collector state, as in perfbench
+        spent, close = build_chain()
+        close()
+        rows.append([s * 1e6 for s in spent])
+    return rows
 
 
 def per_call_us(build, count: int, builds: int) -> list[list[float]]:
@@ -144,6 +232,8 @@ def main() -> int:
     sums = [r[0] + r[3] for r in gateway_rows]
     print(f"  {'make + listen':18s} {statistics.median(sums):7.2f}  [{min(sums):.2f}, {max(sums):.2f}]")
     report(f"plain target ({args.targets} per build)", TARGET_STAGES, target_rows)
+    chain_us(2)  # warm-up
+    report("device chain (one per build)", CHAIN_STAGES, chain_us(args.builds))
 
     objects, collections = footprint(build_terminals, args.count_n)
     print(f"tracked objects per gateway: {objects:.1f}  "

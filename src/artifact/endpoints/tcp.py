@@ -6,48 +6,50 @@ and one framer splits what each receives into lines: it drops a CR before
 the LF, replaces invalid UTF-8, logs a line handler that raises and goes on,
 and discards a partial last line.
 
-A :class:`LineServer` serves all its peers from one loop thread over
-non-blocking sockets, an epoll reactor like the event loop behind Camel's
-netty component: the loop accepts peers, reads and frames their bytes, and
-runs the server's handler for each line. Only the loop writes to,
-unregisters or closes a served socket. A frame the socket does not take at
-once waits, in order, in the connection's output buffer until the socket is
-writable; output that has waited ENQUEUE_TIMEOUT_S closes the connection.
-A sender on another thread waits until the socket has taken its frame; the
-loop never waits on a peer.
+Every socket is non-blocking and owned by one :class:`Reactor`, an epoll
+loop thread like the event loop behind Camel's netty component: the loop
+reads and frames what each of its sockets receives, runs the line handler
+of each line, and is the only thread that unregisters or closes a socket.
+Each :class:`LineServer` runs its own loop, which also accepts its peers.
+Every client connection in the process, of a "tcp:" client endpoint or a
+variable-server client, shares one more loop, the `client-loop` thread: it
+starts with the first client connection and is joined when the last one
+closes. A client loop also sees a peer hang up (EPOLLRDHUP), and from then
+on a sender takes the connection for down.
 
-A client socket, of a "tcp:" client endpoint or a variable-server client,
-keeps a thread that reads it and sends with blocking calls: it has no Python
-timeout, which would cost a poll() before every recv and send, but a kernel
-send deadline (SO_SNDTIMEO) of ENQUEUE_TIMEOUT_S, and a send that misses it
-closes the connection.
+A sender writes its frame straight to the socket when no output waits, and
+queues only what the socket does not take; the loop drains queued output,
+in order, as the socket becomes writable, and closes a connection whose
+output has waited ENQUEUE_TIMEOUT_S. A sender on another thread waits until
+the socket has taken its frame; the loop never waits on a peer.
 
 The "tcp:" scheme addresses `tcp:<host>:<port>?role=client|server`. A client
 endpoint keeps one connection per (host, port), shared between the consumer
-and producer side of routes, and reconnects with exponential backoff capped
-at 5 seconds. A server endpoint accepts any number of peers; its consumer
-surfaces lines from all of them, its producer broadcasts. A route consuming
-from "tcp:" runs on the thread that read the line, as Camel's ``direct:``
-does, so a reply reaches its gateway without a thread hand-off. That thread
-reads nothing more until the route returns, so such a route must not wait on
-its own connection: a client send made on the thread that keeps the
-connection fails at once while it is down, since only that thread could
-bring it back. A line that finds a stopped route's source full is dropped
-and counted in the source's `dropped`: on a client connection once the
-source has stayed full for ENQUEUE_TIMEOUT_S, on a server's loop at once.
+and producer side of routes; the client loop connects it without blocking
+and reconnects it with exponential backoff capped at 5 seconds. A server
+endpoint accepts any number of peers; its consumer surfaces lines from all
+of them, its producer broadcasts. A route consuming from "tcp:" runs on the
+loop that read the line, as Camel's ``direct:`` does, so a reply reaches its
+gateway without a thread hand-off. That loop reads nothing more until the
+route returns, so such a route must not wait for the loop: a client send
+made on the loop fails at once while its connection is down, since only the
+loop could bring it back, and a line that finds a stopped route's source
+full is dropped at once and counted in the source's `dropped`.
 """
 from __future__ import annotations
 
+import errno
+import heapq
+import itertools
 import logging
 import os
 import select
 import socket
-import struct
 import threading
 import time
 from collections import deque
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..errors import ConnectionClosedError, FramingError
 from ..messages import Message
@@ -59,12 +61,17 @@ log = logging.getLogger(__name__)
 
 BACKOFF_INITIAL_S = 0.05
 BACKOFF_CAP_S = 5.0
+CONNECT_TIMEOUT_S = 5.0
 JOIN_S = 5.0
 READ_SIZE = 4096
 
 REMOTE_HEADER = "tcp.remote"
 
-_READ_EVENTS = select.EPOLLIN | select.EPOLLHUP | select.EPOLLERR
+_READ_EVENTS = select.EPOLLIN | select.EPOLLHUP | select.EPOLLERR | select.EPOLLRDHUP
+# What a loop waits for on a served socket, and on a client socket, whose
+# peer's FIN it marks at once.
+_SERVED_EVENTS = select.EPOLLIN
+_CLIENT_EVENTS = select.EPOLLIN | select.EPOLLRDHUP
 
 
 def frame_line(text: str) -> bytes:
@@ -73,35 +80,9 @@ def frame_line(text: str) -> bytes:
     return text.encode("utf-8") + b"\n"
 
 
-def tcp_connect(host: str, port: int, timeout: float = 5.0) -> socket.socket:
+def tcp_connect(host: str, port: int, timeout: float = CONNECT_TIMEOUT_S) -> socket.socket:
     """One-shot connect; raises ConnectionRefusedError like the socket API."""
     return socket.create_connection((host, port), timeout=timeout)
-
-
-def shutdown_socket(sock: socket.socket) -> None:
-    """Tear a connection down so peers and blocked reader threads wake up.
-
-    A bare close() does not interrupt a recv() another thread is blocked in,
-    and no FIN reaches the peer until that syscall returns."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:
-        pass
-
-
-def join_threads(threads: Iterable[threading.Thread]) -> None:
-    """Join `threads` within JOIN_S in all, skipping the calling thread."""
-    deadline = time.monotonic() + JOIN_S
-    for thread in threads:
-        if thread is threading.current_thread():
-            continue
-        thread.join(max(0.0, deadline - time.monotonic()))
-        if thread.is_alive():
-            log.warning("%s did not exit within %.1fs", thread.name, JOIN_S)
 
 
 def _sent() -> None:
@@ -109,56 +90,56 @@ def _sent() -> None:
 
 
 class LineConnection:
-    """A connected socket carrying LF-framed UTF-8 lines, read by one thread
-    with `read_lines` and written with blocking sends.
+    """A connected non-blocking socket carrying LF-framed UTF-8 lines, owned
+    by the loop of `reactor`, which hands each line received to `on_line`
+    and, once the connection has ended, calls `on_close(conn)`.
 
-    One made by `connect` blocks without a Python timeout and has a kernel
-    send deadline of ENQUEUE_TIMEOUT_S for each send call: a send that
-    misses it closes the connection, since part of its frame may be gone.
-    A recv timeout, should the socket have one, is taken as a silence.
+    Frames go straight to the socket when no output waits, otherwise through
+    an output buffer that the loop drains in order.
     """
 
-    def __init__(self, sock: socket.socket, peer: str):
+    def __init__(self, sock: socket.socket, peer: str, reactor: "Reactor | None",
+                 on_line: Callable[[str], object],
+                 on_close: Callable[["LineConnection"], object] | None = None,
+                 events: int = _SERVED_EVENTS):
         self.sock = sock
+        self.fd = sock.fileno()
         self.peer = peer
+        self.on_line = on_line
+        self.on_close = on_close
+        self.events = events  # what the loop waits for while no output waits
+        self.hung_up = False  # the loop saw the peer's FIN; set on the loop only
+        self._reactor = reactor
         self._buffer = bytearray()  # bytes received after the last LF
         self._send_lock = threading.Lock()
         self._closing = threading.Lock()  # taken, never released, by close()
-
-    @classmethod
-    def connect(cls, host: str, port: int, timeout: float = 5.0) -> "LineConnection":
-        """Connect within `timeout`, then block with the send deadline."""
-        sock = tcp_connect(host, port, timeout)
-        try:
-            sock.settimeout(None)
-            whole = int(ENQUEUE_TIMEOUT_S)
-            deadline = struct.pack("ll", whole, int((ENQUEUE_TIMEOUT_S - whole) * 1e6))
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, deadline)
-        except OSError:
-            sock.close()
-            raise
-        return cls(sock, f"{host}:{port}")
+        # Guarded by _send_lock. Offsets count every byte queued since the
+        # connection opened; `_frames` holds the end offset and queue time
+        # of each frame in `_out`, oldest first.
+        self._out = bytearray()
+        self._frames: deque[tuple[int, float]] = deque()
+        self._queued = 0
+        self._taken = 0
+        self._taken_cond = threading.Condition(self._send_lock)
 
     @property
     def closed(self) -> bool:
         return self._closing.locked()
 
-    def send_line(self, line: str) -> None:
-        """Send one frame. FramingError, sending nothing, for a line with a
-        newline; ConnectionClosedError, closing, if the send fails or times out."""
-        data = frame_line(line)
-        with self._send_lock:
-            try:
-                self.sock.sendall(data)
-            except OSError as exc:
-                self.close()
-                raise ConnectionClosedError(self.peer) from exc
-
-    def feed(self, chunk: bytes, on_line: Callable[[str], object]) -> None:
-        """Frame `chunk`, the next bytes received: hand each line it ends to
-        `on_line`, logging a handler that raises with its line, and keep the
-        bytes after the last LF for the next chunk."""
-        buffer = self._buffer
+    def receive(self) -> bool:
+        """Frame what one recv brings: hand each line it ends to `on_line`,
+        logging a handler that raises with its line, and keep the bytes after
+        the last LF for the next recv. False once the peer or `close` has
+        ended the connection; a recv that would block is a silence."""
+        try:
+            chunk = self.sock.recv(READ_SIZE)
+        except BlockingIOError:
+            return True
+        except OSError:
+            return False
+        if not chunk:
+            return False
+        buffer, on_line = self._buffer, self.on_line
         buffer += chunk
         start = 0
         while (end := buffer.find(b"\n", start)) >= 0:
@@ -169,106 +150,65 @@ class LineConnection:
             except Exception:
                 log.exception("tcp %s line handler failed for %r", self.peer, line)
         del buffer[:start]
-
-    def read_lines(self, on_line: Callable[[str], object]) -> None:
-        """Hand each line received to `on_line` until the peer or `close`
-        ends the connection, then close it."""
-        try:
-            while True:
-                try:
-                    chunk = self.sock.recv(READ_SIZE)
-                except TimeoutError:
-                    continue
-                if not chunk:
-                    break
-                self.feed(chunk, on_line)
-        except OSError:
-            pass
-        finally:
-            self.close()
-
-    def close(self) -> None:
-        if self._closing.acquire(blocking=False):
-            shutdown_socket(self.sock)
-
-
-class ServedConnection(LineConnection):
-    """A peer of a :class:`LineServer`, on a non-blocking socket that the
-    server's loop owns.
-
-    Frames go through an output buffer that the loop drains in order; on
-    the loop a frame goes straight to the socket when no output waits.
-    """
-
-    def __init__(self, sock: socket.socket, peer: str, server: "LineServer"):
-        super().__init__(sock, peer)
-        self.fd = sock.fileno()
-        self.on_line = partial(server._handle_line, self)
-        self._server = server
-        # Guarded by _send_lock. Offsets count every byte queued since the
-        # connection opened; `_frames` holds the end offset and queue time
-        # of each frame in `_out`, oldest first.
-        self._out = bytearray()
-        self._frames: deque[tuple[int, float]] = deque()
-        self._queued = 0
-        self._taken = 0
-        self._taken_cond = threading.Condition(self._send_lock)
+        return True
 
     def send_line(self, line: str) -> None:
         """Send one frame; off the loop, wait until the socket has taken it."""
         self.queue_line(line)()
 
     def queue_line(self, line: str) -> Callable[[], None]:
-        """Queue one frame behind the output before it; return a wait that
-        returns once the socket has taken the frame. FramingError, queueing
-        nothing, for a line with a newline; ConnectionClosedError if the
-        connection is closed before the frame is taken.
+        """Send one frame, or queue it behind the output before it; return a
+        wait that returns once the socket has taken the frame. FramingError,
+        sending nothing, for a line with a newline; ConnectionClosedError if
+        the connection is closed, its peer has hung up, or it closes before
+        the frame is taken.
 
-        On the loop the frame goes to the socket at once when no output
-        waits, and the wait returns at once: the loop never waits on a peer.
+        The frame goes straight to the socket when no output waits, and only
+        what the socket does not take is queued. On the loop the wait returns
+        at once: the loop never waits on a peer.
         """
         data = frame_line(line)
-        if threading.get_ident() == self._server.loop_ident:
-            self._send_on_loop(data)
-            return _sent
+        wake = failed = False  # wake: the output buffer was empty, so the loop must drain it
         with self._send_lock:
-            if self.closed:
+            if self.closed or self.hung_up:
                 raise ConnectionClosedError(self.peer)
-            idle = not self._out
-            self._append(data)
+            if self._out:  # earlier output waits, and the loop sends this after it
+                self._append(data)
+            else:
+                try:
+                    taken = self.sock.send(data)
+                except BlockingIOError:
+                    taken = 0
+                except OSError:
+                    taken = -1
+                if taken >= 0:
+                    self._queued += taken
+                    self._taken += taken
+                    if taken == len(data):
+                        return _sent
+                    self._append(data[taken:])
+                    wake = True
+                else:
+                    failed = True
             end = self._queued
-        if idle:
-            self._server._request_flush(self)
+        if failed:
+            self.close()
+            raise ConnectionClosedError(self.peer)
+        reactor = self._reactor
+        on_loop = threading.get_ident() == reactor.loop_ident
+        if wake:
+            if on_loop:
+                reactor._watch(self, True)
+            else:
+                reactor.call_soon(partial(reactor._flush_listed, self))
+        if on_loop:
+            return _sent
         return partial(self._wait_taken, end, time.monotonic() + ENQUEUE_TIMEOUT_S)
 
     def _append(self, data: bytes) -> None:
         self._out += data
         self._queued += len(data)
         self._frames.append((self._queued, time.monotonic()))
-
-    def _send_on_loop(self, data: bytes) -> None:
-        with self._send_lock:
-            if self.closed:
-                raise ConnectionClosedError(self.peer)
-            if self._out:  # earlier output waits, and the loop sends this after it
-                self._append(data)
-                return
-            try:
-                taken = self.sock.send(data)
-            except BlockingIOError:
-                taken = 0
-            except OSError:
-                taken = -1
-            if taken >= 0:
-                self._queued += taken
-                self._taken += taken
-                if taken == len(data):
-                    return
-                self._append(data[taken:])
-        if taken < 0:
-            self._server._finish(self)
-            raise ConnectionClosedError(self.peer)
-        self._server._watch(self, True)
 
     def _wait_taken(self, end: int, deadline: float) -> None:
         with self._send_lock:
@@ -285,8 +225,8 @@ class ServedConnection(LineConnection):
     def close(self) -> None:
         """Close now on the loop; off it, shut the socket down, which wakes
         the loop to close it."""
-        if threading.get_ident() == self._server.loop_ident:
-            self._server._finish(self)
+        if threading.get_ident() == self._reactor.loop_ident:
+            self._reactor._finish(self)
             return
         with self._send_lock:
             if not self._closing.acquire(blocking=False):
@@ -298,114 +238,95 @@ class ServedConnection(LineConnection):
                 pass
 
     def _close_on_loop(self) -> None:
+        """Mark the connection closed and shut its socket down; the loop
+        closes the socket after the events at hand."""
         with self._send_lock:
             self._closing.acquire(blocking=False)
             self._taken_cond.notify_all()
-            shutdown_socket(self.sock)
+            try:
+                self.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
 
-class LineServer:
-    """TCP listener delivering each received line to `handler(conn, line)`
-    on the server's one loop thread."""
+class Reactor:
+    """An epoll loop thread that owns non-blocking line connections.
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, handler=None, name: str = "tcp"):
-        self.handler = handler
-        self.name = name
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(32)
-        self._listener.setblocking(False)
-        self.host, self.port = self._listener.getsockname()
+    The loop reads and frames what each connection receives, runs its line
+    handler, drains its queued output as the socket becomes writable and
+    closes it once that output has waited ENQUEUE_TIMEOUT_S. It also runs
+    the handlers of other descriptors it watches (`watch_fd`), callables
+    handed to it from any thread (`call_soon`) and its own timers
+    (`call_later`). `start` starts the thread; `stop` stops it, closing every
+    connection, and joins it.
+    """
+
+    def __init__(self, thread_name: str):
         self._epoll = select.epoll()
         self._wake_fd = os.eventfd(0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
-        self._epoll.register(self._listener.fileno(), select.EPOLLIN)
         self._epoll.register(self._wake_fd, select.EPOLLIN)
         self.loop_ident: int | None = None
-        # The loop's own: its connections by descriptor, and those whose
-        # output waits for the socket to be writable.
-        self._by_fd: dict[int, ServedConnection] = {}
-        self._backlog: set[ServedConnection] = set()
+        # The loop's own, but for `add`: its connections by descriptor, the
+        # handlers of the other descriptors it watches, the connections
+        # whose output waits for the socket to be writable, and its timers
+        # as a heap of [deadline, sequence, callable or None once cancelled].
+        self._by_fd: dict[int, LineConnection] = {}
+        self._handlers: dict[int, Callable[[int], object]] = {self._wake_fd: self._on_wake}
+        self._backlog: set[LineConnection] = set()
+        self._timers: list[list] = []
+        self._timer_seq = itertools.count()
+        # Sockets to close once the events at hand are handled: until then
+        # no new socket can take the number of one an event names.
+        self._dead: list[socket.socket] = []
         self._lock = threading.Lock()
-        # Guarded by _lock: the listed connections, connections with output
-        # queued off the loop, and the stop flag.
-        self._conns: set[ServedConnection] = set()
-        self._to_flush: list[ServedConnection] = []
+        # Guarded by _lock: the callables handed to the loop, and the stop flag.
+        self._calls: list[Callable[[], object]] = []
         self._stopped = False
-        self._conn_event = threading.Condition(self._lock)
-        self._thread = threading.Thread(target=self._run, name=f"server-loop-{name}", daemon=True)
+        self._thread = threading.Thread(target=self._run, name=thread_name, daemon=True)
+
+    def start(self) -> None:
         self._thread.start()
-        log.info("%s listening on %s:%d", name, self.host, self.port)
 
     # -- the loop ----------------------------------------------------------------
 
     def _run(self) -> None:
         self.loop_ident = threading.get_ident()
-        poll, by_fd = self._epoll.poll, self._by_fd
-        listener_fd, wake_fd = self._listener.fileno(), self._wake_fd
+        poll, by_fd, handlers = self._epoll.poll, self._by_fd, self._handlers
+        hangup, writable, readable = select.EPOLLRDHUP, select.EPOLLOUT, _READ_EVENTS
         try:
             while not self._stopped:
                 for fd, events in poll(self._poll_timeout()):
                     conn = by_fd.get(fd)
                     if conn is not None:
-                        if events & select.EPOLLOUT:
+                        if events & hangup:
+                            conn.hung_up = True
+                        if events & writable:
                             self._flush(conn)
-                        if events & _READ_EVENTS:
-                            self._read(conn)
-                    elif fd == listener_fd:
-                        self._accept()
-                    elif fd == wake_fd:
-                        self._on_wake()
-                if self._backlog:
+                        if events & readable and (conn.closed or not conn.receive()):
+                            self._finish(conn)
+                    else:
+                        handler = handlers.get(fd)
+                        if handler is not None:
+                            handler(events)
+                if self._dead:
+                    self._close_dead()
+                if self._backlog or self._timers:
                     self._expire()
         except Exception:
-            log.exception("%s loop failed; closing its connections", self.name)
+            log.exception("%s failed; closing its connections", self._thread.name)
         finally:
             self._teardown()
 
     def _poll_timeout(self) -> float:
-        if not self._backlog:
+        if not self._backlog and not self._timers:
             return -1
-        oldest = min(conn._frames[0][1] for conn in self._backlog)
-        return max(0.0, oldest + ENQUEUE_TIMEOUT_S - time.monotonic())
+        due = min(conn._frames[0][1] for conn in self._backlog) + ENQUEUE_TIMEOUT_S \
+            if self._backlog else float("inf")
+        if self._timers:
+            due = min(due, self._timers[0][0])
+        return max(0.0, due - time.monotonic())
 
-    def _accept(self) -> None:
-        while True:
-            try:
-                sock, address = self._listener.accept()
-            except BlockingIOError:
-                return
-            except OSError as exc:
-                log.warning("%s accept failed: %s", self.name, exc)
-                return
-            sock.setblocking(False)
-            conn = ServedConnection(sock, f"{address[0]}:{address[1]}", self)
-            # Listed before its first read, so no line is handled before
-            # the server knows the connection.
-            with self._lock:
-                self._conns.add(conn)
-                self._conn_event.notify_all()
-            self._by_fd[conn.fd] = conn
-            self._epoll.register(conn.fd, select.EPOLLIN)
-
-    def _read(self, conn: ServedConnection) -> None:
-        if not conn.closed:
-            try:
-                chunk = conn.sock.recv(READ_SIZE)
-            except BlockingIOError:
-                return
-            except OSError:
-                chunk = b""
-            if chunk:
-                conn.feed(chunk, conn.on_line)
-                return
-        self._finish(conn)
-
-    def _handle_line(self, conn: ServedConnection, line: str) -> None:
-        if self.handler is not None:
-            self.handler(conn, line)
-
-    def _flush(self, conn: ServedConnection) -> None:
+    def _flush(self, conn: LineConnection) -> None:
         """Give the socket what it takes of `conn`'s waiting output."""
         with conn._send_lock:
             out = conn._out
@@ -428,68 +349,231 @@ class LineServer:
         else:
             self._watch(conn, waiting)
 
-    def _watch(self, conn: ServedConnection, waiting: bool) -> None:
+    def _flush_listed(self, conn: LineConnection) -> None:
+        if self._by_fd.get(conn.fd) is conn:
+            self._flush(conn)
+
+    def _watch(self, conn: LineConnection, waiting: bool) -> None:
         """Wait, or stop waiting, for `conn`'s socket to be writable."""
         if waiting and conn not in self._backlog:
             self._backlog.add(conn)
-            self._epoll.modify(conn.fd, select.EPOLLIN | select.EPOLLOUT)
+            self._epoll.modify(conn.fd, conn.events | select.EPOLLOUT)
         elif not waiting and conn in self._backlog:
             self._backlog.discard(conn)
-            self._epoll.modify(conn.fd, select.EPOLLIN)
+            self._epoll.modify(conn.fd, conn.events)
 
     def _expire(self) -> None:
         now = time.monotonic()
         for conn in [c for c in self._backlog if now - c._frames[0][1] >= ENQUEUE_TIMEOUT_S]:
             log.warning("tcp %s took no output for %.1fs; closing it", conn.peer, ENQUEUE_TIMEOUT_S)
             self._finish(conn)
+        timers = self._timers
+        while timers and timers[0][0] <= now:
+            call = heapq.heappop(timers)[2]
+            if call is not None:
+                call()
 
-    def _request_flush(self, conn: ServedConnection) -> None:
-        """Ask the loop to send what `conn` has queued; off the loop."""
-        with self._lock:
-            if self._wake_fd < 0:
-                return  # stopped, and every connection closed
-            self._to_flush.append(conn)
-            if len(self._to_flush) == 1:
-                os.eventfd_write(self._wake_fd, 1)
+    def close_socket(self, sock: socket.socket) -> None:
+        """Close `sock` after the events at hand; on the loop."""
+        self._dead.append(sock)
 
-    def _on_wake(self) -> None:
+    def _close_dead(self) -> None:
+        dead, self._dead = self._dead, []
+        for sock in dead:
+            sock.close()
+
+    def _on_wake(self, events: int = 0) -> None:
         try:
             os.eventfd_read(self._wake_fd)
         except BlockingIOError:
             pass
         with self._lock:
-            conns, self._to_flush = self._to_flush, []
-        for conn in conns:
-            if self._by_fd.get(conn.fd) is conn:
-                self._flush(conn)
+            calls, self._calls = self._calls, []
+        for call in calls:
+            call()
 
-    def _finish(self, conn: ServedConnection) -> None:
-        """Unregister and close `conn`; on the loop."""
-        if self._by_fd.get(conn.fd) is not conn:
+    def _finish(self, conn: LineConnection) -> None:
+        """Unregister and close `conn`, then tell its owner; on the loop."""
+        fd = conn.fd
+        if self._by_fd.get(fd) is not conn:
             return
-        del self._by_fd[conn.fd]
-        self._epoll.unregister(conn.fd)
+        del self._by_fd[fd]
+        self._epoll.unregister(fd)
         self._backlog.discard(conn)
-        with self._lock:
-            self._conns.discard(conn)
         conn._close_on_loop()
+        self._dead.append(conn.sock)
+        if conn.on_close is not None:
+            conn.on_close(conn)
 
     def _teardown(self) -> None:
+        self._on_wake()  # what was handed to the loop before it stopped
         for conn in list(self._by_fd.values()):
             self._finish(conn)
         with self._lock:
             self._stopped = True
             os.close(self._wake_fd)
             self._wake_fd = -1
-            self._to_flush.clear()
-            self._conn_event.notify_all()
+            self._calls.clear()
+        self._close_dead()
         self._epoll.close()
-        self._listener.close()
+        self._timers.clear()
         self.loop_ident = None
+
+    def watch_fd(self, fd: int, events: int, handler: Callable[[int], object]) -> None:
+        """Call `handler(events)` on each event of `fd`; on the loop."""
+        self._handlers[fd] = handler
+        self._epoll.register(fd, events)
+
+    def unwatch_fd(self, fd: int) -> None:
+        if self._handlers.pop(fd, None) is not None:
+            self._epoll.unregister(fd)
+
+    def call_later(self, delay: float, call: Callable[[], object]) -> list:
+        """Call `call()` on the loop after `delay` seconds; on the loop.
+        Returns the timer, for `cancel`."""
+        timer = [time.monotonic() + delay, next(self._timer_seq), call]
+        heapq.heappush(self._timers, timer)
+        return timer
+
+    def cancel(self, timer: list) -> None:
+        """Cancel a timer `call_later` returned; on the loop."""
+        timer[2] = None
+        timers = self._timers
+        while timers and timers[0][2] is None:
+            heapq.heappop(timers)
 
     # -- any thread ----------------------------------------------------------------
 
-    def connections(self) -> list[ServedConnection]:
+    def call_soon(self, call: Callable[[], object]) -> None:
+        """Have the loop call `call()`; dropped once the loop has stopped."""
+        with self._lock:
+            if self._wake_fd < 0:
+                return
+            self._calls.append(call)
+            if len(self._calls) == 1:
+                os.eventfd_write(self._wake_fd, 1)
+
+    def add(self, conn: LineConnection) -> None:
+        """Hand the loop `conn`, whose socket is non-blocking."""
+        # Listed before it is registered, so the loop knows each event's owner.
+        self._by_fd[conn.fd] = conn
+        self._epoll.register(conn.fd, conn.events)
+
+    def connect(self, host: str, port: int, on_line: Callable[[str], object],
+                on_close: Callable[[LineConnection], object] | None = None,
+                timeout: float = CONNECT_TIMEOUT_S) -> LineConnection:
+        """Connect within `timeout` on the calling thread and hand the
+        connection to the loop."""
+        sock = tcp_connect(host, port, timeout)
+        sock.setblocking(False)
+        conn = LineConnection(sock, f"{host}:{port}", self, on_line, on_close, _CLIENT_EVENTS)
+        self.add(conn)
+        return conn
+
+    def stop(self) -> None:
+        """Stop the loop, which closes every connection, and wait for it."""
+        with self._lock:
+            self._stopped = True
+            if self._wake_fd >= 0:
+                os.eventfd_write(self._wake_fd, 1)
+        thread = self._thread
+        if thread is not threading.current_thread():
+            thread.join(JOIN_S)
+            if thread.is_alive():
+                log.warning("%s did not exit within %.1fs", thread.name, JOIN_S)
+
+
+class _ClientLoop:
+    """The one loop of every client connection in the process: started by
+    the first `acquire`, stopped and joined by the `release` of the last."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._loop: Reactor | None = None
+        self._refs = 0
+
+    def acquire(self) -> Reactor:
+        with self._lock:
+            if self._loop is None:
+                self._loop = Reactor("client-loop")
+                self._loop.start()
+            self._refs += 1
+            return self._loop
+
+    def release(self) -> None:
+        with self._lock:
+            self._refs -= 1
+            if self._refs:
+                return
+            loop, self._loop = self._loop, None
+        loop.stop()
+
+
+client_loop = _ClientLoop()
+
+
+class LineServer(Reactor):
+    """TCP listener delivering each received line to `handler(conn, line)`
+    on the server's one loop thread."""
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, handler=None, name: str = "tcp"):
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((host, port))
+            listener.listen(32)
+            listener.setblocking(False)
+        except OSError:
+            listener.close()
+            raise
+        super().__init__(f"server-loop-{name}")
+        self.handler = handler
+        self.name = name
+        self._listener = listener
+        self.host, self.port = listener.getsockname()
+        self.watch_fd(self._listener.fileno(), select.EPOLLIN, self._accept)
+        # Guarded by _lock: the listed connections.
+        self._conns: set[LineConnection] = set()
+        self._conn_event = threading.Condition(self._lock)
+        self.start()
+        log.info("%s listening on %s:%d", name, self.host, self.port)
+
+    def _accept(self, events: int) -> None:
+        while True:
+            try:
+                sock, address = self._listener.accept()
+            except BlockingIOError:
+                return
+            except OSError as exc:
+                log.warning("%s accept failed: %s", self.name, exc)
+                return
+            sock.setblocking(False)
+            conn = LineConnection(sock, f"{address[0]}:{address[1]}", self, None, self._forget)
+            conn.on_line = partial(self._handle_line, conn)
+            # Listed before its first read, so no line is handled before
+            # the server knows the connection.
+            with self._lock:
+                self._conns.add(conn)
+                self._conn_event.notify_all()
+            self.add(conn)
+
+    def _handle_line(self, conn: LineConnection, line: str) -> None:
+        if self.handler is not None:
+            self.handler(conn, line)
+
+    def _forget(self, conn: LineConnection) -> None:
+        with self._lock:
+            self._conns.discard(conn)
+
+    def _teardown(self) -> None:
+        super()._teardown()
+        self._listener.close()
+        with self._lock:
+            self._conn_event.notify_all()
+
+    # -- any thread ----------------------------------------------------------------
+
+    def connections(self) -> list[LineConnection]:
         with self._lock:
             return list(self._conns)
 
@@ -504,7 +588,7 @@ class LineServer:
             return True
 
     def broadcast(self, line: str) -> int:
-        """Queue `line` to every peer, then wait for each; the number of
+        """Send `line` to every peer, then wait for each; the number of
         peers whose socket took it."""
         waits = []
         for conn in self.connections():
@@ -534,14 +618,13 @@ class LineServer:
         and wait for it."""
         with self._lock:
             self._stopped = True
-            if self._wake_fd >= 0:
-                os.eventfd_write(self._wake_fd, 1)
             self._conn_event.notify_all()
-        join_threads([self._thread])
+        super().stop()
 
 
 class _ClientHub:
-    """One maintained client connection; reconnects with capped backoff."""
+    """One maintained client connection on the client loop, which connects
+    it without blocking and reconnects it with capped backoff."""
 
     def __init__(self, host: str, port: int):
         self.host = host
@@ -550,78 +633,144 @@ class _ClientHub:
         self.inbox = Inbox(1024, f"tcp:{self.peer}")
         self._lock = threading.Lock()
         self._connected = threading.Condition(self._lock)
+        # Guarded by _lock: the connection, up or not, and whether closed.
         self._conn: LineConnection | None = None
         self._closed = False
+        # The loop's own: a socket whose connect is under way and its
+        # deadline, and the wait before the next attempt.
+        self._connecting: socket.socket | None = None
+        self._connect_deadline: list | None = None
+        self._backoff = BACKOFF_INITIAL_S
         self.refs = 0
-        self._thread = threading.Thread(
-            target=self._connection_loop, name=f"tcp-client-{self.peer}", daemon=True
-        )
-        self._thread.start()
+        self._loop = client_loop.acquire()
+        self._loop.call_soon(self._connect)
 
-    @property
-    def _sock(self) -> socket.socket | None:
-        """The connected socket, or None."""
-        conn = self._conn
-        return None if conn is None else conn.sock
+    # -- on the loop ---------------------------------------------------------------
 
-    def _connection_loop(self) -> None:
-        backoff = BACKOFF_INITIAL_S
-        while not self._closed:
-            try:
-                conn = LineConnection.connect(self.host, self.port)
-            except OSError as exc:
-                log.warning("tcp %s connect failed (%s); retrying in %.2fs", self.peer, exc, backoff)
-                with self._lock:
-                    self._connected.wait_for(lambda: self._closed, backoff)
-                backoff = min(backoff * 2, BACKOFF_CAP_S)
-                continue
-            backoff = BACKOFF_INITIAL_S
-            with self._lock:
-                if self._closed:
-                    conn.close()
-                    return
+    def _connect(self) -> None:
+        if self._closed:
+            return
+        sock = None
+        try:
+            family, kind, proto, _, address = socket.getaddrinfo(
+                self.host, self.port, type=socket.SOCK_STREAM)[0]
+            sock = socket.socket(family, kind, proto)
+            sock.setblocking(False)
+            err = sock.connect_ex(address)
+        except OSError as exc:
+            if sock is not None:
+                self._loop.close_socket(sock)
+            self._retry(exc)
+            return
+        if err == 0:
+            self._up(sock)
+        elif err == errno.EINPROGRESS:
+            self._connecting = sock
+            self._loop.watch_fd(sock.fileno(), select.EPOLLOUT, self._connect_done)
+            self._connect_deadline = self._loop.call_later(CONNECT_TIMEOUT_S, self._connect_timed_out)
+        else:
+            self._loop.close_socket(sock)
+            self._retry(OSError(err, os.strerror(err)))
+
+    def _stop_connecting(self) -> socket.socket | None:
+        """Stop watching the connect under way; returns its socket."""
+        sock, self._connecting = self._connecting, None
+        if sock is not None:
+            self._loop.unwatch_fd(sock.fileno())
+            self._loop.cancel(self._connect_deadline)
+        return sock
+
+    def _connect_done(self, events: int) -> None:
+        sock = self._stop_connecting()
+        err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        if err:
+            self._loop.close_socket(sock)
+            self._retry(OSError(err, os.strerror(err)))
+        else:
+            self._up(sock)
+
+    def _connect_timed_out(self) -> None:
+        self._loop.close_socket(self._stop_connecting())
+        self._retry(TimeoutError(f"no connection within {CONNECT_TIMEOUT_S:.1f}s"))
+
+    def _retry(self, exc: Exception) -> None:
+        log.warning("tcp %s connect failed (%s); retrying in %.2fs", self.peer, exc, self._backoff)
+        self._loop.call_later(self._backoff, self._connect)
+        self._backoff = min(self._backoff * 2, BACKOFF_CAP_S)
+
+    def _up(self, sock: socket.socket) -> None:
+        self._backoff = BACKOFF_INITIAL_S
+        conn = LineConnection(sock, self.peer, self._loop, self._on_line, self._on_close,
+                              _CLIENT_EVENTS)
+        self._loop.add(conn)
+        with self._lock:
+            closed = self._closed
+            if not closed:
                 self._conn = conn
                 self._connected.notify_all()
+        if closed:
+            conn.close()
+        else:
             log.info("tcp %s connected", self.peer)
-            conn.read_lines(self._on_line)
-            with self._lock:
-                self._conn = None
-            if not self._closed:
-                log.warning("tcp %s disconnected; reconnecting", self.peer)
 
     def _on_line(self, line: str) -> None:
-        self.inbox.push(Message(headers={REMOTE_HEADER: self.peer}, body=[line]))
+        self.inbox.push(Message(headers={REMOTE_HEADER: self.peer}, body=[line]), wait=False)
+
+    def _on_close(self, conn: LineConnection) -> None:
+        with self._lock:
+            if self._conn is conn:
+                self._conn = None
+            closed = self._closed
+        if not closed:
+            log.warning("tcp %s disconnected; reconnecting", self.peer)
+            # A timer, so a loop that stops meanwhile makes no new socket.
+            self._loop.call_later(0.0, self._connect)
+
+    def _shutdown(self) -> None:
+        with self._lock:
+            conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.close()
+        sock = self._stop_connecting()
+        if sock is not None:
+            self._loop.close_socket(sock)
+
+    # -- any thread ----------------------------------------------------------------
 
     def send_line(self, line: str, timeout: float = ENQUEUE_TIMEOUT_S) -> None:
         """Send one frame, waiting through reconnects up to `timeout`; on
-        the connection's own thread, not waiting at all."""
-        deadline = time.monotonic() + timeout
+        the loop, failing at once while the connection is down."""
+        on_loop = threading.get_ident() == self._loop.loop_ident
+        deadline = None
         while True:
             with self._lock:
-                while self._conn is None or self._conn.closed:
-                    if self._closed or threading.current_thread() is self._thread:
+                while (conn := self._conn) is None or conn.closed or conn.hung_up:
+                    if self._closed or on_loop:
                         raise ConnectionClosedError(self.peer)
+                    if deadline is None:
+                        deadline = time.monotonic() + timeout
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise ConnectionClosedError(f"{self.peer} unavailable for {timeout:.1f}s")
                     self._connected.wait(remaining)
-                conn = self._conn
             try:
                 conn.send_line(line)
                 return
             except ConnectionClosedError:
-                if time.monotonic() >= deadline:
+                if deadline is None:
+                    deadline = time.monotonic() + timeout
+                if on_loop or time.monotonic() >= deadline:
                     raise
 
     def close(self) -> None:
         with self._lock:
+            if self._closed:
+                return
             self._closed = True
-            conn = self._conn
             self._connected.notify_all()
-        if conn is not None:
-            conn.close()
         self.inbox.close()
-        join_threads([self._thread])
+        self._loop.call_soon(self._shutdown)
+        client_loop.release()
 
 
 class _ServerHub:

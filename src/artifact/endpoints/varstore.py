@@ -14,11 +14,13 @@ unknown names fail. Values are rendered as canonical wire text and parsed
 back as int, then float, then text.
 
 The "vars:" endpoint scheme is `vars:<host>:<port>/<name>?mode=read|subscribe|write`.
-A subscribe source runs its route on the client's reader thread as each push
-arrives. A read source sends a READ every READ_PERIOD_S from the engine
-timer, unless its last one is unanswered, and runs its route on the reader
-thread when a reply brings a new version, so a stalled server holds up
-only that source's own reader thread.
+Every client connection is read by the shared client loop (see `tcp`). A
+subscribe source runs its route on that loop as each push arrives. A read
+source sends a READ every READ_PERIOD_S from the engine timer, unless its
+last one is unanswered, and runs its route on the loop when a reply brings
+a new version, so a stalled server holds up only that source. A write sink
+run on the loop sends its WRITE without waiting for the OK, since the loop
+would have to read it.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from ..messages import Message
 from ..routing import Component, Consumer, Inbox, Producer, Route, RouteMailbox
 from ..uri import EndpointUri
 from ..values import Value, render_value
-from .tcp import LineConnection, LineServer, ServedConnection, join_threads
+from .tcp import LineConnection, LineServer, client_loop
 
 log = logging.getLogger(__name__)
 
@@ -71,7 +73,7 @@ class VarStoreServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._vars: dict[str, _Var] = {}
-        self._subs: dict[str, list[ServedConnection]] = {}
+        self._subs: dict[str, list[LineConnection]] = {}
         self._lock = threading.Lock()
         self.server = LineServer(host, port, handler=self._handle, name="varstore")
         self.host, self.port = self.server.host, self.server.port
@@ -124,7 +126,7 @@ class VarStoreServer:
                 raise UnknownVariableError(name)
             return var.value, var.version
 
-    def _drop_sub(self, name: str, conn: ServedConnection) -> None:
+    def _drop_sub(self, name: str, conn: LineConnection) -> None:
         with self._lock:
             subs = self._subs.get(name)
             if subs and conn in subs:
@@ -132,7 +134,7 @@ class VarStoreServer:
 
     # -- protocol ---------------------------------------------------------------
 
-    def _handle(self, conn: ServedConnection, line: str) -> None:
+    def _handle(self, conn: LineConnection, line: str) -> None:
         parts = line.split(" ", 2)
         command = parts[0] if parts else ""
         if command == "READ" and len(parts) == 2:
@@ -161,7 +163,7 @@ class VarStoreServer:
 
 class VarSubscription:
     """Ordered stream of (value, version) pushes for one variable; the
-    queue's listeners hear of each push on the client's reader thread."""
+    queue's listeners hear of each push on the client loop."""
 
     def __init__(self, name: str):
         self.name = name
@@ -172,18 +174,19 @@ class VarSubscription:
 
 
 class _Pending:
-    """A request sent and not yet answered; `read_name` for a READ."""
+    """A request sent and not yet answered; `read_name` for a READ. A WRITE
+    sent on the client loop has no `answered`: nobody waits for it."""
 
     __slots__ = ("read_name", "answered", "response")
 
-    def __init__(self, read_name: str | None):
+    def __init__(self, read_name: str | None, answered: threading.Event | None):
         self.read_name = read_name
-        self.answered = threading.Event()
+        self.answered = answered
         self.response = None  # stays None when the connection closes first
 
 
 class VarClient:
-    """Protocol client.
+    """Protocol client on the shared client loop.
 
     The server answers the requests of a connection in the order they came,
     so the client matches each reply to the oldest request still unanswered.
@@ -192,33 +195,37 @@ class VarClient:
 
     Subscribed names should not also be read through the same client: READ
     responses and subscription pushes share the VALUE line format. A client
-    whose `on_reply` is set hands every response to it, on the reader
-    thread, and serves only `read_later`.
+    whose `on_reply` is set hands every response to it, on the loop, and
+    serves only `read_later`. On the loop, `read` and `subscribe` raise at
+    once, since they would wait for the loop, and `write` does not wait for
+    its OK: the server answers every well-formed WRITE with OK, and an ERR
+    that comes instead is logged.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
         self._timeout = timeout
-        self._conn = LineConnection.connect(host, port, timeout=timeout)
         self._send_lock = threading.Lock()  # keeps `_pending` in send order
         self._state_lock = threading.Lock()
         self._pending: deque[_Pending] = deque()  # oldest first
         self._subs: dict[str, list[VarSubscription]] = {}
-        self._reading = True  # the reader runs; guarded by _state_lock
+        # Guarded by _state_lock: the connection is up, and close was called.
+        self._reading = True
+        self._closed = False
         self.on_reply: Callable[[object], None] | None = None
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"vars-client-{host}:{port}", daemon=True
-        )
-        self._reader.start()
-
-    def _read_loop(self) -> None:
+        self._loop = client_loop.acquire()
         try:
-            self._conn.read_lines(self._on_line)
-        finally:
-            with self._state_lock:
-                self._reading = False
-                unanswered = list(self._pending)
-                self._pending.clear()
-            for pending in unanswered:
+            self._conn = self._loop.connect(host, port, self._on_line, self._on_close, timeout)
+        except BaseException:
+            client_loop.release()
+            raise
+
+    def _on_close(self, conn: LineConnection) -> None:
+        with self._state_lock:
+            self._reading = False
+            unanswered = list(self._pending)
+            self._pending.clear()
+        for pending in unanswered:
+            if pending.answered is not None:
                 pending.answered.set()
 
     def _on_line(self, line: str) -> None:
@@ -241,7 +248,9 @@ class VarClient:
                     log.warning("malformed VALUE line: %r", line)
                     return
                 for sub in subs:
-                    sub.queue.push((response[1], response[2]))
+                    # On the loop, which serves every client connection: a
+                    # full subscription drops the push at once.
+                    sub.queue.push((response[1], response[2]), wait=False)
                 return
         else:
             response = line
@@ -253,12 +262,17 @@ class VarClient:
         on_reply = self.on_reply
         if on_reply is not None:
             on_reply(response)
+        elif pending.answered is None:
+            if response != "OK":
+                log.warning("vars client: a write sent on the client loop was answered %r",
+                            response)
         else:
             pending.response = response
             pending.answered.set()
 
-    def _send(self, line: str, read_name: str | None = None) -> _Pending:
-        pending = _Pending(read_name)
+    def _send(self, line: str, read_name: str | None = None,
+              answered: threading.Event | None = None) -> _Pending:
+        pending = _Pending(read_name, answered)
         with self._send_lock:
             with self._state_lock:
                 if not self._reading:
@@ -273,8 +287,14 @@ class VarClient:
                 raise
         return pending
 
+    def _on_loop(self) -> bool:
+        return threading.get_ident() == self._loop.loop_ident
+
     def _request(self, line: str, read_name: str | None = None):
-        pending = self._send(line, read_name)
+        if self._on_loop():
+            raise VarStoreProtocolError(
+                f"{line!r} would wait on the client loop for its own reply; not sent")
+        pending = self._send(line, read_name, threading.Event())
         # Gives up after the timeout; the reply, should it come, is dropped.
         pending.answered.wait(self._timeout)
         if pending.response is None:
@@ -295,7 +315,11 @@ class VarClient:
         self._send(f"READ {name}", read_name=name)
 
     def write(self, name: str, value: Value) -> None:
-        response = self._request(f"WRITE {name} {render_value(value)}")
+        line = f"WRITE {name} {render_value(value)}"
+        if self._on_loop():
+            self._send(line)
+            return
+        response = self._request(line)
         if response != "OK":
             raise VarStoreProtocolError(f"write rejected: {response!r}")
 
@@ -322,12 +346,16 @@ class VarClient:
                 subs.remove(sub)
 
     def close(self) -> None:
-        self._conn.close()
         with self._state_lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._reading = False  # no request goes out after close
             subs = [sub for subs in self._subs.values() for sub in subs]
+        self._conn.close()
         for sub in subs:
             sub.queue.close()  # ends it, and wakes a reader blocked on it
-        join_threads([self._reader])
+        client_loop.release()
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +443,7 @@ class _VarReadConsumer(Consumer):
         self._inbox.push(Message(
             headers={VAR_NAME_HEADER: self._name, VAR_VERSION_HEADER: version},
             body=[value],
-        ))
+        ), wait=False)
 
     def stop(self) -> None:
         if self._timer is not None:

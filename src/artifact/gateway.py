@@ -111,22 +111,26 @@ class GatewayStats:
 class _Channel(Listeners):
     """Writers hold the registry's lock and replace `members` with each
     change, so a reader looks up `gateways` or iterates `members` without it.
-    Its listeners are the `ready` of each started route consuming it."""
+    Its listeners are the `ready` of each started route consuming it; `users`
+    counts the route endpoints that hold it."""
 
     def __init__(self, name: str, lock: threading.Lock):
         self.name = name
         self._lock = lock
         self.gateways: dict[str, "GatewayArtifact"] = {}
         self.members: tuple["GatewayArtifact", ...] = ()  # gateways.values()
+        self.users = 0
 
 
 class ChannelRegistry:
     """Maps channel names to the gateways registered on them, and gateway
     names to their gateways.
 
-    Writers hold `lock`, which also guards each channel's gateways and
-    listeners and whether each gateway listens; `channel`, `find_gateway`
+    Writers hold `lock`, which also guards each channel's gateways,
+    listeners and users and whether each gateway listens; `find_gateway`
     and `route_owner`, each one atomic dict read, take none.
+    A channel is dropped once no gateway is registered on it and no route
+    endpoint holds it.
     """
 
     def __init__(self):
@@ -137,20 +141,35 @@ class ChannelRegistry:
         # Each entry is a gateway, or a tuple of two or more, replaced whole.
         self._by_name: dict[str, "GatewayArtifact | tuple[GatewayArtifact, ...]"] = {}
 
-    def channel(self, name: str) -> _Channel:
+    def _channel_locked(self, name: str) -> _Channel:
+        """The channel named `name`, made if need be; the caller holds the lock."""
         chan = self._channels.get(name)
         if chan is None:
-            with self.lock:
-                chan = self._channels.get(name)
-                if chan is None:
-                    chan = self._channels[name] = _Channel(name, self.lock)
+            chan = self._channels[name] = _Channel(name, self.lock)
         return chan
+
+    def _drop_if_unused(self, chan: _Channel) -> None:
+        """The caller holds the lock."""
+        if not chan.gateways and not chan.users and self._channels.get(chan.name) is chan:
+            del self._channels[chan.name]
+
+    def use(self, name: str) -> _Channel:
+        """The channel named `name`, held by a route endpoint until `release`."""
+        with self.lock:
+            chan = self._channel_locked(name)
+            chan.users += 1
+            return chan
+
+    def release(self, chan: _Channel) -> None:
+        with self.lock:
+            chan.users -= 1
+            self._drop_if_unused(chan)
 
     def register(self, channel_name: str, gateway: "GatewayArtifact") -> _Channel:
         """Register `gateway` on the channel; returns the channel."""
-        chan = self.channel(channel_name)
         name = gateway.id.name
         with self.lock:
+            chan = self._channel_locked(channel_name)
             replaced = chan.gateways.get(name)
             chan.gateways[name] = gateway
             chan.members = tuple(chan.gateways.values())
@@ -159,9 +178,11 @@ class ChannelRegistry:
         return chan
 
     def unregister(self, channel_name: str, gateway: "GatewayArtifact") -> None:
-        chan = self.channel(channel_name)
         name = gateway.id.name
         with self.lock:
+            chan = self._channels.get(channel_name)
+            if chan is None:
+                return
             removed = chan.gateways.pop(name, None)
             chan.members = tuple(chan.gateways.values())
             named = self._unindexed(name, removed)
@@ -169,6 +190,7 @@ class ChannelRegistry:
                 self._by_name.pop(name, None)
             else:
                 self._by_name[name] = named[0] if len(named) == 1 else named
+            self._drop_if_unused(chan)
 
     def _unindexed(self, name: str, gateway: "GatewayArtifact | None") -> tuple:
         """The gateways named `name`, in order, less `gateway`; the caller
@@ -194,6 +216,11 @@ class ChannelRegistry:
         # Read on every message a route produces to "artifact:"; a single
         # dict read is atomic, so only writers take the lock.
         return self._route_owners.get(route_id)
+
+    def forget_route_owner(self, route_id: str, gateway: "GatewayArtifact") -> None:
+        with self.lock:
+            if self._route_owners.get(route_id) is gateway:
+                del self._route_owners[route_id]
 
 
 def gateway_channels(runtime: Runtime) -> ChannelRegistry:
@@ -262,9 +289,16 @@ class GatewayArtifact(DeadLetters, Artifact):
         )
 
     def on_dispose(self):
+        """Forget the gateway: stop its routes, remove them from the engine,
+        closing their endpoints, and drop its registrations."""
         self._channels.unregister(self.channel, self)
         if self._mailbox.open:
             self.stop_listening()
+        routes, self.routes = self.routes, []
+        for route in routes:
+            if self._engine is not None:
+                self._engine.remove_route(route)
+            self._channels.forget_route_owner(route.id, self)
         self.outgoing.close()
         self.incoming.close()
 
@@ -485,7 +519,8 @@ class _ChannelConsumer(Consumer):
     """Takes from the outgoing queues of every gateway registered on a
     channel, round robin; each send schedules the route on the pool."""
 
-    def __init__(self, channel: _Channel):
+    def __init__(self, registry: ChannelRegistry, channel: _Channel):
+        self._registry = registry
         self._channel = channel
         self._rr = 0
         self._mailbox: RouteMailbox | None = None
@@ -510,6 +545,9 @@ class _ChannelConsumer(Consumer):
 
     def __len__(self) -> int:
         return sum(len(gateway.outgoing) for gateway in self._channel.members)
+
+    def close(self) -> None:
+        self._registry.release(self._channel)
 
 
 class _ChannelProducer(Producer):
@@ -540,6 +578,9 @@ class _ChannelProducer(Producer):
             )
         gateway.enqueue_incoming(message, timeout=ENQUEUE_TIMEOUT_S)
 
+    def close(self) -> None:
+        self._registry.release(self._channel)
+
 
 class ArtifactComponent(Component):
     """Endpoint component for the "artifact:" scheme."""
@@ -552,7 +593,7 @@ class ArtifactComponent(Component):
             raise ValueError("artifact endpoint needs a channel name: artifact:<channel>")
 
     def create_consumer(self, uri: EndpointUri, route: Route) -> Consumer:
-        return _ChannelConsumer(self._registry.channel(uri.path))
+        return _ChannelConsumer(self._registry, self._registry.use(uri.path))
 
     def create_producer(self, uri: EndpointUri, route: Route) -> Producer:
-        return _ChannelProducer(self._registry, self._registry.channel(uri.path), route)
+        return _ChannelProducer(self._registry, self._registry.use(uri.path), route)

@@ -236,7 +236,7 @@ class Inbox(MessageQueue, Listeners):
     def push(self, item, wait: bool = True) -> None:
         """Put `item` and tell the listeners. An item that finds the inbox
         full for ENQUEUE_TIMEOUT_S, or at all without `wait`, is dropped,
-        counted and logged, so the socket reader that pushes it goes on
+        counted and logged, so the socket loop that pushes it goes on
         serving its connection; later items that find it still full are
         dropped at once, until one fits."""
         try:
@@ -1037,6 +1037,34 @@ class RoutingEngine:
         route._mailbox.open = False
         route._consumer.stop()
 
+    def remove_route(self, route: Route, join_timeout: float = 10.0) -> None:
+        """Stop `route` if it runs, close its endpoints and forget it."""
+        with self._lock:
+            if self._routes.get(route.id) is not route:
+                return
+            del self._routes[route.id]
+            started = route.status == RouteStatus.STARTED
+            if started:
+                self._halt(route)
+        if started:
+            if route._mailbox.wait_idle(join_timeout):
+                route.status = RouteStatus.STOPPED
+            else:
+                log.warning("route %s drain still running after %.1fs", route.id, join_timeout)
+        self._close_endpoints(route)
+
+    @staticmethod
+    def _close_endpoints(route: Route) -> None:
+        for endpoint in (route._consumer, route._producer):
+            if endpoint is not None:
+                try:
+                    endpoint.close()
+                except Exception:
+                    log.exception("closing endpoint of %s failed", route.id)
+        route._consumer = None
+        route._producer = None
+        route._mailbox = None
+
     def shutdown(self, join_timeout: float = 10.0) -> None:
         """Stop every started route, release the endpoints of all routes and
         join the engine's workers and timer."""
@@ -1052,14 +1080,6 @@ class RoutingEngine:
                 else:
                     log.warning("route %s drain still running after %.1fs", route.id, join_timeout)
         for route in routes:
-            for endpoint in (route._consumer, route._producer):
-                if endpoint is not None:
-                    try:
-                        endpoint.close()
-                    except Exception:
-                        log.exception("closing endpoint of %s failed", route.id)
-            route._consumer = None
-            route._producer = None
-            route._mailbox = None
+            self._close_endpoints(route)
         self._pool.stop(join_timeout)
         self._timer.stop(join_timeout)

@@ -22,6 +22,8 @@ def test_build_stages_script_runs():
     assert result.returncode == 0, result.stderr
     stages = [line.split()[0] for line in result.stdout.splitlines() if line.startswith("  ")]
     assert stages == ["make_artifact", "define_route", "attach_route", "start_listening",
-                      "make", "make_artifact", "link_artifacts"]
+                      "make", "make_artifact", "link_artifacts",
+                      "VarStoreServer()", "RobotSimulator()", "vars_route_start", "tcp_route_start",
+                      "VarClient()", "whole_build"]
     assert "tracked objects per gateway" in result.stdout
     assert "tracked objects per target" in result.stdout

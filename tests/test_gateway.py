@@ -933,3 +933,32 @@ def test_channel_producer_resolution_order(env):
     assert lands(None, "artifact:lone", {ARTIFACT_NAME_HEADER: "t9", **op}) == ["solo"]
     with pytest.raises(DeliveryError):
         lands(None, "artifact:hub", op)
+
+
+def test_disposed_gateways_leave_no_route_channel_or_subscriber_behind(env, monkeypatch):
+    from artifact.endpoints import broker as broker_module
+
+    monkeypatch.setattr(broker_module, "ENQUEUE_TIMEOUT_S", 0.2)
+    registry = gateway_channels(env.runtime)
+    ids = []
+    for i in range(3):
+        aid = env.runtime.make_artifact("main", f"gone{i}", Recorder, [])
+        gateway = env.runtime.lookup(aid)
+        gateway.attach_route(env.engine.define_route(f"artifact:gone{i}", [], "mq:gone"),
+                             engine=env.engine)
+        gateway.attach_route(env.engine.define_route("mq:gone", [], f"artifact:gone{i}"))
+        gateway.start_listening()
+        ids.append(aid)
+    for i, aid in enumerate(ids):  # each reaches every gateway through the topic
+        env.runtime.lookup(aid).send_msg(OpRequest(f"gone{i}", "recv", ["hi"]))
+    assert wait_until(lambda: all(env.runtime.lookup(aid).seen == ["hi"] * 3 for aid in ids))
+    for aid in ids:
+        env.runtime.dispose_artifact(aid)
+    assert registry._route_owners == {}
+    assert registry._channels == {}
+    assert env.engine.routes() == []
+    assert env.broker._topic("gone").subscribers == []
+    for i in range(2000):  # none waits for a subscription nobody reads
+        started = time.monotonic()
+        env.broker.publish("gone", Message(body=[i]))
+        assert time.monotonic() - started < 0.1

@@ -11,7 +11,7 @@ import pytest
 
 from artifact import Message, SetHeader, parse_endpoint_uri, routing
 from artifact.endpoints import tcp
-from artifact.endpoints.tcp import LineConnection, LineServer, TcpComponent, frame_line, shutdown_socket, tcp_connect
+from artifact.endpoints.tcp import LineConnection, LineServer, TcpComponent, frame_line, tcp_connect
 from artifact.errors import ConnectionClosedError, FramingError
 
 from conftest import wait_until
@@ -57,7 +57,7 @@ def test_a_connection_is_listed_before_its_first_line_is_handled():
             sock.sendall(b"hi\n")
             time.sleep(0.1)
         assert wait_until(lambda: listed == [True])
-        shutdown_socket(sock)
+        sock.close()
     finally:
         server.stop()
 
@@ -120,8 +120,8 @@ def test_a_send_on_the_connections_own_reader_fails_at_once_while_it_is_down():
     key, hub = component._hub_for(parse_endpoint_uri(f"tcp:127.0.0.1:{server.port}?role=client"))
     waited = []
 
-    def on_line():  # on the hub's reader thread, where a tcp: route runs
-        shutdown_socket(hub._sock)  # the connection drops under it
+    def on_line():  # on the client loop, which reads the hub and runs a tcp: route
+        hub._conn.close()  # the connection drops under it
         start = time.monotonic()
         try:
             hub.send_line("reply")
@@ -132,7 +132,7 @@ def test_a_send_on_the_connections_own_reader_fails_at_once_while_it_is_down():
     try:
         assert server.wait_for_connection(5.0)
         server.broadcast("ping")
-        # only this thread could reconnect, so the send does not wait for it
+        # only this loop could reconnect, so the send does not wait for it
         assert wait_until(lambda: waited, timeout=15.0)
         assert waited[0] < 1.0
     finally:
@@ -342,8 +342,8 @@ class _ScriptedSocket:
     def __init__(self, *chunks):
         self.chunks = list(chunks)
 
-    def settimeout(self, timeout):
-        pass
+    def fileno(self):
+        return -1
 
     def recv(self, size):
         if not self.chunks:
@@ -367,14 +367,16 @@ class _ScriptedSocket:
     pytest.param(("caf\u00e9\n".encode()[:4], "caf\u00e9\n".encode()[4:]), ["caf\u00e9"], id="utf8-split-across-chunks"),
     pytest.param((b"ok\xff\xfe\n",), ["ok\ufffd\ufffd"], id="invalid-utf8-replaced"),
     pytest.param((b"whole\npart",), ["whole"], id="partial-line-at-close-discarded"),
-    pytest.param((b"be", TimeoutError(), b"fore\n"), ["before"], id="recv-timeout-is-a-silence"),
+    pytest.param((b"be", BlockingIOError(), b"fore\n"), ["before"], id="recv-would-block-is-a-silence"),
 ])
 def test_the_framer(chunks, lines):
+    """Each chunk through `receive`, the read a loop makes on each event."""
     got = []
-    conn = LineConnection(_ScriptedSocket(*chunks), "peer")
-    conn.read_lines(got.append)
+    conn = LineConnection(_ScriptedSocket(*chunks), "peer", None, got.append)
+    for _ in range(len(chunks)):
+        assert conn.receive()
+    assert not conn.receive()  # the peer closed: the loop closes the connection
     assert got == lines
-    assert conn.closed
 
 
 def test_a_line_handler_that_raises_is_logged_and_reading_goes_on(caplog):
@@ -385,10 +387,15 @@ def test_a_line_handler_that_raises_is_logged_and_reading_goes_on(caplog):
             raise ValueError("boom")
         got.append(line)
 
+    conn = LineConnection(_ScriptedSocket(b"bad\ngood\n"), "peer", None, on_line)
     with caplog.at_level(logging.ERROR, logger="artifact.endpoints.tcp"):
-        LineConnection(_ScriptedSocket(b"bad\ngood\n"), "peer").read_lines(on_line)
+        assert conn.receive()
     assert got == ["good"]
     assert any("'bad'" in record.getMessage() for record in caplog.records)
+
+
+def _client_loops() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "client-loop"]
 
 
 def test_a_closed_client_hub_leaves_no_thread_behind(monkeypatch, caplog):
@@ -398,10 +405,12 @@ def test_a_closed_client_hub_leaves_no_thread_behind(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="artifact.endpoints.tcp"):
         key, hub = component._hub_for(uri)
         assert wait_until(lambda: any("retrying in 2.00s" in r.getMessage() for r in caplog.records))
+    loops = _client_loops()
+    assert len(loops) == 1
     closed_at = time.monotonic()
     component._release(key)
-    hub._thread.join(max(0.0, closed_at + 0.5 - time.monotonic()))
-    assert not hub._thread.is_alive()
+    loops[0].join(max(0.0, closed_at + 0.5 - time.monotonic()))
+    assert not loops[0].is_alive()
 
 
 def test_a_full_source_drops_lines_and_its_reader_keeps_serving(monkeypatch):
@@ -444,3 +453,51 @@ def test_a_full_server_source_drops_lines_at_once_and_its_peers_are_served(monke
         flooding.close()
         other.close()
         component._release(key)
+
+
+def test_a_client_peer_that_stops_reading_holds_up_no_other_client_and_is_closed(monkeypatch):
+    monkeypatch.setattr(tcp, "ENQUEUE_TIMEOUT_S", 0.5)
+    stalled_server = socket.socket()
+    stalled_server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    stalled_server.bind(("127.0.0.1", 0))
+    stalled_server.listen(1)  # accepts, and its peer reads nothing
+    echo = LineServer(handler=lambda conn, line: conn.send_line(f"echo {line}"))
+    component = TcpComponent()
+    key, hub = component._hub_for(parse_endpoint_uri(f"tcp:127.0.0.1:{echo.port}?role=client"))
+    loop = tcp.client_loop.acquire()  # the loop the hub shares
+    stalled = loop.connect("127.0.0.1", stalled_server.getsockname()[1], lambda line: None)
+    stalled.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    outcome = []
+
+    def send_until_closed():
+        started = time.monotonic()
+        try:
+            while True:
+                stalled.send_line("x" * 65536)
+        except ConnectionClosedError:
+            outcome.append(time.monotonic() - started)
+
+    sender = threading.Thread(target=send_until_closed, daemon=True)
+    try:
+        assert echo.wait_for_connection(5.0)
+        sender.start()
+        assert wait_until(lambda: stalled._out)  # its output waits for the socket
+        slowest = 0.0
+        deadline = time.monotonic() + 5.0
+        while not outcome and time.monotonic() < deadline:
+            before = time.monotonic()
+            hub.send_line("ping")
+            message = hub.inbox.get(timeout=5.0)
+            assert message is not None and message.body == ["echo ping"]
+            slowest = max(slowest, time.monotonic() - before)
+            time.sleep(0.01)
+        sender.join(5.0)
+        assert outcome and outcome[0] >= 0.5  # not before its output waited out the deadline
+        assert stalled.closed
+        assert slowest < 0.3
+    finally:
+        stalled.close()
+        tcp.client_loop.release()
+        component._release(key)
+        echo.stop()
+        stalled_server.close()

@@ -277,7 +277,7 @@ def test_a_malformed_value_reply_fails_its_read_and_the_client_stays_in_step():
         with pytest.raises(VarStoreProtocolError, match="unexpected response"):
             client.read("x")
         client.write("x", 1)
-        assert client._reader.is_alive()
+        assert not client._conn.closed  # the loop still reads it
     finally:
         client.close()
         server.stop()
@@ -426,10 +426,15 @@ def test_a_full_subscription_drops_pushes_and_replies_still_come(monkeypatch, st
         client.close()
 
 
+def _client_loops() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "client-loop"]
+
+
 def test_no_reader_thread_outlives_stop_or_close(store):
     client = VarClient(store.host, store.port)
     client.write("x", 1)
-    threads = [client._reader, store.server._thread]  # the client's reader, the server's loop
+    threads = _client_loops() + [store.server._thread]  # the client loop, the server's loop
+    assert len(threads) == 2
     assert len(store.server.connections()) == 1
     assert all(t.is_alive() for t in threads)
     client.close()
@@ -478,3 +483,62 @@ def test_a_subscriber_that_stops_reading_holds_up_no_wire_request(monkeypatch, s
         writer.close()
         reader.close()
         stalled.close()
+
+
+def test_a_subscribe_to_write_route_mirrors_one_variable_into_another(env, store):
+    # The write sink runs on the client loop, which reads its OK: it must not wait for it.
+    store.write("a", 0)
+    route = env.engine.define_route(
+        f"vars:{store.host}:{store.port}/a?mode=subscribe", [],
+        f"vars:{store.host}:{store.port}/b?mode=write",
+    )
+    env.engine.start_route(route)
+    for i in range(1, 21):
+        store.write("a", i)
+    assert wait_until(lambda: route.stats.delivered == 20)
+    assert wait_until(lambda: "b" in store._vars and store.read("b") == (20, 19))
+    assert env.dead_letter_total() == 0
+
+
+def test_a_read_or_subscribe_on_the_client_loop_raises_at_once(store):
+    store.write("x", 0)
+    client = VarClient(store.host, store.port)
+    outcomes = []
+
+    def on_push():  # on the client loop, which would have to read the reply
+        for call in (client.read, client.subscribe):
+            started = time.monotonic()
+            try:
+                call("x")
+            except VarStoreProtocolError:
+                outcomes.append(time.monotonic() - started)
+
+    try:
+        sub = client.subscribe("x")
+        sub.queue.add_listener(on_push)
+        store.write("x", 1)
+        assert wait_until(lambda: len(outcomes) == 2)
+        assert max(outcomes) < 0.1
+        assert client.read("x") == (1, 1)  # off the loop it waits for its reply
+    finally:
+        client.close()
+
+
+def test_no_client_loop_outlives_the_last_client_and_a_later_client_starts_it(store):
+    first = VarClient(store.host, store.port)
+    second = VarClient(store.host, store.port)
+    loops = _client_loops()
+    assert len(loops) == 1  # one loop for every client connection
+    first.close()
+    second.write("x", 1)
+    assert loops[0].is_alive()
+    second.close()
+    assert not loops[0].is_alive()
+    third = VarClient(store.host, store.port)
+    try:
+        third.write("x", 2)
+        assert store.read("x") == (2, 1)
+        assert len(_client_loops()) == 1 and _client_loops() != loops
+    finally:
+        third.close()
+    assert _client_loops() == []
