@@ -10,9 +10,12 @@ from ..uri import EndpointUri
 
 
 class _TimerConsumer(Consumer):
-    """Tick k is due `k` periods after the first; the engine timer schedules
-    the route each period, and a drain emits every tick due by then, so a
-    route that fell behind catches up without skipping."""
+    """Tick k is due `k` periods after the first. While started, an engine
+    timer fires each period on the shared loop and makes the route ready
+    there, and a drain emits every tick due by that fire, so a route that
+    fell behind catches up without skipping. Ticks that fell due while the
+    route was stopped wait for the timer's first fire, which comes at once,
+    so they too run on the loop."""
 
     def __init__(self, name: str, period_s: float):
         self._name = name
@@ -20,22 +23,37 @@ class _TimerConsumer(Consumer):
         self._index = 0
         self._next_due: float | None = None
         self._timer = None
+        self._mailbox: RouteMailbox | None = None
+        self._fired: float | None = None  # the started timer's last fire
 
     def start(self, mailbox: RouteMailbox) -> None:
         if self._next_due is None:
             self._next_due = time.monotonic()
-        self._timer = mailbox.every(self._period, mailbox.ready, first=self._next_due)
+        self._mailbox = mailbox
+        self._fired = None
+        self._timer = mailbox.every(self._period, self._fire, first=self._next_due)
+
+    def _fire(self) -> None:
+        self._fired = time.monotonic()
+        self._mailbox.ready()
 
     def stop(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
 
+    def _due_by(self) -> float:
+        """Ticks due by this time are ready: now, or while started, the
+        timer's last fire (none before its first)."""
+        if self._timer is None:
+            return time.monotonic()
+        return -float("inf") if self._fired is None else self._fired
+
     def try_get(self) -> Message | None:
-        now = time.monotonic()
+        due_by = self._due_by()
         if self._next_due is None:
-            self._next_due = now
-        if now < self._next_due:
+            self._next_due = due_by
+        if due_by < self._next_due:
             return None
         message = Message(
             headers={"timer.name": self._name, "timer.tick": self._index},
@@ -46,7 +64,7 @@ class _TimerConsumer(Consumer):
         return message
 
     def __len__(self) -> int:
-        behind = time.monotonic() - self._next_due
+        behind = self._due_by() - self._next_due
         return 0 if behind < 0 else int(behind // self._period) + 1
 
 

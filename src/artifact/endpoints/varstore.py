@@ -14,13 +14,13 @@ unknown names fail. Values are rendered as canonical wire text and parsed
 back as int, then float, then text.
 
 The "vars:" endpoint scheme is `vars:<host>:<port>/<name>?mode=read|subscribe|write`.
-Every client connection is read by the shared client loop (see `tcp`). A
-subscribe source runs its route on that loop as each push arrives. A read
-source sends a READ every READ_PERIOD_S from the engine timer, unless its
-last one is unanswered, and runs its route on the loop when a reply brings
-a new version, so a stalled server holds up only that source. A write sink
-run on the loop sends its WRITE without waiting for the OK, since the loop
-would have to read it.
+Every client connection is read by the shared loop (see `artifact.loop`).
+A subscribe source runs its route on that loop as each push arrives. A read
+source sends a READ every READ_PERIOD_S from an engine timer, which fires on
+the same loop, unless its last one is unanswered, and runs its route on the
+loop when a reply brings a new version, so a stalled server holds up only
+that source. A write sink run on the loop sends its WRITE without waiting
+for the OK, since the loop would have to read it.
 """
 from __future__ import annotations
 
@@ -30,11 +30,12 @@ from collections import deque
 from typing import Callable
 
 from ..errors import ConnectionClosedError, UnknownVariableError, VarStoreProtocolError
+from ..loop import LineConnection, shared_loop
 from ..messages import Message
 from ..routing import Component, Consumer, Inbox, Producer, Route, RouteMailbox
 from ..uri import EndpointUri
 from ..values import Value, render_value
-from .tcp import LineConnection, LineServer, client_loop
+from .tcp import LineServer
 
 log = logging.getLogger(__name__)
 
@@ -163,7 +164,7 @@ class VarStoreServer:
 
 class VarSubscription:
     """Ordered stream of (value, version) pushes for one variable; the
-    queue's listeners hear of each push on the client loop."""
+    queue's listeners hear of each push on the shared loop."""
 
     def __init__(self, name: str):
         self.name = name
@@ -175,7 +176,7 @@ class VarSubscription:
 
 class _Pending:
     """A request sent and not yet answered; `read_name` for a READ. A WRITE
-    sent on the client loop has no `answered`: nobody waits for it."""
+    sent on the shared loop has no `answered`: nobody waits for it."""
 
     __slots__ = ("read_name", "answered", "response")
 
@@ -186,7 +187,7 @@ class _Pending:
 
 
 class VarClient:
-    """Protocol client on the shared client loop.
+    """Protocol client on the shared loop.
 
     The server answers the requests of a connection in the order they came,
     so the client matches each reply to the oldest request still unanswered.
@@ -212,11 +213,11 @@ class VarClient:
         self._reading = True
         self._closed = False
         self.on_reply: Callable[[object], None] | None = None
-        self._loop = client_loop.acquire()
+        self._loop = shared_loop.acquire()
         try:
             self._conn = self._loop.connect(host, port, self._on_line, self._on_close, timeout)
         except BaseException:
-            client_loop.release()
+            shared_loop.release()
             raise
 
     def _on_close(self, conn: LineConnection) -> None:
@@ -264,7 +265,7 @@ class VarClient:
             on_reply(response)
         elif pending.answered is None:
             if response != "OK":
-                log.warning("vars client: a write sent on the client loop was answered %r",
+                log.warning("vars client: a write sent on the shared loop was answered %r",
                             response)
         else:
             pending.response = response
@@ -293,7 +294,7 @@ class VarClient:
     def _request(self, line: str, read_name: str | None = None):
         if self._on_loop():
             raise VarStoreProtocolError(
-                f"{line!r} would wait on the client loop for its own reply; not sent")
+                f"{line!r} would wait on the shared loop for its own reply; not sent")
         pending = self._send(line, read_name, threading.Event())
         # Gives up after the timeout; the reply, should it come, is dropped.
         pending.answered.wait(self._timeout)
@@ -355,7 +356,7 @@ class VarClient:
         self._conn.close()
         for sub in subs:
             sub.queue.close()  # ends it, and wakes a reader blocked on it
-        client_loop.release()
+        shared_loop.release()
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +405,7 @@ class _VarSubscribeConsumer(Consumer):
 
 
 class _VarReadConsumer(Consumer):
-    """Sends a READ each time the engine timer fires, unless the last one is
+    """Sends a READ each time its engine timer fires, unless the last one is
     unanswered, and emits the value the reply brings once per version."""
 
     def __init__(self, client: VarClient, name: str):

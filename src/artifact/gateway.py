@@ -2,9 +2,10 @@
 
 A gateway bridges the artifact runtime to protocol endpoints through the
 "artifact:" URI scheme. Outbound, agents call :meth:`GatewayArtifact.send_msg`,
-which queues the message on the gateway's outgoing queue and schedules the
-routes consuming ``artifact:<channel>`` on their engine's worker pool; the
-agent's thread never runs a route. Inbound, a route producing to
+which queues the message on the gateway's outgoing queue and makes the
+routes consuming ``artifact:<channel>`` ready: they run on their engine's
+worker pool, or at once when the agent's thread is a loop thread outside
+any operation (an observer of an operation a socket reached). Inbound, a route producing to
 ``artifact:<channel>`` hands the message to the addressed gateway and, like
 Camel's ``direct:`` endpoint, delivers it on the same thread. The incoming
 queue is a serial mailbox (:class:`~artifact.routing.Mailbox`): a message
@@ -375,7 +376,8 @@ class GatewayArtifact(DeadLetters, Artifact):
         timeout: float | None = None,
     ) -> Message:
         """Queue an operation request for the routes consuming this channel
-        and schedule them on their engine's pool; returns the queued message.
+        and make them ready (see the module docstring); returns the queued
+        message.
 
         A route with an empty processor chain may deliver that very object,
         so the caller must not modify it."""
@@ -517,7 +519,7 @@ class _Call:
 
 class _ChannelConsumer(Consumer):
     """Takes from the outgoing queues of every gateway registered on a
-    channel, round robin; each send schedules the route on the pool."""
+    channel, round robin; each send makes the route ready."""
 
     def __init__(self, registry: ChannelRegistry, channel: _Channel):
         self._registry = registry

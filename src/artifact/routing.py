@@ -4,10 +4,13 @@ A route takes messages from a consumer endpoint, applies an ordered processor
 chain, and hands them to a producer endpoint. Endpoint components are
 registered by URI scheme. No route owns a thread: each started route is a
 serial mailbox over its consumer, which buffers what arrives and pushes the
-route to run. In-process sources schedule it on the engine's worker pool
-(SEDA, Camel's ``seda:``), which grows only while its workers are blocked;
-socket sources drain it on the thread that read the line (Camel's
-``direct:``), and timer sources fire from the engine's one timer thread. A
+route to run. A route runs on the loop thread that feeds it (Camel's
+``direct:``): socket sources drain it on the loop that read the line, and a
+route made ready on a loop outside any operation (by a timer, or by an
+observer of an operation a socket reached) drains there too. Anywhere else,
+in-process sources schedule it on the engine's worker pool (SEDA, Camel's
+``seda:``), which grows only while its workers are blocked. The engine's
+timers run on the process's shared loop (`artifact.loop`). A
 route with an empty processor chain hands the message its consumer took to
 its producer as is; a chain works on a private copy. A message whose
 processing or delivery fails moves to the route's dead-letter queue with
@@ -17,7 +20,6 @@ An engine parses each endpoint URI string once and shares the immutable
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
 import sys
@@ -38,17 +40,15 @@ from .errors import (
     UnsupportedEndpointRoleError,
 )
 from .exprlang import Expr, eval_expr
+from .loop import ENQUEUE_TIMEOUT_S, LoopTimer, Reactor, loop_thread, shared_loop
 from .messages import Message
+from .runtime import thread_ops
 from .uri import EndpointUri, parse_endpoint_uri
 from .values import Value, copy_value
 
 log = logging.getLogger(__name__)
 
 DEFAULT_QUEUE_CAPACITY = 1024
-# How long a hand-off into a full queue waits before the sender gives up and
-# counts the message as lost to that receiver; also the deadline of a line
-# sent on a socket.
-ENQUEUE_TIMEOUT_S = 10.0
 # A pool worker left idle this long exits; workers start again on demand.
 IDLE_RETIRE_S = 10.0
 
@@ -379,27 +379,37 @@ class Mailbox:
 class RouteMailbox(Mailbox):
     """A started route's mailbox; its source is the route's consumer.
 
-    The consumer tells it about new messages through `ready()` (drain on the
-    engine's pool) or `drain()` (drain on this thread), often by attaching
-    one of them to an Inbox's listeners; `every()` has the engine timer
-    call back periodically."""
+    The consumer tells it about new messages through `ready()` (drain on
+    this loop thread or on the engine's pool) or `drain()` (drain on this
+    thread), often by attaching one of them to an Inbox's listeners;
+    `every()` sets a periodic engine timer, which fires on the shared loop.
 
-    def __init__(self, route: "Route", pool: "WorkerPool", timer: "_Timer"):
+    `ready()` drains at once when it is called on a loop thread outside any
+    operation: the two thread-locals it reads are the loop's marker and the
+    runtime's operation depth. So a route fed from a loop runs there, and no
+    route runs under an artifact lock. Such a route holds up the loop while
+    it runs, and must not wait for the loop."""
+
+    def __init__(self, route: "Route", pool: "WorkerPool"):
         super().__init__(route._consumer)
         self._route = route
         self._pool = pool
-        self._timer = timer
 
     def ready(self) -> None:
-        """A message is waiting: schedule a drain, unless one is outstanding."""
+        """A message is waiting: drain it on this loop thread, or schedule a
+        drain on the pool, unless one is outstanding."""
         if self.claim():
-            self._pool.schedule(self)
+            if loop_thread.reactor is not None and not thread_ops.depth:
+                self._drain_claimed()
+            else:
+                self._pool.schedule(self)
 
-    def every(self, period_s: float, fire: Callable[[], None], first: float | None = None):
+    def every(self, period_s: float, fire: Callable[[], None], first: float | None = None) -> LoopTimer:
         """Call `fire()` at `first` (default now), then every `period_s`
-        seconds, from the engine's timer thread; returns a handle whose
-        `cancel()` stops it."""
-        return self._timer.every(period_s, fire, first)
+        seconds on the grid `first` starts, on the shared loop; returns the
+        timer, whose `cancel()` from any thread stops it."""
+        return self._pool.timer_loop().call_at(
+            time.monotonic() if first is None else first, fire, period_s)
 
     def run_batch(self) -> None:
         """A pool task: drain at most what was waiting when it began."""
@@ -445,26 +455,31 @@ class WorkerPool:
     next slot and runs on it after the drain in hand (the LIFO slot of
     Tokio's scheduler); one already there moves to the shared FIFO run
     queue, where other threads schedule too. A queued task wakes the worker
-    idle the shortest time; the first task starts the first worker, and
-    a worker starts the engine timer unless it runs.
+    idle the shortest time; the first task starts the first worker.
 
-    When every worker is busy a task waits. The engine timer looks at the
-    queue one interpreter switch interval later, and then every interval
-    while tasks wait. A look finds the busy workers blocked outside the
+    The engine's timers run on the shared loop. The pool takes the engine's
+    one reference on that loop with its first worker or its first timer
+    (`timer_loop`), and `stop` drops it; so an engine that needs neither
+    starts no loop.
+
+    When every worker is busy a task waits. A loop timer looks at the queue
+    one interpreter switch interval later, and then every interval while
+    tasks wait. A look finds the busy workers blocked outside the
     interpreter, in an operation's sleep or I/O, when the process spent
-    less than half of the interval on a CPU and the timer itself fired
+    less than half of the interval on a CPU and the look itself fired
     within half an interval of its deadline. After two such looks in a
     row, each task that has waited an interval gets a worker of its own.
     A thread that holds the interpreter lock shows as CPU time and delays
-    the timer by an interval, so it starts no worker, which would only
-    wait for that lock; the second look keeps a process that the machine
-    did not run for a moment from passing for blocked workers. A worker
-    idle for IDLE_RETIRE_S exits.
+    the look by an interval, so it starts no worker, which would only
+    wait for that lock; so does a loop busy with other work, such as a
+    route it runs, since that too makes the look late. The second look
+    keeps a process that the machine did not run for a moment from passing
+    for blocked workers. A worker idle for IDLE_RETIRE_S exits.
     """
 
-    def __init__(self, name: str, timer: "_Timer"):
+    def __init__(self, name: str):
         self._name = name
-        self._timer = timer
+        self._loop: Reactor | None = None  # the shared loop, once referenced
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._tasks: deque[tuple[RouteMailbox, float]] = deque()  # (box, queued at)
@@ -515,7 +530,17 @@ class WorkerPool:
     def _arm(self, now: float) -> None:
         self._check_due = now + sys.getswitchinterval()
         self._check_since = (now, time.process_time())
-        self._timer.once(self._check_due, self._check)
+        self._timer_loop_locked().call_at(self._check_due, self._check)
+
+    def timer_loop(self) -> Reactor:
+        """The shared loop, referenced for the engine's timers."""
+        with self._lock:
+            return self._timer_loop_locked()
+
+    def _timer_loop_locked(self) -> Reactor:
+        if self._loop is None:
+            self._loop = shared_loop.acquire()
+        return self._loop
 
     def _hand(self, worker: _Worker) -> None:
         worker.woken = True
@@ -523,6 +548,8 @@ class WorkerPool:
         worker.wake.notify()
 
     def _new_worker(self) -> threading.Thread:
+        """Under the lock; the pool's looks need the loop from now on."""
+        self._timer_loop_locked()
         worker = _Worker(self)
         worker.thread = threading.Thread(
             target=self._run, args=(worker,), name=f"{self._name}-{next(self._ids)}", daemon=True
@@ -532,8 +559,8 @@ class WorkerPool:
         return worker.thread
 
     def _check(self) -> None:
-        """Timer callback: when the busy workers are blocked, start a worker
-        for each task that has waited a switch interval."""
+        """Loop timer callback: when the busy workers are blocked, start a
+        worker for each task that has waited a switch interval."""
         interval = sys.getswitchinterval()
         started = []
         with self._lock:
@@ -557,10 +584,6 @@ class WorkerPool:
 
     def _run(self, worker: _Worker) -> None:
         _thread_state.worker = worker
-        # The pool needs the timer whenever tasks outnumber workers; started
-        # here, with the first worker, it does not depend on whether one
-        # ever did.
-        self._timer.start()
         box: RouteMailbox | None = None
         try:
             while True:
@@ -599,8 +622,9 @@ class WorkerPool:
             _thread_state.worker = None
 
     def stop(self, timeout: float) -> None:
-        """Let the workers run what is queued, then join them; a later
-        schedule starts workers again."""
+        """Let the workers run what is queued, join them and drop the
+        reference on the shared loop; a later schedule or timer takes the
+        pool up again."""
         with self._lock:
             self._closing = True
             while self._idle:
@@ -616,99 +640,9 @@ class WorkerPool:
         with self._lock:
             self._closing = False
             self._check_due = None
-
-
-class _TimerEntry:
-    __slots__ = ("period", "fire", "cancelled")
-
-    def __init__(self, period: float | None, fire: Callable[[], None]):
-        self.period = period
-        self.fire = fire
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-class _Timer:
-    """Timed callbacks from one deadline heap, fired on one thread that
-    starts with the first entry or on `start()`."""
-
-    def __init__(self, name: str):
-        self._name = name
-        self._lock = threading.Lock()
-        self._changed = threading.Condition(self._lock)
-        self._heap: list[tuple[float, int, _TimerEntry]] = []
-        self._seq = itertools.count()
-        self._thread: threading.Thread | None = None
-        self._closing = False
-
-    def every(self, period_s: float, fire: Callable[[], None], first: float | None = None) -> _TimerEntry:
-        """Call `fire()` at `first` (default now), then every `period_s`."""
-        return self._add(time.monotonic() if first is None else first, _TimerEntry(period_s, fire))
-
-    def once(self, due: float, fire: Callable[[], None]) -> _TimerEntry:
-        """Call `fire()` once, at monotonic time `due`."""
-        return self._add(due, _TimerEntry(None, fire))
-
-    def start(self) -> None:
-        """Start the timer thread, unless it runs."""
-        with self._lock:
-            self._start()
-
-    def _add(self, due: float, entry: _TimerEntry) -> _TimerEntry:
-        with self._lock:
-            heapq.heappush(self._heap, (due, next(self._seq), entry))
-            self._changed.notify()
-            self._start()
-        return entry
-
-    def _start(self) -> None:
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._run, name=self._name, daemon=True)
-            self._thread.start()
-
-    def _run(self) -> None:
-        heap = self._heap
-        with self._lock:
-            while not self._closing:
-                if not heap:
-                    self._changed.wait()
-                    continue
-                due, _, entry = heap[0]
-                now = time.monotonic()
-                if due > now:
-                    self._changed.wait(due - now)
-                    continue
-                heapq.heappop(heap)
-                if entry.cancelled:
-                    continue
-                if entry.period is not None:
-                    # The next deadline on the entry's grid after now: a
-                    # source that fell behind catches up by itself when it runs.
-                    due += entry.period * (int((now - due) // entry.period) + 1)
-                    heapq.heappush(heap, (due, next(self._seq), entry))
-                self._lock.release()
-                try:
-                    entry.fire()
-                except Exception:
-                    log.exception("timer callback failed")
-                finally:
-                    self._lock.acquire()
-
-    def stop(self, timeout: float) -> None:
-        with self._lock:
-            self._closing = True
-            self._changed.notify()
-            thread = self._thread
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout)
-            if thread.is_alive():
-                log.warning("%s did not exit within %.1fs", thread.name, timeout)
-        with self._lock:
-            self._heap.clear()
-            self._thread = None
-            self._closing = False
+            loop, self._loop = self._loop, None
+        if loop is not None:
+            shared_loop.release()
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +774,7 @@ class Consumer:
 
     `start` hands over the started route's `RouteMailbox`; the consumer then
     calls its `ready()`, `drain()` or `every()` as messages arrive, until
-    `stop`. The mailbox takes messages with `try_get()`, and `len()` counts
+    `stop`, which may run on any thread. The mailbox takes messages with `try_get()`, and `len()` counts
     those waiting. What arrives while stopped stays buffered.
     """
 
@@ -945,9 +879,10 @@ class Route(DeadLetters):
 class RoutingEngine:
     """Defines routes against a component registry and runs them.
 
-    The engine owns the worker pool and the timer its routes' mailboxes run
-    on; both start threads only when a route needs them, and `shutdown`
-    joins them.
+    The engine owns the worker pool its routes' mailboxes run on, which
+    starts threads only when a route needs them and holds the engine's
+    reference on the shared loop for its timers; `shutdown` joins the
+    workers and drops that reference.
     """
 
     _ids = itertools.count(1)
@@ -958,8 +893,7 @@ class RoutingEngine:
         # Each endpoint string parsed once; routes share the immutable URI.
         self._uris: dict[str, EndpointUri] = {}
         self._lock = threading.Lock()
-        self._timer = _Timer("route-timer")
-        self._pool = WorkerPool("route-worker", self._timer)
+        self._pool = WorkerPool("route-worker")
 
     def define_route(
         self,
@@ -1005,7 +939,7 @@ class RoutingEngine:
                     route.sink, route
                 )
             if route._mailbox is None:
-                route._mailbox = RouteMailbox(route, self._pool, self._timer)
+                route._mailbox = RouteMailbox(route, self._pool)
             mailbox = route._mailbox
             mailbox.open = True
             route.status = RouteStatus.STARTED
@@ -1066,8 +1000,8 @@ class RoutingEngine:
         route._mailbox = None
 
     def shutdown(self, join_timeout: float = 10.0) -> None:
-        """Stop every started route, release the endpoints of all routes and
-        join the engine's workers and timer."""
+        """Stop every started route, release the endpoints of all routes,
+        join the engine's workers and drop its reference on the shared loop."""
         with self._lock:
             routes = list(self._routes.values())
             for route in routes:
@@ -1082,4 +1016,3 @@ class RoutingEngine:
         for route in routes:
             self._close_endpoints(route)
         self._pool.stop(join_timeout)
-        self._timer.stop(join_timeout)

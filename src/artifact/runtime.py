@@ -6,18 +6,22 @@ with respect to all other operations on the same artifact: property updates
 and signals staged inside an operation become visible to observers only when
 the operation commits, and are discarded when it aborts.
 
-Observer notification is asynchronous (a single dispatcher thread per
-runtime, started by the first `focus`) but order-preserving per artifact,
-and exactly-once per observer.
+Observers are told on the thread that committed: the outermost `exec_op`
+of a thread delivers the events its operations committed once it has let
+go of the artifact's lock, so no observer runs under an artifact lock, and
+an observer that blocks holds up that thread. Delivery is in commit order
+per artifact and exactly once per observer; one thread at a time delivers
+an artifact's events, and a thread that finds another delivering leaves its
+events to it.
 """
 from __future__ import annotations
 
 import inspect
 import logging
-import queue
 import sys
 import threading
 import types
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -40,7 +44,16 @@ log = logging.getLogger(__name__)
 DEFAULT_WORKSPACE = "main"
 
 _MISSING = object()
-_SHUTDOWN = object()
+
+
+class _ThreadOps(threading.local):
+    depth = 0  # exec_op calls in progress on this thread
+    # Artifacts with events for the outermost exec_op to deliver, in the
+    # order they first committed one.
+    touched: "list[Artifact] | None" = None
+
+
+thread_ops = _ThreadOps()
 
 
 @dataclass(frozen=True)
@@ -187,6 +200,12 @@ class Artifact:
     """
 
     _operations: dict[str, range] = {}
+    # Set on the instance by `focus`, and replaced whole under _lock.
+    _observers: tuple = ()
+    # Made by the first focus: committed (observers, events) not yet
+    # delivered, and the claim of the thread that delivers them.
+    _pending: "deque[tuple[tuple, list]] | None" = None
+    _delivering: threading.Lock | None = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -198,7 +217,6 @@ class Artifact:
         self._lock = threading.RLock()
         self._props: dict[str, tuple[Value, int]] = {}
         self._signal_seq = 0
-        self._observers: list = []
         self._ctx: _OpContext | None = None
         self._disposed = False
 
@@ -326,20 +344,45 @@ class Artifact:
                 signals.append(sig)
                 deliveries.append(("signal", sig))
         if deliveries and self._observers:
-            observers = list(self._observers)
-            runtime = self._runtime
-            for event in deliveries:
-                for observer in observers:
-                    runtime._enqueue_event(observer, self._id, event)
+            self._pending.append((self._observers, deliveries))
+            touched = thread_ops.touched
+            if touched is None:
+                thread_ops.touched = [self]
+            elif self not in touched:
+                touched.append(self)
         return OpResult(True, signals, versions)
+
+    def _deliver(self) -> None:
+        """Hand the pending events to their observers, unless another thread
+        (or this one, further up) already does. The claim is taken without
+        blocking and the queue re-checked after letting it go, so no event
+        is stranded."""
+        pending, claim = self._pending, self._delivering
+        while pending and claim.acquire(blocking=False):
+            try:
+                while pending:
+                    observers, events = pending.popleft()
+                    for event in events:
+                        for observer in observers:
+                            try:
+                                if event[0] == "prop":
+                                    _, name, value, version = event
+                                    observer.on_property_change(self._id, name, value, version)
+                                else:
+                                    observer.on_signal(event[1])
+                            except Exception:
+                                log.exception("observer callback failed for %s", self._id)
+            finally:
+                claim.release()
 
 
 class Runtime:
     """Registry of workspaces, artifacts, templates and links.
 
     Safe for concurrent use; a default workspace exists from the start. Use as
-    a context manager or call :meth:`shutdown` to stop the dispatcher thread
-    and dispose every artifact.
+    a context manager or call :meth:`shutdown` to dispose every artifact.
+    The runtime starts no thread: observers are told on the thread that
+    committed (see the module docstring).
 
     Writers of the artifact and link tables hold the runtime lock and leave
     each table consistent after every single change, so `exec_op`, `lookup`
@@ -355,10 +398,8 @@ class Runtime:
         # tuples of strings hash and compare in C, ArtifactIds in Python.
         self._links: set[tuple[str, str, str, str]] = set()
         self._generation = 0
-        self._events: queue.SimpleQueue = queue.SimpleQueue()
         self._closed = False
         self.services: dict[str, object] = {}
-        self._dispatcher: threading.Thread | None = None  # started by focus
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -377,11 +418,6 @@ class Runtime:
                 self.dispose_artifact(aid)
             except UnknownArtifactError:
                 pass
-        with self._lock:
-            dispatcher = self._dispatcher
-        if dispatcher is not None:
-            self._events.put(_SHUTDOWN)
-            dispatcher.join(timeout=5)
 
     @property
     def generation(self) -> int:
@@ -471,7 +507,7 @@ class Runtime:
             self._generation += 1
         with art._lock:
             art._disposed = True
-            art._observers.clear()
+            art._observers = ()
         art.on_dispose()
         log.debug("disposed artifact %s", artifact_id)
 
@@ -527,7 +563,11 @@ class Runtime:
 
     def exec_op(self, target: ArtifactId, request: OpRequest, caller=None) -> OpResult:
         """Execute an operation atomically; `caller` is an agent identity or
-        LinkRef. Only the request's `operation` and `params` are read."""
+        LinkRef. Only the request's `operation` and `params` are read.
+
+        The outermost call on a thread then delivers the observer events of
+        every operation it ran, nested ones included, after it has let go of
+        the artifact's lock."""
         # Each read is one atomic dict or set lookup (see the class docstring).
         artifacts = self._workspaces.get(target.workspace)
         art = artifacts.get(target.name) if artifacts is not None else None
@@ -538,11 +578,20 @@ class Runtime:
             and _link_key(caller.source, target) in self._links
         ):
             raise NotLinkedError(f"{caller.source} is not linked to {target}")
-        with art._lock:
-            if art._disposed:
-                raise UnknownArtifactError(str(target))
-            fn = art._resolve_operation(request.operation, request.params)
-            return art._run_atomically(fn, request.params, request.operation)
+        ops = thread_ops
+        ops.depth += 1
+        try:
+            with art._lock:
+                if art._disposed:
+                    raise UnknownArtifactError(str(target))
+                fn = art._resolve_operation(request.operation, request.params)
+                return art._run_atomically(fn, request.params, request.operation)
+        finally:
+            ops.depth -= 1
+            if not ops.depth and ops.touched is not None:
+                touched, ops.touched = ops.touched, None
+                for touched_art in touched:
+                    touched_art._deliver()
 
     def focus(self, observer, target: ArtifactId) -> dict[str, ObservableProperty]:
         """Subscribe `observer` to a target; returns the property snapshot.
@@ -551,12 +600,6 @@ class Runtime:
         delivered to the observer exactly once, in order.
         """
         art = self.lookup(target)
-        with self._lock:
-            if self._dispatcher is None:
-                self._dispatcher = threading.Thread(
-                    target=self._dispatch_loop, name="artifact-observer-dispatch", daemon=True
-                )
-                self._dispatcher.start()
         with art._lock:
             if art._disposed:
                 raise UnknownArtifactError(str(target))
@@ -564,32 +607,14 @@ class Runtime:
                 name: ObservableProperty(name, copy_value(value), version)
                 for name, (value, version) in art._props.items()
             }
+            if art._pending is None:
+                art._pending = deque()
+                art._delivering = threading.Lock()
             if observer not in art._observers:
-                art._observers.append(observer)
+                art._observers += (observer,)
         return snapshot
 
     def unfocus(self, observer, target: ArtifactId) -> None:
         art = self.lookup(target)
         with art._lock:
-            if observer in art._observers:
-                art._observers.remove(observer)
-
-    # -- observer dispatch ---------------------------------------------------------------
-
-    def _enqueue_event(self, observer, artifact_id: ArtifactId, event: tuple) -> None:
-        self._events.put((observer, artifact_id, event))
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            item = self._events.get()
-            if item is _SHUTDOWN:
-                return
-            observer, artifact_id, event = item
-            try:
-                if event[0] == "prop":
-                    _, name, value, version = event
-                    observer.on_property_change(artifact_id, name, value, version)
-                else:
-                    observer.on_signal(event[1])
-            except Exception:
-                log.exception("observer callback failed for %s", artifact_id)
+            art._observers = tuple(o for o in art._observers if o != observer)

@@ -27,7 +27,9 @@ from artifact.errors import DeliveryError, GatewayStoppedError, QueueFullError, 
 from artifact.bench.scenarios import BenchEnv
 from artifact.endpoints import TopicBroker, standard_components
 from artifact.gateway import ArtifactComponent, gateway_channels
+from artifact.loop import shared_loop
 from artifact.routing import RouteStatus, RoutingEngine
+from artifact.runtime import ArtifactId
 from artifact.uri import parse_endpoint_uri
 
 from conftest import wait_until
@@ -778,6 +780,38 @@ def test_operation_stopping_its_own_gateway_from_a_pool_worker(env):
     gateway.start_listening()
     gateway.send_msg(OpRequest("looped", "halt", []))
     assert wait_until(lambda: gateway.stats.invoked_self == 2)
+
+
+class _Relay(Artifact):
+    """Sends on a gateway from inside an operation."""
+
+    @operation
+    def relay(self, name):
+        self.runtime.lookup(ArtifactId("main", name)).send_msg(OpRequest(name, "recv", []))
+
+
+def test_a_route_made_ready_on_a_loop_runs_there_unless_inside_an_operation(env):
+    gateway = _gateway(env, "fed", GatewayArtifact)
+    gateway.attach_route(env.engine.define_route("artifact:fed", [], "mq:fed"), engine=env.engine)
+    gateway.start_listening()
+    relay = env.runtime.make_artifact("main", "relay", _Relay, [])
+    ran_on = []
+    env.broker.subscribe("fed").queue.add_listener(
+        lambda: ran_on.append(threading.current_thread().name))  # told on the route's thread
+    loop = shared_loop.acquire()
+    try:
+        loop.call_soon(lambda: gateway.send_msg(OpRequest("fed", "recv", [])))
+        assert wait_until(lambda: len(ran_on) == 1)
+        loop.call_soon(lambda: env.runtime.exec_op(relay, OpRequest("relay", "relay", ["fed"])))
+        assert wait_until(lambda: len(ran_on) == 2)
+        gateway.send_msg(OpRequest("fed", "recv", []))
+        assert wait_until(lambda: len(ran_on) == 3)
+    finally:
+        shared_loop.release()
+    assert ran_on[0] == "artifact-loop"
+    # Inside an operation, so under its lock: the pool runs the route.
+    assert ran_on[1].startswith("route-worker")
+    assert ran_on[2].startswith("route-worker")
 
 
 class Paced(GatewayArtifact):

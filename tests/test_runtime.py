@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import inspect
+import logging
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,7 +20,7 @@ from artifact.errors import (
     UnknownTemplateError,
     UnknownWorkspaceError,
 )
-from artifact.runtime import Artifact, ArtifactId, LinkRef, OpResult, stages_nothing
+from artifact.runtime import Artifact, ArtifactId, CallbackObserver, LinkRef, OpResult, stages_nothing
 
 from conftest import CounterArtifact, RecordingObserver, wait_until
 
@@ -335,28 +337,103 @@ def test_linked_exec_follows_link_dispose_and_remake(runtime):
     assert runtime.lookup(b).property_value("count") == 2
 
 
-def _observer_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "artifact-observer-dispatch"]
-
-
-def test_only_focus_starts_the_observer_thread_and_shutdown_ends_it():
+def test_focus_starts_no_thread_and_events_arrive_once_in_commit_order():
     before = set(threading.enumerate())
     runtime = Runtime()
     try:
         aid = runtime.make_artifact("main", "c", CounterArtifact, [])
-        runtime.exec_op(aid, OpRequest("c", "inc", []))
+        observers = [RecordingObserver(), RecordingObserver()]
+        for observer in observers:
+            runtime.focus(observer, aid)
         assert [t for t in threading.enumerate() if t not in before] == []
-        observer = RecordingObserver()
-        runtime.focus(observer, aid)
-        runtime.focus(RecordingObserver(), aid)
-        started = [t for t in threading.enumerate() if t not in before]
-        assert started == _observer_threads() and len(started) == 1
-        runtime.exec_op(aid, OpRequest("c", "inc", []))
-        assert wait_until(lambda: observer.change_count() == 1)
+
+        def inc_many():
+            for _ in range(200):
+                runtime.exec_op(aid, OpRequest("c", "inc", []))
+
+        # Committing threads deliver, each its own events or, finding
+        # another delivering, leaving them to it.
+        senders = [threading.Thread(target=inc_many) for _ in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in senders:
+                t.start()
+            for t in senders:
+                t.join(10.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in senders)
+        for observer in observers:
+            assert [(value, version) for _, _, value, version in observer.changes] == [
+                (n, n) for n in range(1, 801)]
     finally:
         runtime.shutdown()
-    assert not any(t.is_alive() for t in started)
-    assert [t for t in threading.enumerate() if t not in before] == []
+    assert [t for t in threading.enumerate() if t not in before and t not in senders] == []
+
+
+def test_an_observer_that_operates_on_what_it_observes_neither_deadlocks_nor_reorders(runtime):
+    aid = runtime.make_artifact("main", "c", "counter", [])
+    seen = []
+
+    def on_change(artifact_id, name, value, version):
+        seen.append(value)
+        if value < 5:  # commits the next value while this one is delivered
+            runtime.exec_op(aid, OpRequest("c", "inc", []))
+
+    runtime.focus(CallbackObserver(on_change=on_change), aid)
+    other = RecordingObserver()
+    runtime.focus(other, aid)
+    committer = threading.Thread(
+        target=runtime.exec_op, args=(aid, OpRequest("c", "inc", [])), daemon=True)
+    committer.start()
+    committer.join(5.0)
+    assert not committer.is_alive()
+    assert seen == [1, 2, 3, 4, 5]
+    assert [value for _, _, value, _ in other.changes] == [1, 2, 3, 4, 5]
+
+
+class _Outer(CounterArtifact):
+    @operation
+    def poke(self, name):
+        self.runtime.exec_op(ArtifactId("main", name), OpRequest(name, "inc", []))
+        self.update_property("count", self.property_value("count") + 1)
+
+
+def test_an_observer_reached_from_inside_another_operation_runs_after_its_lock_is_released(runtime):
+    outer = runtime.make_artifact("main", "outer", _Outer, [])
+    inner = runtime.make_artifact("main", "inner", "counter", [])
+    outcomes = []
+
+    def on_inner_change(artifact_id, name, value, version):
+        # Another thread operates on the outer artifact: it gets its lock at
+        # once only if the operation that reached this one has let it go.
+        other = threading.Thread(
+            target=runtime.exec_op, args=(outer, OpRequest("outer", "inc", [])), daemon=True)
+        other.start()
+        other.join(0.5)
+        outcomes.append(not other.is_alive())
+
+    runtime.focus(CallbackObserver(on_change=on_inner_change), inner)
+    runtime.exec_op(outer, OpRequest("outer", "poke", ["inner"]))
+    assert outcomes == [True]
+    assert runtime.lookup(outer).property_value("count") == 2
+
+
+def test_an_observer_that_raises_is_logged_and_delivery_goes_on(runtime, caplog):
+    aid = runtime.make_artifact("main", "c", "counter", [])
+
+    def boom(artifact_id, name, value, version):
+        raise RuntimeError("observer boom")
+
+    runtime.focus(CallbackObserver(on_change=boom), aid)
+    good = RecordingObserver()
+    runtime.focus(good, aid)
+    with caplog.at_level(logging.ERROR, logger="artifact.runtime"):
+        runtime.exec_op(aid, OpRequest("c", "inc", []))
+        runtime.exec_op(aid, OpRequest("c", "inc", []))
+    assert [value for _, _, value, _ in good.changes] == [1, 2]
+    assert sum("observer callback failed" in r.getMessage() for r in caplog.records) == 2
 
 
 def test_signals_delivered_in_order(runtime):

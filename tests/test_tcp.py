@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from artifact import Message, SetHeader, parse_endpoint_uri, routing
+from artifact import Message, SetHeader, loop, parse_endpoint_uri, routing
 from artifact.endpoints import tcp
 from artifact.endpoints.tcp import LineConnection, LineServer, TcpComponent, frame_line, tcp_connect
 from artifact.errors import ConnectionClosedError, FramingError
@@ -114,30 +114,114 @@ def test_client_reconnects_with_backoff_and_resumes(env, caplog):
         server.stop()
 
 
-def test_a_send_on_the_connections_own_reader_fails_at_once_while_it_is_down():
-    server = LineServer()
+def test_a_send_on_the_loop_while_the_hub_is_down_is_held_and_sent_after_the_reconnect():
+    received = []
+    server = LineServer(handler=lambda conn, line: received.append(line))
     component = TcpComponent()
     key, hub = component._hub_for(parse_endpoint_uri(f"tcp:127.0.0.1:{server.port}?role=client"))
-    waited = []
+    returned = []
 
-    def on_line():  # on the client loop, which reads the hub and runs a tcp: route
+    def on_line():  # on the shared loop, which reads the hub and runs a tcp: route
         hub._conn.close()  # the connection drops under it
         start = time.monotonic()
-        try:
-            hub.send_line("reply")
-        except ConnectionClosedError:
-            waited.append(time.monotonic() - start)
+        hub.send_line("reply")
+        returned.append(time.monotonic() - start)
 
     hub.inbox.add_listener(on_line)
     try:
         assert server.wait_for_connection(5.0)
         server.broadcast("ping")
         # only this loop could reconnect, so the send does not wait for it
-        assert wait_until(lambda: waited, timeout=15.0)
-        assert waited[0] < 1.0
+        assert wait_until(lambda: returned, timeout=5.0)
+        assert returned[0] < 0.1
+        assert wait_until(lambda: received == ["reply"], timeout=10.0)
     finally:
         component._release(key)
         server.stop()
+
+
+def test_a_send_before_the_first_connect_arrives_after_it():
+    port = _free_port()
+    component = TcpComponent()
+    key, hub = component._hub_for(parse_endpoint_uri(f"tcp:127.0.0.1:{port}?role=client"))
+    received = []
+    server = None
+    try:
+        started = time.monotonic()
+        for line in ("a", "b", "c"):
+            hub.send_line(line)  # nothing listens yet
+        assert time.monotonic() - started < 0.1
+        server = LineServer(port=port, handler=lambda conn, line: received.append(line))
+        assert wait_until(lambda: received == ["a", "b", "c"], timeout=10.0)
+        hub.send_line("d")
+        assert wait_until(lambda: received == ["a", "b", "c", "d"])
+    finally:
+        component._release(key)
+        if server is not None:
+            server.stop()
+
+
+def test_sends_while_the_server_restarts_arrive_in_order_and_exactly_once():
+    received = []
+    server = LineServer(handler=lambda conn, line: received.append(line))
+    port = server.port
+    component = TcpComponent()
+    key, hub = component._hub_for(parse_endpoint_uri(f"tcp:127.0.0.1:{port}?role=client"))
+    try:
+        hub.send_line("before")
+        assert wait_until(lambda: received == ["before"])
+        server.stop()
+        assert wait_until(lambda: hub._conn is None)  # the hub saw it go
+        lines = [f"held {i}" for i in range(20)]
+        for line in lines:
+            hub.send_line(line)
+        server = LineServer(port=port, handler=lambda conn, line: received.append(line))
+        hub.send_line("after")
+        assert wait_until(lambda: len(received) == 22, timeout=10.0)
+        time.sleep(0.1)  # time for a frame sent twice to show
+        assert received == ["before", *lines, "after"]
+        assert hub.dropped == 0
+    finally:
+        component._release(key)
+        server.stop()
+
+
+def test_a_hub_down_past_the_deadline_drops_its_held_frames_and_holds_up_no_other(monkeypatch):
+    monkeypatch.setattr(tcp, "ENQUEUE_TIMEOUT_S", 0.2)
+    down_port = _free_port()
+    echo = LineServer(handler=lambda conn, line: conn.send_line(f"echo {line}"))
+    component = TcpComponent()
+    down_key, down = component._hub_for(parse_endpoint_uri(f"tcp:127.0.0.1:{down_port}?role=client"))
+    up_key, up = component._hub_for(parse_endpoint_uri(f"tcp:127.0.0.1:{echo.port}?role=client"))
+    late = None
+    received = []
+    try:
+        assert echo.wait_for_connection(5.0)
+        for i in range(3):
+            down.send_line(f"stale {i}")
+        slowest = 0.0
+        deadline = time.monotonic() + 5.0
+        while down.dropped < 3 and time.monotonic() < deadline:
+            before = time.monotonic()
+            up.send_line("ping")
+            message = up.inbox.get(timeout=5.0)
+            assert message is not None and message.body == ["echo ping"]
+            slowest = max(slowest, time.monotonic() - before)
+            time.sleep(0.01)
+        assert down.dropped == 3
+        assert slowest < 0.3
+        # The dropped frames are gone: a server that comes later gets only
+        # new ones, held long enough for the reconnect.
+        monkeypatch.setattr(tcp, "ENQUEUE_TIMEOUT_S", 10.0)
+        late = LineServer(port=down_port, handler=lambda conn, line: received.append(line))
+        down.send_line("fresh")
+        assert wait_until(lambda: received == ["fresh"], timeout=10.0)
+    finally:
+        component._release(down_key)
+        component._release(up_key)
+        echo.stop()
+        if late is not None:
+            late.stop()
 
 
 def test_random_ascii_lines_survive_roundtrip(env):
@@ -212,7 +296,7 @@ def test_no_loop_thread_outlives_stop(with_peer):
 
 
 def test_stop_with_live_peers_closes_them_and_leaves_no_thread(monkeypatch):
-    monkeypatch.setattr(tcp, "ENQUEUE_TIMEOUT_S", 30.0)  # no deadline during the test
+    monkeypatch.setattr(loop, "ENQUEUE_TIMEOUT_S", 30.0)  # no deadline during the test
     server = LineServer(name="stop-peers", handler=lambda conn, line: conn.send_line(f"echo {line}"))
     peers = [tcp_connect("127.0.0.1", server.port) for _ in range(3)]
     stalled = socket.socket()
@@ -395,7 +479,7 @@ def test_a_line_handler_that_raises_is_logged_and_reading_goes_on(caplog):
 
 
 def _client_loops() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "client-loop"]
+    return [t for t in threading.enumerate() if t.name == "artifact-loop"]
 
 
 def test_a_closed_client_hub_leaves_no_thread_behind(monkeypatch, caplog):
@@ -456,7 +540,7 @@ def test_a_full_server_source_drops_lines_at_once_and_its_peers_are_served(monke
 
 
 def test_a_client_peer_that_stops_reading_holds_up_no_other_client_and_is_closed(monkeypatch):
-    monkeypatch.setattr(tcp, "ENQUEUE_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(loop, "ENQUEUE_TIMEOUT_S", 0.5)  # the send deadline
     stalled_server = socket.socket()
     stalled_server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
     stalled_server.bind(("127.0.0.1", 0))
@@ -464,8 +548,8 @@ def test_a_client_peer_that_stops_reading_holds_up_no_other_client_and_is_closed
     echo = LineServer(handler=lambda conn, line: conn.send_line(f"echo {line}"))
     component = TcpComponent()
     key, hub = component._hub_for(parse_endpoint_uri(f"tcp:127.0.0.1:{echo.port}?role=client"))
-    loop = tcp.client_loop.acquire()  # the loop the hub shares
-    stalled = loop.connect("127.0.0.1", stalled_server.getsockname()[1], lambda line: None)
+    shared = loop.shared_loop.acquire()  # the loop the hub shares
+    stalled = shared.connect("127.0.0.1", stalled_server.getsockname()[1], lambda line: None)
     stalled.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
     outcome = []
 
@@ -497,7 +581,7 @@ def test_a_client_peer_that_stops_reading_holds_up_no_other_client_and_is_closed
         assert slowest < 0.3
     finally:
         stalled.close()
-        tcp.client_loop.release()
+        loop.shared_loop.release()
         component._release(key)
         echo.stop()
         stalled_server.close()

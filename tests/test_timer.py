@@ -54,14 +54,15 @@ def test_timer_route_into_broker(env):
 
 
 def test_ticks_are_contiguous_despite_jitter(env):
-    # Three routes share the one timer thread; one is stopped and restarted.
+    # Three routes share the one loop, which fires their timers and runs
+    # them; one is stopped and restarted.
+    before = set(threading.enumerate())
     routes = [
         env.engine.define_route(f"timer:t{i}?period_ms=5", [], f"mq:ticks{i}") for i in range(3)
     ]
     taps = [env.broker.subscribe(f"ticks{i}") for i in range(3)]
     for route in routes:
         env.engine.start_route(route)
-    assert [t.name for t in threading.enumerate()].count("route-timer") == 1
     time.sleep(0.05)
     env.engine.stop_route(routes[0])
     time.sleep(0.03)  # ticks fall due while stopped and arrive on restart
@@ -69,9 +70,11 @@ def test_ticks_are_contiguous_despite_jitter(env):
     time.sleep(0.05)
     for route in routes:
         env.engine.stop_route(route)
+    started = [t for t in threading.enumerate() if t not in before]
+    assert [t.name for t in started] == ["artifact-loop"]
     for tap in taps:
         ticks = [int(m.body) for m in iter(tap.try_get, None)]
         assert len(ticks) >= 9
         assert ticks == list(range(len(ticks)))
     env.close()
-    assert "route-timer" not in [t.name for t in threading.enumerate()]
+    assert not any(t.is_alive() for t in started)

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from artifact import ARTIFACT_NAME_HEADER, OPERATION_NAME_HEADER, GatewayArtifact, Message, SetHeader, operation, routing
-from artifact.endpoints import VarClient, VarStoreServer, tcp
+from artifact import ARTIFACT_NAME_HEADER, OPERATION_NAME_HEADER, GatewayArtifact, Message, SetHeader, loop, operation, routing
+from artifact.endpoints import VarClient, VarStoreServer
 from artifact.endpoints.tcp import LineServer
 from artifact.errors import FramingError, UnknownVariableError, VarStoreProtocolError
 
@@ -284,7 +284,7 @@ def test_a_malformed_value_reply_fails_its_read_and_the_client_stays_in_step():
 
 
 def test_a_subscriber_that_stops_reading_is_dropped_and_others_are_served(monkeypatch, store):
-    monkeypatch.setattr(tcp, "ENQUEUE_TIMEOUT_S", 0.2)  # the send deadline
+    monkeypatch.setattr(loop, "ENQUEUE_TIMEOUT_S", 0.2)  # the send deadline
     store.write("x", 0)
     stalled = _WireClient(store)
     try:
@@ -312,7 +312,7 @@ def test_a_subscriber_that_stops_reading_is_dropped_and_others_are_served(monkey
 
 
 def test_a_stalled_subscriber_holds_up_no_read_and_no_other_variable(monkeypatch, store):
-    monkeypatch.setattr(tcp, "ENQUEUE_TIMEOUT_S", 1.0)  # the send deadline
+    monkeypatch.setattr(loop, "ENQUEUE_TIMEOUT_S", 1.0)  # the send deadline
     store.write("x", 0)
     store.write("other", 0)
     stalled = _WireClient(store)
@@ -427,13 +427,13 @@ def test_a_full_subscription_drops_pushes_and_replies_still_come(monkeypatch, st
 
 
 def _client_loops() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "client-loop"]
+    return [t for t in threading.enumerate() if t.name == "artifact-loop"]
 
 
 def test_no_reader_thread_outlives_stop_or_close(store):
     client = VarClient(store.host, store.port)
     client.write("x", 1)
-    threads = _client_loops() + [store.server._thread]  # the client loop, the server's loop
+    threads = _client_loops() + [store.server._thread]  # the shared loop, the server's loop
     assert len(threads) == 2
     assert len(store.server.connections()) == 1
     assert all(t.is_alive() for t in threads)
@@ -444,7 +444,7 @@ def test_no_reader_thread_outlives_stop_or_close(store):
 
 
 def test_a_subscriber_that_stops_reading_holds_up_no_wire_request(monkeypatch, store):
-    monkeypatch.setattr(tcp, "ENQUEUE_TIMEOUT_S", 0.5)  # the send deadline
+    monkeypatch.setattr(loop, "ENQUEUE_TIMEOUT_S", 0.5)  # the send deadline
     store.write("x", 0)
     store.write("other", 0)
     stalled = socket.socket()
@@ -486,7 +486,7 @@ def test_a_subscriber_that_stops_reading_holds_up_no_wire_request(monkeypatch, s
 
 
 def test_a_subscribe_to_write_route_mirrors_one_variable_into_another(env, store):
-    # The write sink runs on the client loop, which reads its OK: it must not wait for it.
+    # The write sink runs on the shared loop, which reads its OK: it must not wait for it.
     store.write("a", 0)
     route = env.engine.define_route(
         f"vars:{store.host}:{store.port}/a?mode=subscribe", [],
@@ -505,7 +505,7 @@ def test_a_read_or_subscribe_on_the_client_loop_raises_at_once(store):
     client = VarClient(store.host, store.port)
     outcomes = []
 
-    def on_push():  # on the client loop, which would have to read the reply
+    def on_push():  # on the shared loop, which would have to read the reply
         for call in (client.read, client.subscribe):
             started = time.monotonic()
             try:
