@@ -25,9 +25,9 @@ from ..routing import (
     Component,
     Consumer,
     Inbox,
+    InboxConsumer,
     Producer,
     Route,
-    RouteMailbox,
 )
 from ..uri import EndpointUri
 from ..values import render_value
@@ -167,26 +167,12 @@ class TopicBroker:
 # "mq:" endpoint component
 
 
-class _MqConsumer(Consumer):
-    """Reads one subscription; each publish schedules the route on the pool."""
+class _MqConsumer(InboxConsumer):
+    """Reads one subscription; each publish makes the route ready."""
 
     def __init__(self, subscription: Subscription):
+        super().__init__(subscription.queue)
         self._sub = subscription
-        self._queue = subscription.queue
-        self._mailbox: RouteMailbox | None = None
-
-    def start(self, mailbox: RouteMailbox) -> None:
-        self._mailbox = mailbox
-        self._queue.add_listener(mailbox.ready)
-
-    def stop(self) -> None:
-        self._queue.remove_listener(self._mailbox.ready)
-
-    def try_get(self) -> Message | None:
-        return self._queue.try_get()
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
     def close(self) -> None:
         self._sub.close()

@@ -1,11 +1,12 @@
 """Newline-framed TCP endpoints.
 
 Every socket here and in the variable-server client is a
-:class:`~artifact.loop.LineConnection` owned by an epoll loop (see
-`artifact.loop`), which frames what it receives and runs the handler of each
-line. Each :class:`LineServer` runs its own loop, which also accepts its
-peers. Every client connection in the process, of a "tcp:" client endpoint
-or a variable-server client, is on the shared `artifact-loop`.
+:class:`~artifact.loop.LineConnection` on the process's shared
+`artifact-loop` (see `artifact.loop`), which frames what it receives and
+runs the handler of each line. A :class:`LineServer` registers its listener
+on that loop, which accepts its peers; every client connection, of a "tcp:"
+client endpoint or a variable-server client, is on the same loop. So the
+number of servers, clients and peers adds no thread.
 
 A sender writes its frame straight to the socket when no output waits, and
 queues only what the socket does not take; the loop drains queued output,
@@ -29,12 +30,14 @@ repeat a command. A connection whose peer has hung up (EPOLLRDHUP) counts
 as down from the moment the loop sees it.
 
 A server endpoint accepts any number of peers; its consumer surfaces lines
-from all of them, its producer broadcasts. A route consuming from "tcp:"
-runs on the loop that read the line, as Camel's ``direct:`` does, so a reply
-reaches its gateway without a thread hand-off. That loop reads nothing more
-until the route returns, so such a route must not wait for the loop: a line
-that finds a stopped route's source full is dropped at once and counted in
-the source's `dropped`.
+from all of them, its producer broadcasts. A server send off the loop waits
+up to ENQUEUE_TIMEOUT_S for a first peer; on the loop, which alone could
+accept one, a send with no peer fails at once. A route consuming from
+"tcp:" runs on the loop that read the line, as Camel's ``direct:`` does, so
+a reply reaches its gateway without a thread hand-off. That loop reads
+nothing more until the route returns, so such a route must not wait for the
+loop: a line that finds a stopped route's source full is dropped at once
+and counted in the source's `dropped`.
 """
 from __future__ import annotations
 
@@ -53,14 +56,14 @@ from ..loop import (
     CLIENT_EVENTS,
     CONNECT_TIMEOUT_S,
     ENQUEUE_TIMEOUT_S,
+    JOIN_S,
     LineConnection,
-    Reactor,
     frame_line,
     shared_loop,
     tcp_connect,
 )
 from ..messages import Message
-from ..routing import DEFAULT_QUEUE_CAPACITY, Component, Consumer, Inbox, Producer, Route, RouteMailbox
+from ..routing import DEFAULT_QUEUE_CAPACITY, Component, Consumer, Inbox, InboxConsumer, Producer, Route
 from ..uri import EndpointUri
 from ..values import render_value
 
@@ -72,11 +75,18 @@ BACKOFF_CAP_S = 5.0
 REMOTE_HEADER = "tcp.remote"
 
 
-class LineServer(Reactor):
-    """TCP listener delivering each received line to `handler(conn, line)`
-    on the server's one loop thread."""
+def _drop_line(conn: LineConnection, line: str) -> None:
+    """The handler of a server given none."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, handler=None, name: str = "tcp"):
+
+class LineServer:
+    """TCP listener on the shared loop, which accepts its peers and hands
+    each line one sends to `handler(conn, line)`. The server holds a
+    reference on the loop from construction to `stop`, and keeps its own
+    connections."""
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, handler=_drop_line,
+                 name: str = "tcp"):
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -86,17 +96,21 @@ class LineServer(Reactor):
         except OSError:
             listener.close()
             raise
-        super().__init__(f"server-loop-{name}")
         self.handler = handler
         self.name = name
         self._listener = listener
         self.host, self.port = listener.getsockname()
-        self.watch_fd(self._listener.fileno(), select.EPOLLIN, self._accept)
-        # Guarded by _lock: the listed connections.
+        self._lock = threading.Lock()
+        # Guarded by _lock: the listed connections, and whether stop was called.
         self._conns: set[LineConnection] = set()
         self._conn_event = threading.Condition(self._lock)
-        self.start()
+        self._stopped = False
+        self._loop = shared_loop.acquire()
+        self._loop.call_soon(partial(self._loop.watch_fd, listener.fileno(), select.EPOLLIN,
+                                     self._accept))
         log.info("%s listening on %s:%d", name, self.host, self.port)
+
+    # -- on the loop ---------------------------------------------------------------
 
     def _accept(self, events: int) -> None:
         while True:
@@ -108,28 +122,27 @@ class LineServer(Reactor):
                 log.warning("%s accept failed: %s", self.name, exc)
                 return
             sock.setblocking(False)
-            conn = LineConnection(sock, f"{address[0]}:{address[1]}", self, None, self._forget)
-            conn.on_line = partial(self._handle_line, conn)
+            conn = LineConnection(sock, f"{address[0]}:{address[1]}", self._loop, None, self._forget)
+            conn.on_line = partial(self.handler, conn)
             # Listed before its first read, so no line is handled before
             # the server knows the connection.
             with self._lock:
                 self._conns.add(conn)
                 self._conn_event.notify_all()
-            self.add(conn)
-
-    def _handle_line(self, conn: LineConnection, line: str) -> None:
-        if self.handler is not None:
-            self.handler(conn, line)
+            self._loop.add(conn)
 
     def _forget(self, conn: LineConnection) -> None:
         with self._lock:
             self._conns.discard(conn)
 
-    def _teardown(self) -> None:
-        super()._teardown()
-        self._listener.close()
-        with self._lock:
-            self._conn_event.notify_all()
+    def _close(self, done: threading.Event) -> None:
+        """Close the listener and this server's connections, then set `done`
+        once the loop has closed their sockets."""
+        self._loop.unwatch_fd(self._listener.fileno())
+        self._loop.close_socket(self._listener)
+        for conn in self.connections():
+            conn.close()
+        self._loop.call_soon(done.set)  # runs after the sockets are closed
 
     # -- any thread ----------------------------------------------------------------
 
@@ -138,6 +151,10 @@ class LineServer(Reactor):
             return list(self._conns)
 
     def wait_for_connection(self, timeout: float) -> bool:
+        """Wait up to `timeout` for a peer; on the loop, which alone could
+        accept one, only look."""
+        if threading.get_ident() == self._loop.loop_ident:
+            timeout = 0.0
         deadline = time.monotonic() + timeout
         with self._lock:
             while not self._conns:
@@ -174,12 +191,19 @@ class LineServer(Reactor):
         return len(conns)
 
     def stop(self) -> None:
-        """Stop the loop, which closes the listener and every connection,
-        and wait for it."""
+        """Close the listener and this server's connections on the loop, and
+        let the loop go. Off the loop, return once the port can be bound
+        again."""
         with self._lock:
+            if self._stopped:
+                return
             self._stopped = True
             self._conn_event.notify_all()
-        super().stop()
+        done = threading.Event()
+        self._loop.call_soon(partial(self._close, done))
+        if threading.get_ident() != self._loop.loop_ident and not done.wait(JOIN_S):
+            log.warning("%s did not close within %.1fs", self.name, JOIN_S)
+        shared_loop.release()
 
 
 class _ClientHub:
@@ -289,7 +313,7 @@ class _ClientHub:
             log.info("tcp %s connected", self.peer)
 
     def _on_line(self, line: str) -> None:
-        self.inbox.push(Message(headers={REMOTE_HEADER: self.peer}, body=[line]), wait=False)
+        self.inbox.push(Message(headers={REMOTE_HEADER: self.peer}, body=[line]))
 
     def _on_close(self, conn: LineConnection) -> None:
         with self._lock:
@@ -366,39 +390,23 @@ class _ServerHub:
     """Server-role endpoint state: a LineServer feeding an inbox."""
 
     def __init__(self, host: str, port: int):
-        self.inbox = Inbox(1024, f"tcp-server:{host}:{port}")
+        self.inbox = Inbox(DEFAULT_QUEUE_CAPACITY, f"tcp-server:{host}:{port}")
         self.server = LineServer(host, port, handler=self._on_line, name=f"tcp-server:{port}")
         self.refs = 0
 
     def _on_line(self, conn: LineConnection, line: str) -> None:
-        # On the server's loop, which serves every peer: a full inbox drops
-        # the line at once rather than hold up the others.
-        self.inbox.push(Message(headers={REMOTE_HEADER: conn.peer}, body=[line]), wait=False)
+        self.inbox.push(Message(headers={REMOTE_HEADER: conn.peer}, body=[line]))
 
     def close(self) -> None:
-        self.inbox.close()  # wakes a reader blocked on it, for stop to join
+        self.inbox.close()
         self.server.stop()
 
 
-class _TcpConsumer(Consumer):
+class _TcpConsumer(InboxConsumer):
     def __init__(self, component: "TcpComponent", key, inbox: Inbox):
+        super().__init__(inbox)
         self._component = component
         self._key = key
-        self._inbox = inbox
-        self._mailbox: RouteMailbox | None = None
-
-    def start(self, mailbox: RouteMailbox) -> None:
-        self._mailbox = mailbox
-        self._inbox.add_listener(mailbox.drain)
-
-    def stop(self) -> None:
-        self._inbox.remove_listener(self._mailbox.drain)
-
-    def try_get(self) -> Message | None:
-        return self._inbox.try_get()
-
-    def __len__(self) -> int:
-        return len(self._inbox)
 
     def close(self) -> None:
         self._component._release(self._key)
@@ -424,10 +432,10 @@ class _TcpServerProducer(Producer):
         self._hub = hub
 
     def send(self, message: Message) -> None:
-        line = render_value(message.body)
-        if not self._hub.server.wait_for_connection(timeout=10.0):
+        server = self._hub.server
+        if not server.wait_for_connection(ENQUEUE_TIMEOUT_S):
             raise ConnectionClosedError("no connected peer to send to")
-        if self._hub.server.broadcast(line) == 0:
+        if server.broadcast(render_value(message.body)) == 0:
             raise ConnectionClosedError("no connected peer accepted the frame")
 
     def close(self) -> None:

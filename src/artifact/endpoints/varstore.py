@@ -14,7 +14,8 @@ unknown names fail. Values are rendered as canonical wire text and parsed
 back as int, then float, then text.
 
 The "vars:" endpoint scheme is `vars:<host>:<port>/<name>?mode=read|subscribe|write`.
-Every client connection is read by the shared loop (see `artifact.loop`).
+The server and every client connection are served by the shared loop (see
+`artifact.loop`).
 A subscribe source runs its route on that loop as each push arrives. A read
 source sends a READ every READ_PERIOD_S from an engine timer, which fires on
 the same loop, unless its last one is unanswered, and runs its route on the
@@ -32,7 +33,8 @@ from typing import Callable
 from ..errors import ConnectionClosedError, UnknownVariableError, VarStoreProtocolError
 from ..loop import LineConnection, shared_loop
 from ..messages import Message
-from ..routing import Component, Consumer, Inbox, Producer, Route, RouteMailbox
+from ..routing import (DEFAULT_QUEUE_CAPACITY, Component, Consumer, Inbox, InboxConsumer,
+                       Producer, Route, RouteMailbox)
 from ..uri import EndpointUri
 from ..values import Value, render_value
 from .tcp import LineServer
@@ -83,7 +85,7 @@ class VarStoreServer:
 
     def write(self, name: str, value: Value) -> int:
         """Commit a write and push it to subscribers; returns the new version
-        once its push has gone out, or at once on the server's loop (a wire
+        once its push has gone out, or at once on the shared loop (a wire
         WRITE), which never waits on a peer.
 
         Writers of one variable take turns on its push lock to commit and
@@ -168,7 +170,7 @@ class VarSubscription:
 
     def __init__(self, name: str):
         self.name = name
-        self.queue = Inbox(1024, f"vars-sub:{name}")
+        self.queue = Inbox(DEFAULT_QUEUE_CAPACITY, f"vars-sub:{name}")
 
     def poll(self, timeout: float = 0.0):
         return self.queue.get(timeout=timeout)
@@ -249,9 +251,7 @@ class VarClient:
                     log.warning("malformed VALUE line: %r", line)
                     return
                 for sub in subs:
-                    # On the loop, which serves every client connection: a
-                    # full subscription drops the push at once.
-                    sub.queue.push((response[1], response[2]), wait=False)
+                    sub.queue.push((response[1], response[2]))
                 return
         else:
             response = line
@@ -269,7 +269,10 @@ class VarClient:
                             response)
         else:
             pending.response = response
-            pending.answered.set()
+            # Woken after the loop's next turn, so that the work this reply's
+            # request set off on the loop, such as a push and what a route
+            # does with it, goes before the requester's next request.
+            self._loop.call_soon(pending.answered.set)
 
     def _send(self, line: str, read_name: str | None = None,
               answered: threading.Event | None = None) -> _Pending:
@@ -373,22 +376,14 @@ def _split_var_path(uri: EndpointUri) -> tuple[str, int, str]:
     return host, int(port), name
 
 
-class _VarSubscribeConsumer(Consumer):
+class _VarSubscribeConsumer(InboxConsumer):
     def __init__(self, client: VarClient, sub: VarSubscription, name: str):
+        super().__init__(sub.queue)
         self._client = client
-        self._sub = sub
         self._name = name
-        self._mailbox: RouteMailbox | None = None
-
-    def start(self, mailbox: RouteMailbox) -> None:
-        self._mailbox = mailbox
-        self._sub.queue.add_listener(mailbox.drain)
-
-    def stop(self) -> None:
-        self._sub.queue.remove_listener(self._mailbox.drain)
 
     def try_get(self) -> Message | None:
-        record = self._sub.queue.try_get()
+        record = self._inbox.try_get()
         if record is None:
             return None
         value, version = record
@@ -397,30 +392,25 @@ class _VarSubscribeConsumer(Consumer):
             body=[value],
         )
 
-    def __len__(self) -> int:
-        return len(self._sub.queue)
-
     def close(self) -> None:
         self._client.close()
 
 
-class _VarReadConsumer(Consumer):
+class _VarReadConsumer(InboxConsumer):
     """Sends a READ each time its engine timer fires, unless the last one is
     unanswered, and emits the value the reply brings once per version."""
 
     def __init__(self, client: VarClient, name: str):
+        super().__init__(Inbox(DEFAULT_QUEUE_CAPACITY, f"vars-read:{name}"))
         self._client = client
         self._name = name
-        self._inbox = Inbox(1024, f"vars-read:{name}")
         self._last_version: int | None = None
         self._reading = False  # a READ is unanswered
         self._timer = None
-        self._mailbox: RouteMailbox | None = None
         client.on_reply = self._on_reply
 
     def start(self, mailbox: RouteMailbox) -> None:
-        self._mailbox = mailbox
-        self._inbox.add_listener(mailbox.drain)
+        super().start(mailbox)
         self._timer = mailbox.every(READ_PERIOD_S, self._fire)
 
     def _fire(self) -> None:
@@ -444,19 +434,13 @@ class _VarReadConsumer(Consumer):
         self._inbox.push(Message(
             headers={VAR_NAME_HEADER: self._name, VAR_VERSION_HEADER: version},
             body=[value],
-        ), wait=False)
+        ))
 
     def stop(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        self._inbox.remove_listener(self._mailbox.drain)
-
-    def try_get(self) -> Message | None:
-        return self._inbox.try_get()
-
-    def __len__(self) -> int:
-        return len(self._inbox)
+        super().stop()
 
     def close(self) -> None:
         self._inbox.close()  # wakes a reader blocked on it

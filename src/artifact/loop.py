@@ -7,12 +7,13 @@ line, drains queued output as a socket becomes writable, runs callables
 handed to it from any thread and fires its timers. It is the only thread
 that unregisters or closes its sockets.
 
-The process shares one reactor, the `artifact-loop` thread (`shared_loop`):
-every client connection and the timers of every routing engine run on it.
-It starts with its first user and is stopped and joined when the last one
-lets it go. A thread a reactor runs on is marked (`loop_thread`), so that
-work made ready on it can run on it at once, as Camel's ``direct:`` does.
-Nothing that runs on a loop may wait for that loop.
+The process runs one reactor, the `artifact-loop` thread (`shared_loop`):
+every listener, every server and client connection and the timers of every
+routing engine are on it. It starts with its first user and is stopped and
+joined when the last one lets it go. A thread a reactor runs on is marked
+(`loop_thread`), so that work made ready on it can run on it at once, as
+Camel's ``direct:`` does. Nothing that runs on a loop may wait for that
+loop.
 
 Frames are UTF-8 text lines terminated by LF, with no embedded newline. One
 framer splits what each connection receives into lines: it drops a CR
@@ -259,11 +260,12 @@ class Reactor:
     closes it once that output has waited ENQUEUE_TIMEOUT_S. It also runs
     the handlers of other descriptors it watches (`watch_fd`), callables
     handed to it from any thread (`call_soon`) and timers set from any
-    thread (`call_at`, `call_later`). `start` starts the thread; `stop`
-    stops it, closing every connection, and joins it.
+    thread (`call_at`, `call_later`). Making it starts the thread,
+    `artifact-loop`; `stop` stops it, closing every connection, and joins
+    it.
     """
 
-    def __init__(self, thread_name: str):
+    def __init__(self):
         self._epoll = select.epoll()
         self._wake_fd = os.eventfd(0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
         self._epoll.register(self._wake_fd, select.EPOLLIN)
@@ -284,9 +286,7 @@ class Reactor:
         # Guarded by _lock: the callables handed to the loop, and the stop flag.
         self._calls: list[Callable[[], object]] = []
         self._stopped = False
-        self._thread = threading.Thread(target=self._run, name=thread_name, daemon=True)
-
-    def start(self) -> None:
+        self._thread = threading.Thread(target=self._run, name="artifact-loop", daemon=True)
         self._thread.start()
 
     # -- the loop ----------------------------------------------------------------
@@ -506,9 +506,9 @@ class Reactor:
 
 
 class _SharedLoop:
-    """The one loop of the process, of every client connection and engine
-    timer: started by the first `acquire`, stopped and joined by the
-    `release` of the last."""
+    """The one loop of the process, of every socket and engine timer:
+    started by the first `acquire`, stopped and joined by the `release` of
+    the last."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -518,8 +518,7 @@ class _SharedLoop:
     def acquire(self) -> Reactor:
         with self._lock:
             if self._loop is None:
-                self._loop = Reactor("artifact-loop")
-                self._loop.start()
+                self._loop = Reactor()
             self._refs += 1
             return self._loop
 

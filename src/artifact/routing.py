@@ -5,9 +5,9 @@ chain, and hands them to a producer endpoint. Endpoint components are
 registered by URI scheme. No route owns a thread: each started route is a
 serial mailbox over its consumer, which buffers what arrives and pushes the
 route to run. A route runs on the loop thread that feeds it (Camel's
-``direct:``): socket sources drain it on the loop that read the line, and a
-route made ready on a loop outside any operation (by a timer, or by an
-observer of an operation a socket reached) drains there too. Anywhere else,
+``direct:``): a route made ready on the loop outside any operation (by a
+line a socket source read, by a timer, or by an observer of an operation a
+socket reached) drains there. Anywhere else,
 in-process sources schedule it on the engine's worker pool (SEDA, Camel's
 ``seda:``), which grows only while its workers are blocked. The engine's
 timers run on the process's shared loop (`artifact.loop`). A
@@ -187,7 +187,7 @@ class Listeners:
     source's `_lock`, so `notify_listeners` takes no lock. One listener is
     kept as is and more in a tuple, so a source with one listener carries no
     object for it but the callable. A push-driven consumer adds its
-    mailbox's `ready` or `drain` when it starts and removes it when it stops.
+    mailbox's `ready` when it starts and removes it when it stops.
     """
 
     _lock: threading.Lock
@@ -226,29 +226,25 @@ class Inbox(MessageQueue, Listeners):
 
     def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY, name: str = ""):
         super().__init__(capacity, name)
-        self.dropped = 0  # items `push` gave up on; guarded by _lock
-        # A push dropped an item and none has fit since. Set under _lock, so
-        # one warning is logged per spell of drops; read without it, so with
-        # several pushing threads it is a hint: a push may wait once more, or
-        # drop at once just after another thread's item fit.
+        self.dropped = 0  # items `push` found no room for; guarded by _lock
+        # A push dropped an item and none has fit since, so one warning is
+        # logged per run of drops; written under _lock.
         self._shedding = False
 
-    def push(self, item, wait: bool = True) -> None:
+    def push(self, item) -> None:
         """Put `item` and tell the listeners. An item that finds the inbox
-        full for ENQUEUE_TIMEOUT_S, or at all without `wait`, is dropped,
-        counted and logged, so the socket loop that pushes it goes on
-        serving its connection; later items that find it still full are
-        dropped at once, until one fits."""
+        full is dropped at once and counted, so the loop that pushes it goes
+        on serving its connections; the first drop of each run of drops is
+        logged."""
         try:
-            self.put(item, ENQUEUE_TIMEOUT_S if wait and not self._shedding else 0.0)
+            self.put(item, 0.0)
         except QueueFullError:
             with self._lock:
                 self.dropped += 1
                 first = not self._shedding
                 self._shedding = True
             if first:
-                log.warning("%s stayed full for %.1fs; dropping items until it has room",
-                            self.name, ENQUEUE_TIMEOUT_S)
+                log.warning("%s is full; dropping items until it has room", self.name)
             return
         if self._shedding:
             with self._lock:
@@ -379,10 +375,9 @@ class Mailbox:
 class RouteMailbox(Mailbox):
     """A started route's mailbox; its source is the route's consumer.
 
-    The consumer tells it about new messages through `ready()` (drain on
-    this loop thread or on the engine's pool) or `drain()` (drain on this
-    thread), often by attaching one of them to an Inbox's listeners;
-    `every()` sets a periodic engine timer, which fires on the shared loop.
+    The consumer tells it about new messages through `ready()`, often by
+    adding it to an Inbox's listeners; `every()` sets a periodic engine
+    timer, which fires on the shared loop.
 
     `ready()` drains at once when it is called on a loop thread outside any
     operation: the two thread-locals it reads are the loop's marker and the
@@ -773,9 +768,10 @@ class Consumer:
     """Route source: buffers what arrives and tells the route's mailbox.
 
     `start` hands over the started route's `RouteMailbox`; the consumer then
-    calls its `ready()`, `drain()` or `every()` as messages arrive, until
-    `stop`, which may run on any thread. The mailbox takes messages with `try_get()`, and `len()` counts
-    those waiting. What arrives while stopped stays buffered.
+    calls its `ready()` as messages arrive, or sets a timer with its
+    `every()`, until `stop`, which may run on any thread. The mailbox takes
+    messages with `try_get()`, and `len()` counts those waiting. What
+    arrives while stopped stays buffered.
     """
 
     def start(self, mailbox: RouteMailbox) -> None:
@@ -792,6 +788,28 @@ class Consumer:
 
     def close(self) -> None:
         pass
+
+
+class InboxConsumer(Consumer):
+    """A route source over an Inbox: each push makes the route ready, so a
+    push on the loop runs the route there."""
+
+    def __init__(self, inbox: Inbox):
+        self._inbox = inbox
+        self._mailbox: RouteMailbox | None = None
+
+    def start(self, mailbox: RouteMailbox) -> None:
+        self._mailbox = mailbox
+        self._inbox.add_listener(mailbox.ready)
+
+    def stop(self) -> None:
+        self._inbox.remove_listener(self._mailbox.ready)
+
+    def try_get(self) -> Message | None:
+        return self._inbox.try_get()
+
+    def __len__(self) -> int:
+        return len(self._inbox)
 
 
 class Producer:
@@ -955,37 +973,55 @@ class RoutingEngine:
         drain is still running after `join_timeout`; calling again retries.
         Called from the route's own drain it does not wait.
         """
-        with self._lock:
+        def take() -> list[Route]:
             if route.status != RouteStatus.STARTED:
                 raise InvalidTransitionError(f"{route.id} is not started")
-            self._halt(route)
-        if not route._mailbox.wait_idle(join_timeout):
+            return [route]
+
+        if self._stop(take, join_timeout)[1]:
             raise InvalidTransitionError(
                 f"{route.id} drain still running after {join_timeout:.1f}s; still started"
             )
-        route.status = RouteStatus.STOPPED
         log.debug("route %s stopped", route.id)
-
-    @staticmethod
-    def _halt(route: Route) -> None:
-        route._mailbox.open = False
-        route._consumer.stop()
 
     def remove_route(self, route: Route, join_timeout: float = 10.0) -> None:
         """Stop `route` if it runs, close its endpoints and forget it."""
-        with self._lock:
+        def take() -> list[Route]:
             if self._routes.get(route.id) is not route:
-                return
-            del self._routes[route.id]
-            started = route.status == RouteStatus.STARTED
-            if started:
-                self._halt(route)
-        if started:
+                return []
+            return [self._routes.pop(route.id)]
+
+        for taken in self._stop(take, join_timeout)[0]:
+            self._close_endpoints(taken)
+
+    def shutdown(self, join_timeout: float = 10.0) -> None:
+        """Stop every started route, release the endpoints of all routes,
+        join the engine's workers and drop its reference on the shared loop."""
+        for route in self._stop(lambda: list(self._routes.values()), join_timeout)[0]:
+            self._close_endpoints(route)
+        self._pool.stop(join_timeout)
+
+    def _stop(self, take: Callable[[], list[Route]],
+              join_timeout: float) -> tuple[list[Route], list[Route]]:
+        """Under the engine lock, take the routes `take()` returns and close
+        the mailbox and stop the consumer of each started one; then wait for
+        a drain of each on another thread and mark it STOPPED. Returns the
+        routes taken, and those whose drain still runs after `join_timeout`,
+        which stay STARTED."""
+        with self._lock:
+            routes = take()
+            started = [route for route in routes if route.status == RouteStatus.STARTED]
+            for route in started:
+                route._mailbox.open = False
+                route._consumer.stop()
+        late = []
+        for route in started:
             if route._mailbox.wait_idle(join_timeout):
                 route.status = RouteStatus.STOPPED
             else:
                 log.warning("route %s drain still running after %.1fs", route.id, join_timeout)
-        self._close_endpoints(route)
+                late.append(route)
+        return routes, late
 
     @staticmethod
     def _close_endpoints(route: Route) -> None:
@@ -998,21 +1034,3 @@ class RoutingEngine:
         route._consumer = None
         route._producer = None
         route._mailbox = None
-
-    def shutdown(self, join_timeout: float = 10.0) -> None:
-        """Stop every started route, release the endpoints of all routes,
-        join the engine's workers and drop its reference on the shared loop."""
-        with self._lock:
-            routes = list(self._routes.values())
-            for route in routes:
-                if route.status == RouteStatus.STARTED:
-                    self._halt(route)
-        for route in routes:
-            if route.status == RouteStatus.STARTED:
-                if route._mailbox.wait_idle(join_timeout):
-                    route.status = RouteStatus.STOPPED
-                else:
-                    log.warning("route %s drain still running after %.1fs", route.id, join_timeout)
-        for route in routes:
-            self._close_endpoints(route)
-        self._pool.stop(join_timeout)

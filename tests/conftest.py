@@ -23,9 +23,9 @@ def wait_until(predicate, timeout: float = 5.0, interval: float = 0.005) -> bool
     return predicate()
 
 
-# Threads that serve sockets: a LineServer's loop, and the loop every client
-# connection and engine timer shares.
-_SOCKET_THREADS = ("server-loop-", "artifact-loop")
+# The thread that serves sockets: the loop every listener, connection and
+# engine timer shares.
+_SOCKET_THREADS = ("artifact-loop",)
 
 
 @pytest.fixture(autouse=True)

@@ -9,8 +9,10 @@ import time
 
 import pytest
 
-from artifact import Message, SetHeader, loop, parse_endpoint_uri, routing
-from artifact.endpoints import tcp
+from artifact import Message, SetHeader, loop, parse_endpoint_uri
+from artifact.bench.industry import RobotSimulator
+from artifact.bench.scenarios import BenchEnv
+from artifact.endpoints import VarStoreServer, tcp
 from artifact.endpoints.tcp import LineConnection, LineServer, TcpComponent, frame_line, tcp_connect
 from artifact.errors import ConnectionClosedError, FramingError
 
@@ -274,25 +276,109 @@ def test_server_role_endpoints(env):
         sock.close()
 
 
-def _loop_threads(server: LineServer) -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == f"server-loop-{server.name}"]
+def _shared_loops() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "artifact-loop"]
 
 
 @pytest.mark.parametrize("with_peer", [False, True])
 def test_no_loop_thread_outlives_stop(with_peer):
+    refs = loop.shared_loop._refs
     server = LineServer(name="stop-probe")
     peer = None
     try:
+        assert loop.shared_loop._refs == refs + 1
         if with_peer:
             peer = tcp_connect("127.0.0.1", server.port)
             assert server.wait_for_connection(5.0)
-        assert len(_loop_threads(server)) == 1
+        assert len(_shared_loops()) == 1
     finally:
         server.stop()
         if peer is not None:
             peer.close()
-    assert _loop_threads(server) == []
+    assert loop.shared_loop._refs == refs
+    assert _shared_loops() == []  # the server was the loop's last user
     assert server.connections() == []
+
+
+def test_servers_of_every_kind_run_on_the_one_loop_and_it_ends_with_the_last():
+    before = set(threading.enumerate())
+    env = BenchEnv()
+    store = VarStoreServer()
+    robot = RobotSimulator()
+    peers = []
+    try:
+        ports = [_free_port() for _ in range(8)]
+        for port in ports:
+            env.engine.start_route(
+                env.engine.define_route(f"tcp:127.0.0.1:{port}?role=server", [], "mq:servers"))
+        tap = env.broker.subscribe("servers")
+        peers = [tcp_connect("127.0.0.1", port) for port in [*ports, store.port, robot.port]]
+        for i, peer in enumerate(peers[:8]):
+            peer.sendall(b"line %d\n" % i)
+        got = [tap.poll(5.0) for _ in ports]
+        assert sorted(m.body if m else None for m in got) == [f"line {i}" for i in range(8)]
+        for peer, request, reply in ((peers[8], b"WRITE x 1\n", b"OK\n"),
+                                     (peers[9], b"MOVE a\n", b"AT a\n")):
+            peer.sendall(request)
+            peer.settimeout(5.0)
+            assert peer.recv(64) == reply
+        assert [t.name for t in threading.enumerate() if t not in before] == ["artifact-loop"]
+    finally:
+        for peer in peers:
+            peer.close()
+        env.close()
+        store.stop()
+        robot.stop()
+    assert [t.name for t in threading.enumerate() if t not in before] == []
+
+
+def test_stopping_one_server_leaves_another_servers_peers_served():
+    def echo(conn, line):
+        conn.send_line(f"echo {line}")
+
+    first, second = LineServer(handler=echo), LineServer(handler=echo)
+    gone = tcp_connect("127.0.0.1", first.port)
+    kept = tcp_connect("127.0.0.1", second.port)
+    try:
+        assert wait_until(lambda: first.connections() and second.connections())
+        first.stop()
+        with pytest.raises(ConnectionRefusedError):  # its listener is closed
+            tcp_connect("127.0.0.1", first.port, timeout=1.0)
+        gone.settimeout(5.0)
+        assert gone.recv(64) == b""  # and so is its peer
+        kept.sendall(b"still here\n")
+        kept.settimeout(5.0)
+        assert kept.recv(64) == b"echo still here\n"
+        assert len(second.connections()) == 1
+    finally:
+        gone.close()
+        kept.close()
+        second.stop()
+
+
+def test_a_send_on_the_loop_to_a_server_endpoint_with_no_peer_dead_letters_at_once(env):
+    echo = LineServer(handler=lambda conn, line: conn.send_line(f"echo {line}"))
+    inbound, outbound = _free_port(), _free_port()
+    # Runs on the loop that reads the inbound line; nobody connects outbound.
+    route = env.engine.define_route(f"tcp:127.0.0.1:{inbound}?role=server", [],
+                                    f"tcp:127.0.0.1:{outbound}?role=server")
+    env.engine.start_route(route)
+    sender = tcp_connect("127.0.0.1", inbound)
+    other = tcp_connect("127.0.0.1", echo.port)
+    try:
+        started = time.monotonic()
+        sender.sendall(b"to nobody\n")
+        other.sendall(b"hi\n")
+        other.settimeout(5.0)
+        assert other.recv(64) == b"echo hi\n"
+        assert time.monotonic() - started < 0.5
+        assert wait_until(lambda: len(route.dead_letters) == 1, timeout=0.5)
+        assert time.monotonic() - started < 0.5
+        assert "no connected peer" in route.dead_letters.entries()[0].reason
+    finally:
+        sender.close()
+        other.close()
+        echo.stop()
 
 
 def test_stop_with_live_peers_closes_them_and_leaves_no_thread(monkeypatch):
@@ -323,7 +409,7 @@ def test_stop_with_live_peers_closes_them_and_leaves_no_thread(monkeypatch):
         server.stop()
         sender.join(5.0)
         assert outcome == ["closed"]
-        assert _loop_threads(server) == []
+        assert _shared_loops() == []
         assert server.connections() == []
         for peer in peers:
             peer.settimeout(5.0)
@@ -478,10 +564,6 @@ def test_a_line_handler_that_raises_is_logged_and_reading_goes_on(caplog):
     assert any("'bad'" in record.getMessage() for record in caplog.records)
 
 
-def _client_loops() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "artifact-loop"]
-
-
 def test_a_closed_client_hub_leaves_no_thread_behind(monkeypatch, caplog):
     monkeypatch.setattr(tcp, "BACKOFF_INITIAL_S", 2.0)  # a long wait after a refused connect
     component = TcpComponent()
@@ -489,7 +571,7 @@ def test_a_closed_client_hub_leaves_no_thread_behind(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="artifact.endpoints.tcp"):
         key, hub = component._hub_for(uri)
         assert wait_until(lambda: any("retrying in 2.00s" in r.getMessage() for r in caplog.records))
-    loops = _client_loops()
+    loops = _shared_loops()
     assert len(loops) == 1
     closed_at = time.monotonic()
     component._release(key)
@@ -497,8 +579,7 @@ def test_a_closed_client_hub_leaves_no_thread_behind(monkeypatch, caplog):
     assert not loops[0].is_alive()
 
 
-def test_a_full_source_drops_lines_and_its_reader_keeps_serving(monkeypatch):
-    monkeypatch.setattr(routing, "ENQUEUE_TIMEOUT_S", 0.05)
+def test_a_full_source_drops_lines_and_its_reader_keeps_serving():
     server = LineServer()
     component = TcpComponent()
     key, hub = component._hub_for(parse_endpoint_uri(f"tcp:127.0.0.1:{server.port}?role=client"))
@@ -517,8 +598,7 @@ def test_a_full_source_drops_lines_and_its_reader_keeps_serving(monkeypatch):
         server.stop()
 
 
-def test_a_full_server_source_drops_lines_at_once_and_its_peers_are_served(monkeypatch):
-    monkeypatch.setattr(routing, "ENQUEUE_TIMEOUT_S", 1.0)
+def test_a_full_server_source_drops_lines_at_once_and_its_peers_are_served():
     component = TcpComponent()
     key, hub = component._hub_for(parse_endpoint_uri(f"tcp:127.0.0.1:{_free_port()}?role=server"))
     flooding = tcp_connect("127.0.0.1", hub.server.port)

@@ -3,10 +3,11 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from functools import partial
 
 import pytest
 
-from artifact import ARTIFACT_NAME_HEADER, OPERATION_NAME_HEADER, GatewayArtifact, Message, SetHeader, loop, operation, routing
+from artifact import ARTIFACT_NAME_HEADER, OPERATION_NAME_HEADER, GatewayArtifact, Message, SetHeader, loop, operation
 from artifact.endpoints import VarClient, VarStoreServer
 from artifact.endpoints.tcp import LineServer
 from artifact.errors import FramingError, UnknownVariableError, VarStoreProtocolError
@@ -204,15 +205,23 @@ class _LateFirstReply:
     def __init__(self, first: str, later, delay: float):
         self.requests: list[str] = []
         self._first, self._later, self._delay = first, later, delay
+        self._held: list[str] | None = None  # later replies, while the first is due
         self.server = LineServer(handler=self._handle)
 
-    def _handle(self, conn, line):
+    def _handle(self, conn, line):  # on the shared loop, which must not sleep
         self.requests.append(line)
         if len(self.requests) == 1:
-            time.sleep(self._delay)  # the reader thread: later requests wait
-            conn.send_line(self._first)
+            self._held = []
+            loop.loop_thread.reactor.call_later(self._delay, partial(self._answer_first, conn))
+        elif self._held is not None:
+            self._held.append(self._later(len(self.requests)))
         else:
             conn.send_line(self._later(len(self.requests)))
+
+    def _answer_first(self, conn):
+        held, self._held = self._held, None
+        for reply in [self._first, *held]:
+            conn.send_line(reply)
 
 
 @pytest.mark.parametrize("op", ["write", "read"])
@@ -407,8 +416,7 @@ def test_writers_wait_for_a_slow_subscriber_and_nothing_queues(store):
     assert max(slow.unpushed) == 0
 
 
-def test_a_full_subscription_drops_pushes_and_replies_still_come(monkeypatch, store):
-    monkeypatch.setattr(routing, "ENQUEUE_TIMEOUT_S", 0.05)
+def test_a_full_subscription_drops_pushes_and_replies_still_come(store):
     store.write("x", 0)
     client = VarClient(store.host, store.port)
     try:
@@ -418,7 +426,7 @@ def test_a_full_subscription_drops_pushes_and_replies_still_come(monkeypatch, st
             store.write("x", i)
         started = time.monotonic()
         client.write("y", 1)  # answered after every push
-        # One wait for the first push that found no room, not one per push.
+        # No push that finds no room waits for it.
         assert time.monotonic() - started < 0.5
         assert client.read("y") == (1, 0)
         assert sub.queue.dropped == over
@@ -426,20 +434,23 @@ def test_a_full_subscription_drops_pushes_and_replies_still_come(monkeypatch, st
         client.close()
 
 
-def _client_loops() -> list[threading.Thread]:
+def _shared_loops() -> list[threading.Thread]:
     return [t for t in threading.enumerate() if t.name == "artifact-loop"]
 
 
 def test_no_reader_thread_outlives_stop_or_close(store):
+    refs = loop.shared_loop._refs  # the store's
     client = VarClient(store.host, store.port)
     client.write("x", 1)
-    threads = _client_loops() + [store.server._thread]  # the shared loop, the server's loop
-    assert len(threads) == 2
+    threads = _shared_loops()
+    assert len(threads) == 1  # the server and its client share the loop
+    assert loop.shared_loop._refs == refs + 1
     assert len(store.server.connections()) == 1
-    assert all(t.is_alive() for t in threads)
     client.close()
-    store.stop()
-    assert not any(t.is_alive() for t in threads)
+    assert loop.shared_loop._refs == refs and threads[0].is_alive()
+    store.stop()  # the loop's last user
+    assert loop.shared_loop._refs == refs - 1
+    assert not threads[0].is_alive()
     assert store.server.connections() == []
 
 
@@ -525,20 +536,26 @@ def test_a_read_or_subscribe_on_the_client_loop_raises_at_once(store):
 
 
 def test_no_client_loop_outlives_the_last_client_and_a_later_client_starts_it(store):
+    refs = loop.shared_loop._refs  # the store's
     first = VarClient(store.host, store.port)
     second = VarClient(store.host, store.port)
-    loops = _client_loops()
-    assert len(loops) == 1  # one loop for every client connection
+    loops = _shared_loops()
+    assert len(loops) == 1  # one loop for the server and every client connection
+    assert loop.shared_loop._refs == refs + 2
     first.close()
     second.write("x", 1)
-    assert loops[0].is_alive()
+    assert loop.shared_loop._refs == refs + 1 and loops[0].is_alive()
     second.close()
+    store.stop()  # the loop's last user
+    assert loop.shared_loop._refs == refs - 1
     assert not loops[0].is_alive()
-    third = VarClient(store.host, store.port)
+    later = VarStoreServer()
+    third = VarClient(later.host, later.port)
     try:
         third.write("x", 2)
-        assert store.read("x") == (2, 1)
-        assert len(_client_loops()) == 1 and _client_loops() != loops
+        assert later.read("x") == (2, 0)
+        assert len(_shared_loops()) == 1 and _shared_loops() != loops
     finally:
         third.close()
-    assert _client_loops() == []
+        later.stop()
+    assert _shared_loops() == []
