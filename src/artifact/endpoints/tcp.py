@@ -36,8 +36,9 @@ accept one, a send with no peer fails at once. A route consuming from
 "tcp:" runs on the loop that read the line, as Camel's ``direct:`` does, so
 a reply reaches its gateway without a thread hand-off. That loop reads
 nothing more until the route returns, so such a route must not wait for the
-loop: a line that finds a stopped route's source full is dropped at once
-and counted in the source's `dropped`.
+loop: a line that finds a stopped route's source full, or a closed
+endpoint's source, is dropped at once and counted in the source's
+`dropped`.
 """
 from __future__ import annotations
 

@@ -21,7 +21,11 @@ source sends a READ every READ_PERIOD_S from an engine timer, which fires on
 the same loop, unless its last one is unanswered, and runs its route on the
 loop when a reply brings a new version, so a stalled server holds up only
 that source. A write sink run on the loop sends its WRITE without waiting
-for the OK, since the loop would have to read it.
+for the OK, since the loop would have to read it. A client request made off
+the loop is answered on the loop, which wakes the requester once it is idle
+(`Reactor.call_when_idle`): what the request set off on the loop, such as a
+push and the routes and devices it reaches, is handled before the
+requester's next request.
 """
 from __future__ import annotations
 
@@ -177,12 +181,15 @@ class VarSubscription:
 
 
 class _Pending:
-    """A request sent and not yet answered; `read_name` for a READ. A WRITE
-    sent on the shared loop has no `answered`: nobody waits for it."""
+    """A request sent and not yet answered; `read_name` for a READ. Its
+    requester waits on `answered`, a lock taken when the request is made and
+    released once, by whichever of the reply and the connection's close takes
+    the request off the client's list. A WRITE sent on the shared loop has no
+    `answered`: nobody waits for it."""
 
     __slots__ = ("read_name", "answered", "response")
 
-    def __init__(self, read_name: str | None, answered: threading.Event | None):
+    def __init__(self, read_name: str | None, answered: threading.Lock | None):
         self.read_name = read_name
         self.answered = answered
         self.response = None  # stays None when the connection closes first
@@ -203,6 +210,11 @@ class VarClient:
     once, since they would wait for the loop, and `write` does not wait for
     its OK: the server answers every well-formed WRITE with OK, and an ERR
     that comes instead is logged.
+
+    A requester off the loop waits on a lock of its own request. The loop
+    releases it once it is idle after the reply, or at the latest once the
+    reply has waited `sys.getswitchinterval()` or the loop ends; a
+    connection that closes releases it at once, with no reply.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
@@ -229,7 +241,7 @@ class VarClient:
             self._pending.clear()
         for pending in unanswered:
             if pending.answered is not None:
-                pending.answered.set()
+                pending.answered.release()
 
     def _on_line(self, line: str) -> None:
         if line.startswith("VALUE "):
@@ -269,13 +281,13 @@ class VarClient:
                             response)
         else:
             pending.response = response
-            # Woken after the loop's next turn, so that the work this reply's
+            # Woken once the loop is idle, so that the work this reply's
             # request set off on the loop, such as a push and what a route
             # does with it, goes before the requester's next request.
-            self._loop.call_soon(pending.answered.set)
+            self._loop.call_when_idle(pending.answered.release)
 
     def _send(self, line: str, read_name: str | None = None,
-              answered: threading.Event | None = None) -> _Pending:
+              answered: threading.Lock | None = None) -> _Pending:
         pending = _Pending(read_name, answered)
         with self._send_lock:
             with self._state_lock:
@@ -298,9 +310,11 @@ class VarClient:
         if self._on_loop():
             raise VarStoreProtocolError(
                 f"{line!r} would wait on the shared loop for its own reply; not sent")
-        pending = self._send(line, read_name, threading.Event())
+        answered = threading.Lock()
+        answered.acquire()
+        pending = self._send(line, read_name, answered)
         # Gives up after the timeout; the reply, should it come, is dropped.
-        pending.answered.wait(self._timeout)
+        answered.acquire(timeout=self._timeout)
         if pending.response is None:
             raise VarStoreProtocolError(f"no response to {line!r}")
         return pending.response

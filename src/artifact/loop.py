@@ -15,6 +15,14 @@ joined when the last one lets it go. A thread a reactor runs on is marked
 Camel's ``direct:`` does. Nothing that runs on a loop may wait for that
 loop.
 
+A call queued on the loop with `call_when_idle` runs once a poll finds no
+socket ready: the lines that the work at hand sends to the loop's own
+sockets, and the work they set off, are handled first, the run-to-completion
+rule of Seastar's and Netty's loops. A variable-server client wakes a thread
+waiting for its reply that way. A loop that never runs dry still runs the
+queued calls once the oldest has waited `sys.getswitchinterval()`, and a
+loop that stops runs them as it ends.
+
 Frames are UTF-8 text lines terminated by LF, with no embedded newline. One
 framer splits what each connection receives into lines: it drops a CR
 before the LF, replaces invalid UTF-8, logs a line handler that raises and
@@ -28,6 +36,7 @@ import logging
 import os
 import select
 import socket
+import sys
 import threading
 import time
 from collections import deque
@@ -259,10 +268,13 @@ class Reactor:
     handler, drains its queued output as the socket becomes writable and
     closes it once that output has waited ENQUEUE_TIMEOUT_S. It also runs
     the handlers of other descriptors it watches (`watch_fd`), callables
-    handed to it from any thread (`call_soon`) and timers set from any
-    thread (`call_at`, `call_later`). Making it starts the thread,
-    `artifact-loop`; `stop` stops it, closing every connection, and joins
-    it.
+    handed to it from any thread (`call_soon`), timers set from any thread
+    (`call_at`, `call_later`) and calls queued on the loop for when it goes
+    idle (`call_when_idle`). While such a call waits, the loop polls without
+    blocking, and it runs the queued calls, in order, when a poll finds
+    nothing ready, when the oldest has waited `sys.getswitchinterval()` and
+    when it ends. Making it starts the thread, `artifact-loop`; `stop` stops
+    it, closing every connection, and joins it.
     """
 
     def __init__(self):
@@ -282,6 +294,10 @@ class Reactor:
         # Sockets to close once the events at hand are handled: until then
         # no new socket can take the number of one an event names.
         self._dead: list[socket.socket] = []
+        # Calls to make once the loop goes idle (`call_when_idle`), oldest
+        # first, and when the oldest of them was queued.
+        self._idle: list[Callable[[], object]] = []
+        self._idle_since = 0.0
         self._lock = threading.Lock()
         # Guarded by _lock: the callables handed to the loop, and the stop flag.
         self._calls: list[Callable[[], object]] = []
@@ -298,7 +314,8 @@ class Reactor:
         hangup, writable, readable = select.EPOLLRDHUP, select.EPOLLOUT, _READ_EVENTS
         try:
             while not self._stopped:
-                for fd, events in poll(self._poll_timeout()):
+                ready = poll(0.0 if self._idle else self._poll_timeout())
+                for fd, events in ready:
                     conn = by_fd.get(fd)
                     if conn is not None:
                         if events & hangup:
@@ -315,6 +332,9 @@ class Reactor:
                     self._close_dead()
                 if self._backlog or self._timers:
                     self._expire()
+                if self._idle and (not ready or time.monotonic() - self._idle_since
+                                   >= sys.getswitchinterval()):
+                    self._run_idle()
         except Exception:
             log.exception("%s failed; closing its connections", self._thread.name)
         finally:
@@ -409,6 +429,11 @@ class Reactor:
         for call in calls:
             call()
 
+    def _run_idle(self) -> None:
+        calls, self._idle = self._idle, []
+        for call in calls:
+            call()
+
     def _finish(self, conn: LineConnection) -> None:
         """Unregister and close `conn`, then tell its owner; on the loop."""
         fd = conn.fd
@@ -426,6 +451,7 @@ class Reactor:
         self._on_wake()  # what was handed to the loop before it stopped
         for conn in list(self._by_fd.values()):
             self._finish(conn)
+        self._run_idle()  # no caller waits past the loop's end
         with self._lock:
             self._stopped = True
             os.close(self._wake_fd)
@@ -444,6 +470,16 @@ class Reactor:
     def unwatch_fd(self, fd: int) -> None:
         if self._handlers.pop(fd, None) is not None:
             self._epoll.unregister(fd)
+
+    def call_when_idle(self, call: Callable[[], object]) -> None:
+        """Call `call()` once the loop has no ready event left, after the
+        work at hand and what it sets off on the loop; on the loop. Queued
+        calls run in order when a poll finds nothing ready, when the oldest
+        has waited `sys.getswitchinterval()`, so a loop that never runs dry
+        still runs them, and when the loop ends."""
+        if not self._idle:
+            self._idle_since = time.monotonic()
+        self._idle.append(call)
 
     # -- any thread ----------------------------------------------------------------
 

@@ -233,18 +233,20 @@ class Inbox(MessageQueue, Listeners):
 
     def push(self, item) -> None:
         """Put `item` and tell the listeners. An item that finds the inbox
-        full is dropped at once and counted, so the loop that pushes it goes
-        on serving its connections; the first drop of each run of drops is
-        logged."""
+        full or closed is dropped at once and counted, so the loop that
+        pushes it goes on serving its connections; the first drop of each
+        run of drops is logged."""
         try:
             self.put(item, 0.0)
-        except QueueFullError:
+        except (QueueFullError, QueueClosedError) as exc:
             with self._lock:
                 self.dropped += 1
                 first = not self._shedding
                 self._shedding = True
             if first:
-                log.warning("%s is full; dropping items until it has room", self.name)
+                log.warning("%s is %s", self.name, "closed; dropping every item"
+                            if isinstance(exc, QueueClosedError) else
+                            "full; dropping items until it has room")
             return
         if self._shedding:
             with self._lock:

@@ -665,3 +665,29 @@ def test_a_client_peer_that_stops_reading_holds_up_no_other_client_and_is_closed
         component._release(key)
         echo.stop()
         stalled_server.close()
+
+
+def test_closing_a_client_endpoint_while_its_peer_sends_drops_and_counts_the_lines(caplog):
+    server = LineServer()
+    component = TcpComponent()
+    key, hub = component._hub_for(parse_endpoint_uri(f"tcp:127.0.0.1:{server.port}?role=client"))
+    closed = []
+
+    def close_on_first_line():  # on the loop, with the rest of the burst still to frame
+        if not closed:
+            closed.append(True)
+            component._release(key)
+
+    hub.inbox.add_listener(close_on_first_line)
+    try:
+        assert server.wait_for_connection(5.0)
+        with caplog.at_level(logging.WARNING, logger="artifact"):
+            burst = b"".join(frame_line(f"line {i}") for i in range(50))
+            server.connections()[0].queue_frame(burst)()
+            assert wait_until(lambda: hub.inbox.dropped == 49)
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [r.getMessage() for r in caplog.records if "is closed" in r.getMessage()] == [
+            f"tcp:127.0.0.1:{server.port} is closed; dropping every item"]
+    finally:
+        component._release(key)
+        server.stop()

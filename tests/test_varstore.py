@@ -559,3 +559,107 @@ def test_no_client_loop_outlives_the_last_client_and_a_later_client_starts_it(st
         third.close()
         later.stop()
     assert _shared_loops() == []
+
+
+class _SlowEchoGateway(GatewayArtifact):
+    """Notes each echo in `echoes`, a list read without the artifact's lock,
+    after a device step that lets other threads run meanwhile."""
+
+    echoes: list
+
+    @operation
+    def echoed(self, value):
+        time.sleep(0.002)
+        self.echoes.append(value)
+
+
+def test_a_write_returns_after_the_chain_it_set_off_on_the_loop(env, store):
+    # vars: push -> tcp: client -> echo server -> tcp: reply -> gateway, all
+    # on the one loop, which wakes the writer only once all of it is done: a
+    # writer woken earlier runs during the last step and misses its echo.
+    echo = LineServer(handler=lambda conn, line: conn.send_line(line))
+    store.write("x", 0)
+    tcp_uri = f"tcp:127.0.0.1:{echo.port}?role=client"
+    aid = env.runtime.make_artifact("main", "mirror", _SlowEchoGateway, [])
+    gateway = env.runtime.lookup(aid)
+    gateway.echoes = []
+    env.gateways.append(gateway)
+    forward = env.engine.define_route(f"vars:{store.host}:{store.port}/x?mode=subscribe", [], tcp_uri)
+    replies = env.engine.define_route(
+        tcp_uri,
+        [SetHeader(ARTIFACT_NAME_HEADER, "mirror"), SetHeader(OPERATION_NAME_HEADER, "echoed")],
+        "artifact:mirror",
+    )
+    env.engine.start_route(forward)
+    gateway.attach_route(replies, engine=env.engine)
+    gateway.start_listening()
+    client = VarClient(store.host, store.port)
+    try:
+        assert echo.wait_for_connection(5.0)
+        for i in range(1, 21):
+            client.write("x", i)
+            assert gateway.echoes[-1:] == [str(i)]
+    finally:
+        client.close()
+        env.engine.stop_route(forward)
+        echo.stop()
+
+
+def test_a_write_returns_soon_while_the_loop_never_runs_dry(store):
+    # Two connections on the loop play ping-pong, so every poll finds a
+    # line; the writer's wake still runs within the loop's bound.
+    reactor = loop.shared_loop.acquire()
+    echo = LineServer(handler=lambda conn, line: conn.send_line(line))
+    volleys = []
+
+    def hit_back(line):
+        volleys.append(line)
+        player.send_line(line)
+
+    player = reactor.connect(echo.host, echo.port, hit_back)
+    client = VarClient(store.host, store.port)
+    try:
+        player.send_line("ball")
+        assert wait_until(lambda: len(volleys) > 100)
+        for i in range(5):
+            started = time.monotonic()
+            client.write("x", i)
+            assert time.monotonic() - started < 0.5
+        assert store.read("x") == (4, 4)
+    finally:
+        client.close()
+        player.close()
+        echo.stop()
+        loop.shared_loop.release()
+
+
+def test_a_wake_queued_when_the_loop_stops_releases_the_requester_at_once():
+    assert loop.shared_loop._refs == 0  # the loop this test stops is its own
+    listener = socket.create_server(("127.0.0.1", 0))
+    peers = []
+
+    def answer():  # a variable server on its own thread: OK to the first request
+        peer, _ = listener.accept()
+        peers.append(peer)
+        peer.recv(256)
+        peer.sendall(b"OK\n")
+
+    server = threading.Thread(target=answer, daemon=True)
+    server.start()
+    client = VarClient("127.0.0.1", listener.getsockname()[1], timeout=2.0)
+    read_ok = client._conn.on_line
+
+    def read_ok_and_stop(line):  # on the loop: queue the wake, then stop
+        read_ok(line)
+        client._loop.stop()
+
+    client._conn.on_line = read_ok_and_stop
+    try:
+        started = time.monotonic()
+        client.write("x", 1)
+        assert time.monotonic() - started < 0.5
+    finally:
+        client.close()
+        server.join(5.0)
+        for sock in peers + [listener]:
+            sock.close()
