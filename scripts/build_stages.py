@@ -37,11 +37,8 @@ import gc
 import statistics
 from time import perf_counter
 
-from artifact import ARTIFACT_NAME_HEADER, OPERATION_NAME_HEADER, GatewayArtifact, SetHeader
-from artifact.bench.industry import COUNTER_VAR, SENSOR_TOPIC, MirrorGateway, RobotSimulator
+from artifact.bench.industry import DeviceChain
 from artifact.bench.scenarios import BenchEnv, PlainTarget, RouterGateway, TerminalGateway
-from artifact.endpoints import VarClient, VarStoreServer
-from artifact.runtime import CallbackObserver
 
 GATEWAY_STAGES = ("make_artifact", "define_route", "attach_route", "start_listening")
 TARGET_STAGES = ("make_artifact", "link_artifacts")
@@ -103,62 +100,11 @@ def build_router(env: BenchEnv, count: int) -> list[float]:
 def build_chain() -> tuple[list[float], object]:
     """Build one device chain as perfbench's device_chain does; returns the
     seconds of each chain stage and a callable that tears the chain down."""
-    t0 = perf_counter()
-    vars_server = VarStoreServer()
-    t1 = perf_counter()
-    robot_sim = RobotSimulator()
-    t2 = perf_counter()
-    env = BenchEnv()
-    client = None
-
-    def close() -> None:
-        if client is not None:
-            client.close()
-        env.close()
-        vars_server.stop()
-        robot_sim.stop()
-
-    vars_server.write(COUNTER_VAR, 0)
-    runtime, engine = env.runtime, env.engine
-    ws = runtime.default_workspace
-    mirror = runtime.lookup(runtime.make_artifact(ws, "plc", MirrorGateway, []))
-    sensor = runtime.lookup(runtime.make_artifact(ws, "sensor", GatewayArtifact, []))
-    robot = runtime.lookup(runtime.make_artifact(ws, "robot", GatewayArtifact, []))
-    env.gateways.extend([mirror, sensor, robot])
-    tcp_uri = f"tcp:{robot_sim.host}:{robot_sim.port}?role=client"
-    sync = engine.define_route(
-        f"vars:{vars_server.host}:{vars_server.port}/{COUNTER_VAR}?mode=subscribe",
-        [SetHeader(ARTIFACT_NAME_HEADER, "plc"), SetHeader(OPERATION_NAME_HEADER, "counter_changed")],
-        "artifact:plc",
-    )
-    publish = engine.define_route("artifact:sensor", [], f"mq:{SENSOR_TOPIC}")
-    commands = engine.define_route("artifact:robot", [], tcp_uri)
-    replies = engine.define_route(
-        tcp_uri,
-        [SetHeader(ARTIFACT_NAME_HEADER, "robot"), SetHeader(OPERATION_NAME_HEADER, "robot_reply")],
-        "artifact:robot",
-    )
-    mirror.attach_route(sync, engine=engine)
-    sensor.attach_route(publish, engine=engine)
-    robot.attach_route(commands, engine=engine)
-    robot.attach_route(replies)
-    env.broker.subscribe(SENSOR_TOPIC)
-    t3 = perf_counter()
-    engine.start_route(sync)
-    t4 = perf_counter()
-    engine.start_route(replies)
-    t5 = perf_counter()
-    for gateway in env.gateways:
-        gateway.start_listening()  # the routes not yet started
-    runtime.focus(CallbackObserver(on_change=lambda *event: None), mirror.id)
-    t6 = perf_counter()
-    client = VarClient(vars_server.host, vars_server.port)
-    t7 = perf_counter()
-    if not robot_sim.server.wait_for_connection(timeout=10.0):
-        close()
-        raise RuntimeError("robot link did not come up")
-    t8 = perf_counter()
-    return [t1 - t0, t2 - t1, t4 - t3, t5 - t4, t7 - t6, t8 - t0], close
+    t = []
+    chain = DeviceChain(marks=t)
+    # t: start, VarStoreServer(), RobotSimulator(), routes defined, vars route
+    # started, tcp route started, listening, VarClient(), robot link up
+    return [t[1] - t[0], t[2] - t[1], t[4] - t[3], t[5] - t[4], t[7] - t[6], t[8] - t[0]], chain.close
 
 
 def chain_us(builds: int) -> list[list[float]]:

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Print the order in which the shared loop handles the lines of a device chain.
 
-Builds the device chain of perfbench's device_chain (a variable server, a
-robot simulator, the mirror, sensor and robot gateways with their four
-routes, an observer that publishes a reading and commands the robot on each
-mirrored change) and drives it from this thread with `--in-flight` writes in
+Builds the device chain of perfbench's device_chain
+(`artifact.bench.industry.DeviceChain`: a variable server, a robot
+simulator, the mirror, sensor and robot gateways with their four routes, an
+observer that publishes a reading and commands the robot on each mirrored
+change) and drives it from this thread with `--in-flight` writes in
 flight: the next WRITE goes out as soon as the last one is answered and a
 robot reply has freed a slot. Every line the loop receives is noted, on the
 loop, as it is handed to its handler:
@@ -35,13 +36,10 @@ import threading
 from collections import deque
 from time import perf_counter
 
-from artifact import (ARTIFACT_NAME_HEADER, OPERATION_NAME_HEADER, GatewayArtifact, OpRequest,
-                      SetHeader, operation)
-from artifact.bench.industry import COUNTER_VAR, SENSOR_TOPIC, MirrorGateway, RobotSimulator
-from artifact.bench.scenarios import BenchEnv
-from artifact.endpoints import VarClient, VarStoreServer
+from artifact import GatewayArtifact, operation
+from artifact.bench.industry import COUNTER_VAR, DeviceChain
+from artifact.endpoints import VarClient
 from artifact.loop import shared_loop
-from artifact.runtime import CallbackObserver
 
 LABELS = {"WRITE": "WRITE", "OK": "OK", "VALUE": "V", "MOVE": "MOVE", "AT": "AT"}
 
@@ -91,63 +89,6 @@ class Timeline:
         self.events.append((perf_counter(), label, chain))
 
 
-def build(slots: threading.Semaphore):
-    """The device chain; returns (writer client, sensor topic subscription,
-    a callable that tears the chain down)."""
-    vars_server = VarStoreServer()
-    robot_sim = RobotSimulator()
-    env = BenchEnv()
-    clients: list[VarClient] = []
-
-    def close() -> None:
-        for client in clients:
-            client.close()
-        env.close()
-        vars_server.stop()
-        robot_sim.stop()
-
-    vars_server.write(COUNTER_VAR, 0)
-    runtime, engine = env.runtime, env.engine
-    ws = runtime.default_workspace
-    mirror = runtime.lookup(runtime.make_artifact(ws, "plc", MirrorGateway, []))
-    sensor = runtime.lookup(runtime.make_artifact(ws, "sensor", GatewayArtifact, []))
-    robot = runtime.lookup(runtime.make_artifact(ws, "robot", Robot, []))
-    robot.slots = slots
-    env.gateways.extend([mirror, sensor, robot])
-    tcp_uri = f"tcp:{robot_sim.host}:{robot_sim.port}?role=client"
-    sync = engine.define_route(
-        f"vars:{vars_server.host}:{vars_server.port}/{COUNTER_VAR}?mode=subscribe",
-        [SetHeader(ARTIFACT_NAME_HEADER, "plc"), SetHeader(OPERATION_NAME_HEADER, "counter_changed")],
-        "artifact:plc",
-    )
-    publish = engine.define_route("artifact:sensor", [], f"mq:{SENSOR_TOPIC}")
-    commands = engine.define_route("artifact:robot", [], tcp_uri)
-    replies = engine.define_route(
-        tcp_uri,
-        [SetHeader(ARTIFACT_NAME_HEADER, "robot"), SetHeader(OPERATION_NAME_HEADER, "robot_reply")],
-        "artifact:robot",
-    )
-    mirror.attach_route(sync, engine=engine)
-    sensor.attach_route(publish, engine=engine)
-    robot.attach_route(commands, engine=engine)
-    robot.attach_route(replies)
-    tap = env.broker.subscribe(SENSOR_TOPIC)
-    for gateway in env.gateways:
-        gateway.start_listening()
-
-    def agent(artifact_id, name, value, version) -> None:
-        if name == COUNTER_VAR:
-            sensor.send_msg(OpRequest("sensor", "reading", [value]))
-            robot.send_msg(OpRequest("robot", "move", [f"MOVE station-{value}"]))
-
-    runtime.focus(CallbackObserver(on_change=agent), mirror.id)
-    clients.append(VarClient(vars_server.host, vars_server.port))
-    if not robot_sim.server.wait_for_connection(timeout=10.0):
-        close()
-        raise RuntimeError("robot link did not come up")
-    return clients[0], tap, close
-
-
 def drive(client: VarClient, tap, timeline: Timeline, slots: threading.Semaphore,
           chains: int, in_flight: int) -> None:
     for value in range(1, chains + 1):
@@ -175,14 +116,16 @@ def main() -> None:
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     slots = threading.Semaphore(args.in_flight)
     timeline = Timeline()
-    client, tap, close = build(slots)
+    chain = DeviceChain(robot_class=Robot)
+    chain.robot.slots = slots
+    client, tap = chain.client, chain.tap
     reactor = shared_loop.acquire()
     try:
         client.write(COUNTER_VAR, 0)  # the server has accepted the writer's connection
         wrapped = threading.Event()
 
         def wrap_every_connection() -> None:  # on the loop, which owns the list
-            for conn in reactor._by_fd.values():
+            for conn in reactor.connections():
                 conn.on_line = timeline.wrap(conn.on_line)
             wrapped.set()
 
@@ -193,7 +136,7 @@ def main() -> None:
         drive(client, tap, timeline, slots, args.chains, args.in_flight)
         timeline.recording = False
     finally:
-        close()
+        chain.close()
         shared_loop.release()
 
     report(sorted(timeline.events), args.chains, max(1, args.chains // 2), args.show)

@@ -13,6 +13,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass
+from time import perf_counter
 
 from ..endpoints import VarClient, VarStoreServer
 from ..endpoints.tcp import LineServer
@@ -149,6 +150,88 @@ class SharedValueConsumer:
     def stop(self) -> None:
         self._sub.queue.remove_listener(self._mailbox.drain)
         self._mailbox.open = False
+
+
+class DeviceChain:
+    """The device chain of perfbench's device_chain workload, built, started
+    and connected: a variable server, a robot simulator, the mirror ("plc"),
+    "sensor" and robot gateways with their four routes, an agent surrogate
+    that publishes a reading on SENSOR_TOPIC and commands the robot on each
+    mirrored change, `tap`, a subscription to that topic, and `client`, a
+    variable-server client for the writes that drive the chain. The robot
+    gateway is a `robot_class`, whose `robot_reply` operation takes each of
+    the robot's lines. `marks`, when given, gets the perf_counter() of the
+    start and of the end of each build step: VarStoreServer(),
+    RobotSimulator(), the routes defined, the subscribe route started, the
+    robot-reply route started, the gateways listening, VarClient() and the
+    robot link up. Raises RuntimeError, closed, when the robot link does not
+    come up."""
+
+    def __init__(self, robot_class: type[GatewayArtifact] = GatewayArtifact,
+                 marks: list[float] | None = None):
+        mark = marks.append if marks is not None else (lambda at: None)
+        mark(perf_counter())
+        self.vars_server = VarStoreServer()
+        mark(perf_counter())
+        self.robot_sim = RobotSimulator()
+        mark(perf_counter())
+        self.env = env = BenchEnv()
+        self.client: VarClient | None = None
+        # The variable must exist before the mirror's route subscribes to it.
+        self.vars_server.write(COUNTER_VAR, 0)
+        runtime, engine = env.runtime, env.engine
+        ws = runtime.default_workspace
+        self.mirror = runtime.lookup(runtime.make_artifact(ws, "plc", MirrorGateway, []))
+        self.sensor = runtime.lookup(runtime.make_artifact(ws, "sensor", GatewayArtifact, []))
+        self.robot = runtime.lookup(runtime.make_artifact(ws, "robot", robot_class, []))
+        env.gateways.extend([self.mirror, self.sensor, self.robot])
+        tcp_uri = f"tcp:{self.robot_sim.host}:{self.robot_sim.port}?role=client"
+        sync = engine.define_route(
+            f"vars:{self.vars_server.host}:{self.vars_server.port}/{COUNTER_VAR}?mode=subscribe",
+            [SetHeader(ARTIFACT_NAME_HEADER, "plc"),
+             SetHeader(OPERATION_NAME_HEADER, "counter_changed")],
+            "artifact:plc",
+        )
+        publish = engine.define_route("artifact:sensor", [], f"mq:{SENSOR_TOPIC}")
+        commands = engine.define_route("artifact:robot", [], tcp_uri)
+        replies = engine.define_route(
+            tcp_uri,
+            [SetHeader(ARTIFACT_NAME_HEADER, "robot"),
+             SetHeader(OPERATION_NAME_HEADER, "robot_reply")],
+            "artifact:robot",
+        )
+        self.mirror.attach_route(sync, engine=engine)
+        self.sensor.attach_route(publish, engine=engine)
+        self.robot.attach_route(commands, engine=engine)
+        self.robot.attach_route(replies)
+        self.tap = env.broker.subscribe(SENSOR_TOPIC)
+        mark(perf_counter())
+        engine.start_route(sync)
+        mark(perf_counter())
+        engine.start_route(replies)
+        mark(perf_counter())
+        for gateway in env.gateways:
+            gateway.start_listening()  # the routes not yet started
+        runtime.focus(CallbackObserver(on_change=self._agent), self.mirror.id)
+        mark(perf_counter())
+        self.client = VarClient(self.vars_server.host, self.vars_server.port)
+        mark(perf_counter())
+        if not self.robot_sim.server.wait_for_connection(timeout=10.0):
+            self.close()
+            raise RuntimeError("robot link did not come up")
+        mark(perf_counter())
+
+    def _agent(self, artifact_id, name, value, version) -> None:
+        if name == COUNTER_VAR:
+            self.sensor.send_msg(OpRequest("sensor", "reading", [value]))
+            self.robot.send_msg(OpRequest("robot", "move", [f"MOVE station-{value}"]))
+
+    def close(self) -> None:
+        if self.client is not None:
+            self.client.close()
+        self.env.close()
+        self.vars_server.stop()
+        self.robot_sim.stop()
 
 
 def run_industry_demo(

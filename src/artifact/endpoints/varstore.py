@@ -213,8 +213,8 @@ class VarClient:
 
     A requester off the loop waits on a lock of its own request. The loop
     releases it once it is idle after the reply, or at the latest once the
-    reply has waited `sys.getswitchinterval()` or the loop ends; a
-    connection that closes releases it at once, with no reply.
+    reply has waited `loop.IDLE_TURNS` turns of the loop or the loop ends;
+    a connection that closes releases it at once, with no reply.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):

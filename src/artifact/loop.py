@@ -20,8 +20,8 @@ socket ready: the lines that the work at hand sends to the loop's own
 sockets, and the work they set off, are handled first, the run-to-completion
 rule of Seastar's and Netty's loops. A variable-server client wakes a thread
 waiting for its reply that way. A loop that never runs dry still runs the
-queued calls once the oldest has waited `sys.getswitchinterval()`, and a
-loop that stops runs them as it ends.
+queued calls once the oldest has waited IDLE_TURNS turns that found events,
+and a loop that stops runs them as it ends.
 
 Frames are UTF-8 text lines terminated by LF, with no embedded newline. One
 framer splits what each connection receives into lines: it drops a CR
@@ -36,7 +36,6 @@ import logging
 import os
 import select
 import socket
-import sys
 import threading
 import time
 from collections import deque
@@ -54,6 +53,14 @@ ENQUEUE_TIMEOUT_S = 10.0
 CONNECT_TIMEOUT_S = 5.0
 JOIN_S = 5.0
 READ_SIZE = 4096
+# The most turns that find ready events a call queued with `call_when_idle`
+# waits, counting the turn that queued it. Each turn carries the lines at
+# hand one hop between sockets of the loop: a device chain (a variable push,
+# the command it sets off and the device's reply) runs dry on the fourth
+# turn, counting the one that read the reply that queued the wake, and eight
+# leave such a chain room. Beside traffic that never lets the loop run dry,
+# the wake waits these few turns, not a fixed time.
+IDLE_TURNS = 8
 
 _READ_EVENTS = select.EPOLLIN | select.EPOLLHUP | select.EPOLLERR | select.EPOLLRDHUP
 # What a loop waits for on a served socket, and on a client socket, whose
@@ -272,9 +279,9 @@ class Reactor:
     (`call_at`, `call_later`) and calls queued on the loop for when it goes
     idle (`call_when_idle`). While such a call waits, the loop polls without
     blocking, and it runs the queued calls, in order, when a poll finds
-    nothing ready, when the oldest has waited `sys.getswitchinterval()` and
-    when it ends. Making it starts the thread, `artifact-loop`; `stop` stops
-    it, closing every connection, and joins it.
+    nothing ready, when the oldest has waited IDLE_TURNS turns that found
+    events and when it ends. Making it starts the thread, `artifact-loop`;
+    `stop` stops it, closing every connection, and joins it.
     """
 
     def __init__(self):
@@ -295,9 +302,9 @@ class Reactor:
         # no new socket can take the number of one an event names.
         self._dead: list[socket.socket] = []
         # Calls to make once the loop goes idle (`call_when_idle`), oldest
-        # first, and when the oldest of them was queued.
+        # first, and the turns that found events since the oldest was queued.
         self._idle: list[Callable[[], object]] = []
-        self._idle_since = 0.0
+        self._idle_turns = 0
         self._lock = threading.Lock()
         # Guarded by _lock: the callables handed to the loop, and the stop flag.
         self._calls: list[Callable[[], object]] = []
@@ -332,9 +339,10 @@ class Reactor:
                     self._close_dead()
                 if self._backlog or self._timers:
                     self._expire()
-                if self._idle and (not ready or time.monotonic() - self._idle_since
-                                   >= sys.getswitchinterval()):
-                    self._run_idle()
+                if self._idle:
+                    self._idle_turns += 1
+                    if not ready or self._idle_turns >= IDLE_TURNS:
+                        self._run_idle()
         except Exception:
             log.exception("%s failed; closing its connections", self._thread.name)
         finally:
@@ -471,14 +479,18 @@ class Reactor:
         if self._handlers.pop(fd, None) is not None:
             self._epoll.unregister(fd)
 
+    def connections(self) -> list[LineConnection]:
+        """The connections the loop serves; on the loop."""
+        return list(self._by_fd.values())
+
     def call_when_idle(self, call: Callable[[], object]) -> None:
         """Call `call()` once the loop has no ready event left, after the
         work at hand and what it sets off on the loop; on the loop. Queued
         calls run in order when a poll finds nothing ready, when the oldest
-        has waited `sys.getswitchinterval()`, so a loop that never runs dry
-        still runs them, and when the loop ends."""
+        has waited IDLE_TURNS turns that found events, so a loop that never
+        runs dry still runs them, and when the loop ends."""
         if not self._idle:
-            self._idle_since = time.monotonic()
+            self._idle_turns = 0
         self._idle.append(call)
 
     # -- any thread ----------------------------------------------------------------

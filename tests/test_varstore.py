@@ -577,6 +577,8 @@ def test_a_write_returns_after_the_chain_it_set_off_on_the_loop(env, store):
     # vars: push -> tcp: client -> echo server -> tcp: reply -> gateway, all
     # on the one loop, which wakes the writer only once all of it is done: a
     # writer woken earlier runs during the last step and misses its echo.
+    # The chain takes three turns of the loop, well inside IDLE_TURNS, so
+    # the outcome does not hang on how long any step takes.
     echo = LineServer(handler=lambda conn, line: conn.send_line(line))
     store.write("x", 0)
     tcp_uri = f"tcp:127.0.0.1:{echo.port}?role=client"
@@ -607,7 +609,8 @@ def test_a_write_returns_after_the_chain_it_set_off_on_the_loop(env, store):
 
 def test_a_write_returns_soon_while_the_loop_never_runs_dry(store):
     # Two connections on the loop play ping-pong, so every poll finds a
-    # line; the writer's wake still runs within the loop's bound.
+    # line; the writer's wake still runs within IDLE_TURNS turns, each a
+    # volley of tens of microseconds.
     reactor = loop.shared_loop.acquire()
     echo = LineServer(handler=lambda conn, line: conn.send_line(line))
     volleys = []
@@ -621,11 +624,13 @@ def test_a_write_returns_soon_while_the_loop_never_runs_dry(store):
     try:
         player.send_line("ball")
         assert wait_until(lambda: len(volleys) > 100)
-        for i in range(5):
+        spent = []
+        for i in range(21):
             started = time.monotonic()
             client.write("x", i)
-            assert time.monotonic() - started < 0.5
-        assert store.read("x") == (4, 4)
+            spent.append(time.monotonic() - started)
+        assert sorted(spent)[10] < 0.002, spent
+        assert store.read("x") == (20, 20)
     finally:
         client.close()
         player.close()
