@@ -14,6 +14,7 @@ import threading
 import time
 from dataclasses import dataclass
 from time import perf_counter
+from typing import Callable
 
 from ..endpoints import VarClient, VarStoreServer
 from ..endpoints.tcp import LineServer
@@ -112,27 +113,6 @@ class RobotGateway(GatewayArtifact):
         self.update_property("last_reply", line)
 
 
-class SensorCommander:
-    """Agent surrogate: acts on the mirrored counter by publishing a sensor
-    reading and commanding the robot, once per observed change."""
-
-    def __init__(self, sensor: GatewayArtifact, robot: RobotGateway, demo_log: DemoLog):
-        self._sensor = sensor
-        self._robot = robot
-        self._log = demo_log
-        self.observer = CallbackObserver(on_change=self._on_change)
-
-    def _on_change(self, artifact_id, name, value, version):
-        if name != COUNTER_VAR:
-            return
-        self._log.add("counter_observed", value)
-        self._sensor.send_msg(OpRequest("sensor", "reading", [value]))
-        destination = f"station-{render_value(value)}"
-        # Logged first: the reply can be logged before send_msg returns.
-        self._log.add("move_sent", destination)
-        self._robot.send_msg(OpRequest("robot", "move", [f"MOVE {destination}"]))
-
-
 class SharedValueConsumer:
     """Second surrogate: logs the shared sensor values the broker pushes to
     its subscription, in order, on the publishing thread."""
@@ -142,13 +122,13 @@ class SharedValueConsumer:
         self._log = demo_log
         self._mailbox = Mailbox(subscription, self._on_value)
         self._mailbox.open = True
-        subscription.queue.add_listener(self._mailbox.drain)
+        subscription.add_listener(self._mailbox.drain)
 
     def _on_value(self, message) -> None:
         self._log.add("sensor_pub", message.body)
 
     def stop(self) -> None:
-        self._sub.queue.remove_listener(self._mailbox.drain)
+        self._sub.remove_listener(self._mailbox.drain)
         self._mailbox.open = False
 
 
@@ -165,7 +145,7 @@ class DeviceChain:
     RobotSimulator(), the routes defined, the subscribe route started, the
     robot-reply route started, the gateways listening, VarClient() and the
     robot link up. Raises RuntimeError, closed, when the robot link does not
-    come up."""
+    come up; any other failure to build closes what was made, too."""
 
     def __init__(self, robot_class: type[GatewayArtifact] = GatewayArtifact,
                  marks: list[float] | None = None):
@@ -175,8 +155,16 @@ class DeviceChain:
         mark(perf_counter())
         self.robot_sim = RobotSimulator()
         mark(perf_counter())
-        self.env = env = BenchEnv()
+        self.env = BenchEnv()
         self.client: VarClient | None = None
+        try:
+            self._build(robot_class, mark)
+        except BaseException:
+            self.close()
+            raise
+
+    def _build(self, robot_class: type[GatewayArtifact], mark: Callable[[float], None]) -> None:
+        env = self.env
         # The variable must exist before the mirror's route subscribes to it.
         self.vars_server.write(COUNTER_VAR, 0)
         runtime, engine = env.runtime, env.engine
@@ -217,7 +205,6 @@ class DeviceChain:
         self.client = VarClient(self.vars_server.host, self.vars_server.port)
         mark(perf_counter())
         if not self.robot_sim.server.wait_for_connection(timeout=10.0):
-            self.close()
             raise RuntimeError("robot link did not come up")
         mark(perf_counter())
 
@@ -234,6 +221,26 @@ class DeviceChain:
         self.robot_sim.stop()
 
 
+class _DemoChain(DeviceChain):
+    """The device chain whose agent surrogate logs each change it observes
+    and each robot command it sends."""
+
+    def __init__(self, demo_log: DemoLog):
+        self._log = demo_log
+        super().__init__(robot_class=RobotGateway)
+        self.robot.configure(demo_log)
+
+    def _agent(self, artifact_id, name, value, version) -> None:
+        if name != COUNTER_VAR:
+            return
+        self._log.add("counter_observed", value)
+        self.sensor.send_msg(OpRequest("sensor", "reading", [value]))
+        destination = f"station-{render_value(value)}"
+        # Logged first: the reply can be logged before send_msg returns.
+        self._log.add("move_sent", destination)
+        self.robot.send_msg(OpRequest("robot", "move", [f"MOVE {destination}"]))
+
+
 def run_industry_demo(
     cfg: ScenarioConfig,
     writes: int = 5,
@@ -245,69 +252,24 @@ def run_industry_demo(
     Raises RuntimeError when the servers or routes fail to come up.
     """
     demo_log = DemoLog()
-    vars_server = VarStoreServer()
-    robot_sim = RobotSimulator()
-    env = BenchEnv()
-    client: VarClient | None = None
-    consumer: SharedValueConsumer | None = None
     try:
-        # The variable must exist before the sync route subscribes to it.
-        vars_server.write(COUNTER_VAR, 0)
-
-        ws = env.runtime.default_workspace
-        mirror = env.runtime.lookup(env.runtime.make_artifact(ws, "plc", MirrorGateway, []))
-        sensor = env.runtime.lookup(env.runtime.make_artifact(ws, "sensor", GatewayArtifact, []))
-        robot = env.runtime.lookup(env.runtime.make_artifact(ws, "robot", RobotGateway, []))
-        robot.configure(demo_log)
-        env.gateways.extend([mirror, sensor, robot])
-
-        vars_uri = f"vars:{vars_server.host}:{vars_server.port}/{COUNTER_VAR}?mode=subscribe"
-        tcp_uri = f"tcp:{robot_sim.host}:{robot_sim.port}?role=client"
-        sync = env.engine.define_route(
-            vars_uri,
-            [SetHeader(ARTIFACT_NAME_HEADER, "plc"),
-             SetHeader(OPERATION_NAME_HEADER, "counter_changed")],
-            "artifact:plc",
-        )
-        publish = env.engine.define_route("artifact:sensor", [], f"mq:{SENSOR_TOPIC}")
-        commands = env.engine.define_route("artifact:robot", [], tcp_uri)
-        replies = env.engine.define_route(
-            tcp_uri,
-            [SetHeader(ARTIFACT_NAME_HEADER, "robot"),
-             SetHeader(OPERATION_NAME_HEADER, "robot_reply")],
-            "artifact:robot",
-        )
-        mirror.attach_route(sync, engine=env.engine)
-        sensor.attach_route(publish, engine=env.engine)
-        robot.attach_route(commands, engine=env.engine)
-        robot.attach_route(replies)
-
-        tap = env.broker.subscribe(SENSOR_TOPIC)
-        consumer = SharedValueConsumer(tap, demo_log)
-
-        try:
-            mirror.start_listening()
-            sensor.start_listening()
-            robot.start_listening()
-        except Exception as exc:
-            raise RuntimeError(f"demo startup failed: {exc}") from exc
-        _apply_extra_routes(env, extra_routes)
-
-        commander = SensorCommander(sensor, robot, demo_log)
-        env.runtime.focus(commander.observer, mirror.id)
-
-        client = VarClient(vars_server.host, vars_server.port)
+        chain = _DemoChain(demo_log)
+    except Exception as exc:
+        raise RuntimeError(f"demo startup failed: {exc}") from exc
+    consumer = SharedValueConsumer(chain.tap, demo_log)
+    try:
+        _apply_extra_routes(chain.env, extra_routes)
         for i in range(1, writes + 1):
             demo_log.add("write", i)
-            client.write(COUNTER_VAR, i)
+            chain.client.write(COUNTER_VAR, i)
             if fault_after_write == i:
                 if not demo_log.wait_for("robot_at", i, timeout=10.0):
                     raise RuntimeError(f"robot never confirmed move {i}")
-                dropped = robot_sim.drop_connections()
+                dropped = chain.robot_sim.drop_connections()
                 demo_log.add("fault_injected", f"dropped {dropped} connection(s)")
                 # continue only once the command link re-established, so the
                 # fault lands between exchanges rather than mid-frame
-                if not robot_sim.server.wait_for_connection(timeout=10.0):
+                if not chain.robot_sim.server.wait_for_connection(timeout=10.0):
                     raise RuntimeError("robot link did not re-establish")
 
         budget = 10.0 + writes * 0.5
@@ -315,10 +277,5 @@ def run_industry_demo(
         demo_log.wait_for("robot_at", writes, timeout=budget)
         return demo_log
     finally:
-        if consumer is not None:
-            consumer.stop()
-        if client is not None:
-            client.close()
-        env.close()
-        vars_server.stop()
-        robot_sim.stop()
+        consumer.stop()
+        chain.close()

@@ -5,11 +5,12 @@ The producer side renders the message body to its canonical wire text before
 publishing; headers travel with the message in-process, copied once per
 subscriber by the publish. Publishing takes only the topic's lock. Without
 subscribers a published message is dropped (no retention). A subscriber
-whose queue stays full for ENQUEUE_TIMEOUT_S misses the message, counted in
-its `dropped`.
-A subscription's queue is an :class:`~artifact.routing.Inbox`: its listeners
-hear of each message it receives, and the "mq:" consumer listens to schedule
-its route.
+that stays full for ENQUEUE_TIMEOUT_S misses the message, counted in its
+`dropped`.
+A subscription is an :class:`~artifact.routing.Inbox`: its listeners hear of
+each message it receives, and the "mq:" consumer, an
+:class:`~artifact.routing.InboxConsumer` over it, listens to make its route
+ready; closing that consumer unsubscribes.
 """
 from __future__ import annotations
 
@@ -35,27 +36,22 @@ from ..values import render_value
 log = logging.getLogger(__name__)
 
 
-class Subscription:
-    """One subscriber's FIFO stream over a topic."""
+class Subscription(Inbox):
+    """One subscriber's FIFO stream over a topic. Its `dropped` counts the
+    messages skipped because it stayed full."""
 
     def __init__(self, broker: "TopicBroker", topic: str, sub_id: int, capacity: int):
+        super().__init__(capacity, f"mq:{topic}#{sub_id}")
         self._broker = broker
         self.topic = topic
         self.sub_id = sub_id
-        self.queue = Inbox(capacity, f"mq:{topic}#{sub_id}")
-        self.dropped = 0  # messages skipped because the queue stayed full
 
     def poll(self, timeout: float = 0.0) -> Message | None:
         """The next message, waiting up to `timeout` seconds; None if none."""
-        return self.queue.get(timeout=timeout)
-
-    def try_get(self) -> Message | None:
-        return self.queue.try_get()
-
-    def __len__(self) -> int:
-        return len(self.queue)
+        return self.get(timeout=timeout)
 
     def close(self) -> None:
+        """Unsubscribe, and end the stream."""
         self._broker.unsubscribe(self)
 
 
@@ -104,7 +100,7 @@ class TopicBroker:
         with t.lock:
             if sub in t.subscribers:
                 t.subscribers.remove(sub)
-        sub.queue.close()
+        Inbox.close(sub)
 
     def publish(self, topic: "str | _Topic", message: Message) -> int:
         """Deliver one copy to each current subscriber; returns the count.
@@ -119,9 +115,10 @@ class TopicBroker:
         with t.lock:
             for sub in t.subscribers:
                 try:
-                    sub.queue.put(message.copy(), timeout=ENQUEUE_TIMEOUT_S)
+                    sub.put(message.copy(), timeout=ENQUEUE_TIMEOUT_S)
                 except QueueFullError:
-                    sub.dropped += 1
+                    with sub._lock:
+                        sub.dropped += 1
                     log.warning(
                         "mq:%s subscriber %d full for %.1fs; message skipped",
                         t.name, sub.sub_id, ENQUEUE_TIMEOUT_S,
@@ -133,7 +130,7 @@ class TopicBroker:
         # Told outside the topic lock: a listener that drains on this thread
         # may publish to the same topic.
         for sub in delivered:
-            sub.queue.notify_listeners()
+            sub.notify_listeners()
         return len(delivered)
 
     @property
@@ -155,7 +152,7 @@ class TopicBroker:
         for t in self._all_topics():
             with t.lock:
                 for sub in t.subscribers:
-                    sub.queue.close()
+                    Inbox.close(sub)
                 t.subscribers.clear()
 
     @property
@@ -165,17 +162,6 @@ class TopicBroker:
 
 # ---------------------------------------------------------------------------
 # "mq:" endpoint component
-
-
-class _MqConsumer(InboxConsumer):
-    """Reads one subscription; each publish makes the route ready."""
-
-    def __init__(self, subscription: Subscription):
-        super().__init__(subscription.queue)
-        self._sub = subscription
-
-    def close(self) -> None:
-        self._sub.close()
 
 
 class _MqProducer(Producer):
@@ -197,7 +183,7 @@ class MqComponent(Component):
             raise ValueError("mq endpoint needs a topic name: mq:<topic>")
 
     def create_consumer(self, uri: EndpointUri, route: Route) -> Consumer:
-        return _MqConsumer(self.broker.subscribe(uri.path))
+        return InboxConsumer(self.broker.subscribe(uri.path))
 
     def create_producer(self, uri: EndpointUri, route: Route) -> Producer:
         return _MqProducer(self.broker, uri.path)

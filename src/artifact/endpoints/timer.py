@@ -5,7 +5,7 @@ import time
 
 from ..errors import UnsupportedEndpointRoleError
 from ..messages import Message
-from ..routing import Component, Consumer, Route, RouteMailbox
+from ..routing import Component, Consumer, Route
 from ..uri import EndpointUri
 
 
@@ -23,19 +23,19 @@ class _TimerConsumer(Consumer):
         self._index = 0
         self._next_due: float | None = None
         self._timer = None
-        self._mailbox: RouteMailbox | None = None
+        self._route: Route | None = None
         self._fired: float | None = None  # the started timer's last fire
 
-    def start(self, mailbox: RouteMailbox) -> None:
+    def start(self, route: Route) -> None:
         if self._next_due is None:
             self._next_due = time.monotonic()
-        self._mailbox = mailbox
+        self._route = route
         self._fired = None
-        self._timer = mailbox.every(self._period, self._fire, first=self._next_due)
+        self._timer = route.every(self._period, self._fire, first=self._next_due)
 
     def _fire(self) -> None:
         self._fired = time.monotonic()
-        self._mailbox.ready()
+        self._route.ready()
 
     def stop(self) -> None:
         if self._timer is not None:

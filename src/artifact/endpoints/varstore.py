@@ -38,7 +38,7 @@ from ..errors import ConnectionClosedError, UnknownVariableError, VarStoreProtoc
 from ..loop import LineConnection, shared_loop
 from ..messages import Message
 from ..routing import (DEFAULT_QUEUE_CAPACITY, Component, Consumer, Inbox, InboxConsumer,
-                       Producer, Route, RouteMailbox)
+                       Producer, Route)
 from ..uri import EndpointUri
 from ..values import Value, render_value
 from .tcp import LineServer
@@ -168,31 +168,29 @@ class VarStoreServer:
         self.server.stop()
 
 
-class VarSubscription:
-    """Ordered stream of (value, version) pushes for one variable; the
-    queue's listeners hear of each push on the shared loop."""
+class VarSubscription(Inbox):
+    """Ordered stream of (value, version) pushes for the variable `var`; its
+    listeners hear of each push on the shared loop."""
 
-    def __init__(self, name: str):
-        self.name = name
-        self.queue = Inbox(DEFAULT_QUEUE_CAPACITY, f"vars-sub:{name}")
+    def __init__(self, var: str):
+        super().__init__(DEFAULT_QUEUE_CAPACITY, f"vars-sub:{var}")
+        self.var = var
 
     def poll(self, timeout: float = 0.0):
-        return self.queue.get(timeout=timeout)
+        return self.get(timeout=timeout)
 
 
 class _Pending:
-    """A request sent and not yet answered; `read_name` for a READ. Its
-    requester waits on `answered`, a lock taken when the request is made and
-    released once, by whichever of the reply and the connection's close takes
-    the request off the client's list. A WRITE sent on the shared loop has no
-    `answered`: nobody waits for it."""
+    """A request sent and not yet answered; `read_name` for a READ. Whichever
+    of the reply and the connection's close takes the request off the
+    client's list calls `done` once, on the loop: with the response, or with
+    None when the connection closed first."""
 
-    __slots__ = ("read_name", "answered", "response")
+    __slots__ = ("read_name", "done")
 
-    def __init__(self, read_name: str | None, answered: threading.Lock | None):
+    def __init__(self, read_name: str | None, done: Callable[[object], None]):
         self.read_name = read_name
-        self.answered = answered
-        self.response = None  # stays None when the connection closes first
+        self.done = done
 
 
 class VarClient:
@@ -204,12 +202,11 @@ class VarClient:
     reply that comes for it later is dropped, not handed to a later request.
 
     Subscribed names should not also be read through the same client: READ
-    responses and subscription pushes share the VALUE line format. A client
-    whose `on_reply` is set hands every response to it, on the loop, and
-    serves only `read_later`. On the loop, `read` and `subscribe` raise at
-    once, since they would wait for the loop, and `write` does not wait for
-    its OK: the server answers every well-formed WRITE with OK, and an ERR
-    that comes instead is logged.
+    responses and subscription pushes share the VALUE line format.
+    `read_later` hands its reply to a callable, on the loop. On the loop,
+    `read` and `subscribe` raise at once, since they would wait for the
+    loop, and `write` does not wait for its OK: the server answers every
+    well-formed WRITE with OK, and an ERR that comes instead is logged.
 
     A requester off the loop waits on a lock of its own request. The loop
     releases it once it is idle after the reply, or at the latest once the
@@ -226,7 +223,6 @@ class VarClient:
         # Guarded by _state_lock: the connection is up, and close was called.
         self._reading = True
         self._closed = False
-        self.on_reply: Callable[[object], None] | None = None
         self._loop = shared_loop.acquire()
         try:
             self._conn = self._loop.connect(host, port, self._on_line, self._on_close, timeout)
@@ -240,8 +236,7 @@ class VarClient:
             unanswered = list(self._pending)
             self._pending.clear()
         for pending in unanswered:
-            if pending.answered is not None:
-                pending.answered.release()
+            pending.done(None)
 
     def _on_line(self, line: str) -> None:
         if line.startswith("VALUE "):
@@ -263,7 +258,7 @@ class VarClient:
                     log.warning("malformed VALUE line: %r", line)
                     return
                 for sub in subs:
-                    sub.queue.push((response[1], response[2]))
+                    sub.push((response[1], response[2]))
                 return
         else:
             response = line
@@ -272,23 +267,11 @@ class VarClient:
             if pending is None:
                 log.warning("vars client dropped a line no request waits for: %r", line)
                 return
-        on_reply = self.on_reply
-        if on_reply is not None:
-            on_reply(response)
-        elif pending.answered is None:
-            if response != "OK":
-                log.warning("vars client: a write sent on the shared loop was answered %r",
-                            response)
-        else:
-            pending.response = response
-            # Woken once the loop is idle, so that the work this reply's
-            # request set off on the loop, such as a push and what a route
-            # does with it, goes before the requester's next request.
-            self._loop.call_when_idle(pending.answered.release)
+        pending.done(response)
 
-    def _send(self, line: str, read_name: str | None = None,
-              answered: threading.Lock | None = None) -> _Pending:
-        pending = _Pending(read_name, answered)
+    def _send(self, line: str, done: Callable[[object], None],
+              read_name: str | None = None) -> None:
+        pending = _Pending(read_name, done)
         with self._send_lock:
             with self._state_lock:
                 if not self._reading:
@@ -301,7 +284,6 @@ class VarClient:
                     if pending in self._pending:
                         self._pending.remove(pending)
                 raise
-        return pending
 
     def _on_loop(self) -> bool:
         return threading.get_ident() == self._loop.loop_ident
@@ -312,12 +294,25 @@ class VarClient:
                 f"{line!r} would wait on the shared loop for its own reply; not sent")
         answered = threading.Lock()
         answered.acquire()
-        pending = self._send(line, read_name, answered)
+        reply = None
+
+        def done(response) -> None:
+            nonlocal reply
+            if response is None:  # the connection closed: no reply comes
+                answered.release()
+                return
+            reply = response
+            # Woken once the loop is idle, so that the work this reply's
+            # request set off on the loop, such as a push and what a route
+            # does with it, goes before the requester's next request.
+            self._loop.call_when_idle(answered.release)
+
+        self._send(line, done, read_name)
         # Gives up after the timeout; the reply, should it come, is dropped.
         answered.acquire(timeout=self._timeout)
-        if pending.response is None:
+        if reply is None:
             raise VarStoreProtocolError(f"no response to {line!r}")
-        return pending.response
+        return reply
 
     def read(self, name: str) -> tuple[Value, int]:
         response = self._request(f"READ {name}", read_name=name)
@@ -327,15 +322,23 @@ class VarClient:
             raise UnknownVariableError(name)
         raise VarStoreProtocolError(f"unexpected response {response!r}")
 
-    def read_later(self, name: str) -> None:
-        """Send READ <name> and return at once; `on_reply` gets the reply, a
-        (name, value, version) record or an ERR line."""
-        self._send(f"READ {name}", read_name=name)
+    def read_later(self, name: str, done: Callable[[object], None]) -> None:
+        """Send READ <name> and return at once; `done` gets the reply on the
+        loop: a (name, value, version) record, an ERR line, or None when the
+        connection closes first."""
+        self._send(f"READ {name}", done, read_name=name)
+
+    @staticmethod
+    def _write_answered(response) -> None:
+        """The answer to a WRITE sent on the loop, which nobody waits for."""
+        if response is not None and response != "OK":
+            log.warning("vars client: a write sent on the shared loop was answered %r",
+                        response)
 
     def write(self, name: str, value: Value) -> None:
         line = f"WRITE {name} {render_value(value)}"
         if self._on_loop():
-            self._send(line)
+            self._send(line, self._write_answered)
             return
         response = self._request(line)
         if response != "OK":
@@ -359,7 +362,7 @@ class VarClient:
 
     def _drop(self, sub: VarSubscription) -> None:
         with self._state_lock:
-            subs = self._subs.get(sub.name, [])
+            subs = self._subs.get(sub.var, [])
             if sub in subs:
                 subs.remove(sub)
 
@@ -372,7 +375,7 @@ class VarClient:
             subs = [sub for subs in self._subs.values() for sub in subs]
         self._conn.close()
         for sub in subs:
-            sub.queue.close()  # ends it, and wakes a reader blocked on it
+            sub.close()  # ends it, and wakes a reader blocked on it
         shared_loop.release()
 
 
@@ -391,10 +394,10 @@ def _split_var_path(uri: EndpointUri) -> tuple[str, int, str]:
 
 
 class _VarSubscribeConsumer(InboxConsumer):
-    def __init__(self, client: VarClient, sub: VarSubscription, name: str):
-        super().__init__(sub.queue)
+    def __init__(self, client: VarClient, sub: VarSubscription):
+        super().__init__(sub)
         self._client = client
-        self._name = name
+        self._name = sub.var
 
     def try_get(self) -> Message | None:
         record = self._inbox.try_get()
@@ -421,23 +424,24 @@ class _VarReadConsumer(InboxConsumer):
         self._last_version: int | None = None
         self._reading = False  # a READ is unanswered
         self._timer = None
-        client.on_reply = self._on_reply
 
-    def start(self, mailbox: RouteMailbox) -> None:
-        super().start(mailbox)
-        self._timer = mailbox.every(READ_PERIOD_S, self._fire)
+    def start(self, route: Route) -> None:
+        super().start(route)
+        self._timer = route.every(READ_PERIOD_S, self._fire)
 
     def _fire(self) -> None:
         if self._reading:
             return
         self._reading = True
         try:
-            self._client.read_later(self._name)
+            self._client.read_later(self._name, self._on_reply)
         except (OSError, VarStoreProtocolError) as exc:
             # The client does not reconnect: stay "reading" and send no more.
             log.warning("vars read source %s lost its connection: %s", self._name, exc)
 
     def _on_reply(self, reply) -> None:
+        if reply is None:
+            return  # the connection closed: stay "reading" and send no more
         self._reading = False
         if not isinstance(reply, tuple):
             return  # ERR: the variable does not exist (yet)
@@ -457,7 +461,7 @@ class _VarReadConsumer(InboxConsumer):
         super().stop()
 
     def close(self) -> None:
-        self._inbox.close()  # wakes a reader blocked on it
+        super().close()  # wakes a reader blocked on the inbox
         self._client.close()
 
 
@@ -494,7 +498,7 @@ class VarsComponent(Component):
         if mode == "read":
             return _VarReadConsumer(client, name)
         sub = client.subscribe(name)
-        return _VarSubscribeConsumer(client, sub, name)
+        return _VarSubscribeConsumer(client, sub)
 
     def create_producer(self, uri: EndpointUri, route: Route) -> Producer:
         host, port, name = _split_var_path(uri)

@@ -45,7 +45,6 @@ from .routing import (
     MessageQueue,
     Producer,
     Route,
-    RouteMailbox,
     RouteStatus,
     RoutingEngine,
 )
@@ -525,14 +524,14 @@ class _ChannelConsumer(Consumer):
         self._registry = registry
         self._channel = channel
         self._rr = 0
-        self._mailbox: RouteMailbox | None = None
+        self._route: Route | None = None
 
-    def start(self, mailbox: RouteMailbox) -> None:
-        self._mailbox = mailbox
-        self._channel.add_listener(mailbox.ready)
+    def start(self, route: Route) -> None:
+        self._route = route
+        self._channel.add_listener(route.ready)
 
     def stop(self) -> None:
-        self._channel.remove_listener(self._mailbox.ready)
+        self._channel.remove_listener(self._route.ready)
 
     def try_get(self) -> Message | None:
         gateways = self._channel.members

@@ -232,19 +232,12 @@ class LineConnection:
         the loop to close it."""
         if threading.get_ident() == self._reactor.loop_ident:
             self._reactor._finish(self)
-            return
-        with self._send_lock:
-            if not self._closing.acquire(blocking=False):
-                return
-            self._taken_cond.notify_all()
-            try:
-                self.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+        else:
+            self._shut_down()
 
-    def _close_on_loop(self) -> None:
-        """Mark the connection closed and shut its socket down; the loop
-        closes the socket after the events at hand."""
+    def _shut_down(self) -> None:
+        """Mark the connection closed, wake its waiting senders and shut its
+        socket down; the loop closes the socket after the events at hand."""
         with self._send_lock:
             self._closing.acquire(blocking=False)
             self._taken_cond.notify_all()
@@ -450,7 +443,7 @@ class Reactor:
         del self._by_fd[fd]
         self._epoll.unregister(fd)
         self._backlog.discard(conn)
-        conn._close_on_loop()
+        conn._shut_down()
         self._dead.append(conn.sock)
         if conn.on_close is not None:
             conn.on_close(conn)

@@ -2,12 +2,12 @@
 
 A route takes messages from a consumer endpoint, applies an ordered processor
 chain, and hands them to a producer endpoint. Endpoint components are
-registered by URI scheme. No route owns a thread: each started route is a
-serial mailbox over its consumer, which buffers what arrives and pushes the
-route to run. A route runs on the loop thread that feeds it (Camel's
-``direct:``): a route made ready on the loop outside any operation (by a
-line a socket source read, by a timer, or by an observer of an operation a
-socket reached) drains there. Anywhere else,
+registered by URI scheme. No route owns a thread: a route is its own
+serial mailbox over its consumer, which buffers what arrives and, while the
+route is started, makes it ready to run. A route runs on the loop thread
+that feeds it (Camel's ``direct:``): a route made ready on the loop outside
+any operation (by a line a socket source read, by a timer, or by an
+observer of an operation a socket reached) drains there. Anywhere else,
 in-process sources schedule it on the engine's worker pool (SEDA, Camel's
 ``seda:``), which grows only while its workers are blocked. The engine's
 timers run on the process's shared loop (`artifact.loop`). A
@@ -186,8 +186,8 @@ class Listeners:
     `add_listener` and `remove_listener` replace the listeners under the
     source's `_lock`, so `notify_listeners` takes no lock. One listener is
     kept as is and more in a tuple, so a source with one listener carries no
-    object for it but the callable. A push-driven consumer adds its
-    mailbox's `ready` when it starts and removes it when it stops.
+    object for it but the callable. A push-driven consumer adds its route's
+    `ready` when it starts and removes it when it stops.
     """
 
     _lock: threading.Lock
@@ -259,11 +259,12 @@ class Inbox(MessageQueue, Listeners):
 
 
 class Mailbox:
-    """A serial mailbox: messages taken from `source` in FIFO order and handed
+    """A serial mailbox: messages taken from a source in FIFO order and handed
     to `handle`, by one thread at a time. A subclass may define the method
-    `_handle` instead of passing `handle`.
+    `_handle` instead of passing `handle`; a `Route` is such a subclass,
+    whose source is its consumer.
 
-    `source` offers `try_get()` and `len()`, and `put()` for `offer`. The
+    The source offers `try_get()` and `len()`, and `put()` for `offer`. The
     draining thread holds the box's claim, a lock taken without blocking; a
     thread that finds it held leaves its message to the holder, who
     re-checks the source after letting the claim go, so no message is
@@ -271,7 +272,7 @@ class Mailbox:
     """
 
     def __init__(self, source, handle: Callable[[Message], object] | None = None):
-        self.source = source
+        self._source = source
         if handle is not None:
             self._handle = handle
         self._claim = threading.Lock()
@@ -289,7 +290,7 @@ class Mailbox:
         return self.pending() and self.claim()
 
     def pending(self) -> bool:
-        return self.open and len(self.source) > 0
+        return self.open and len(self._source) > 0
 
     def busy(self) -> bool:
         return self._claim.locked()
@@ -297,7 +298,7 @@ class Mailbox:
     def run(self, limit: int = sys.maxsize) -> None:
         """Hand up to `limit` messages to the handler while open; the caller
         holds the claim."""
-        source, handle = self.source, self._handle
+        source, handle = self._source, self._handle
         self.drainer = threading.get_ident()
         try:
             for _ in range(limit):
@@ -329,12 +330,12 @@ class Mailbox:
             # None finds the box closed here, and one that reads it set
             # waits for this delivery.
             self.drainer = threading.get_ident()
-            if self.open and not len(self.source):
+            if self.open and not len(self._source):
                 self._drain_claimed(message)
                 return
             self.drainer = None
             self._claim.release()
-        self.source.put(message, timeout=timeout)
+        self._source.put(message, timeout=timeout)
         self.drain()
 
     def _drain_claimed(self, first: Message | None = None) -> None:
@@ -374,81 +375,23 @@ class Mailbox:
         return True
 
 
-class RouteMailbox(Mailbox):
-    """A started route's mailbox; its source is the route's consumer.
-
-    The consumer tells it about new messages through `ready()`, often by
-    adding it to an Inbox's listeners; `every()` sets a periodic engine
-    timer, which fires on the shared loop.
-
-    `ready()` drains at once when it is called on a loop thread outside any
-    operation: the two thread-locals it reads are the loop's marker and the
-    runtime's operation depth. So a route fed from a loop runs there, and no
-    route runs under an artifact lock. Such a route holds up the loop while
-    it runs, and must not wait for the loop."""
-
-    def __init__(self, route: "Route", pool: "WorkerPool"):
-        super().__init__(route._consumer)
-        self._route = route
-        self._pool = pool
-
-    def ready(self) -> None:
-        """A message is waiting: drain it on this loop thread, or schedule a
-        drain on the pool, unless one is outstanding."""
-        if self.claim():
-            if loop_thread.reactor is not None and not thread_ops.depth:
-                self._drain_claimed()
-            else:
-                self._pool.schedule(self)
-
-    def every(self, period_s: float, fire: Callable[[], None], first: float | None = None) -> LoopTimer:
-        """Call `fire()` at `first` (default now), then every `period_s`
-        seconds on the grid `first` starts, on the shared loop; returns the
-        timer, whose `cancel()` from any thread stops it."""
-        return self._pool.timer_loop().call_at(
-            time.monotonic() if first is None else first, fire, period_s)
-
-    def run_batch(self) -> None:
-        """A pool task: drain at most what was waiting when it began."""
-        self.run(max(1, len(self.source)))
-
-    def _handle(self, message: Message) -> None:
-        route = self._route
-        route._consumed += 1
-        try:
-            # The consumer hands each message to this route alone, so an
-            # empty chain passes it on as is; a chain works on a copy, and
-            # a dead letter keeps the message as consumed.
-            outgoing = process(message, route.processors) if route.processors else message
-            route._producer.send(outgoing)
-            route._delivered += 1
-        except ProcessorEvalError as exc:
-            route._dead_lettered += 1
-            route.dead_letter(message, f"ProcessorEvalError: {exc}", exc)
-            log.warning("route %s dead-lettered a message: %s", route.id, exc)
-        except Exception as exc:
-            route._dead_lettered += 1
-            route.dead_letter(message, f"DeliveryFailed: {exc}", exc)
-            log.warning("route %s delivery failed: %s", route.id, exc)
-
-
 class _Worker:
     __slots__ = ("pool", "thread", "next", "wake", "woken")
 
     def __init__(self, pool: "WorkerPool"):
         self.pool = pool
         self.thread: threading.Thread | None = None
-        self.next: RouteMailbox | None = None  # runs after the drain in hand
+        self.next: Route | None = None  # runs after the drain in hand
         self.wake = threading.Condition(pool._lock)
         self.woken = True  # handed a task and not yet looked for it
 
 
 class WorkerPool:
-    """Runs route mailboxes on worker threads it starts on demand.
+    """Runs routes on worker threads it starts on demand.
 
-    A mailbox is scheduled while its claim is held, so it has at most one
+    A route is scheduled while its claim is held, so it has at most one
     outstanding task, and the pool never needs more workers than there are
-    routes. A mailbox a worker schedules waits in that worker's one-task
+    routes. A route a worker schedules waits in that worker's one-task
     next slot and runs on it after the drain in hand (the LIFO slot of
     Tokio's scheduler); one already there moves to the shared FIFO run
     queue, where other threads schedule too. A queued task wakes the worker
@@ -479,7 +422,7 @@ class WorkerPool:
         self._loop: Reactor | None = None  # the shared loop, once referenced
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
-        self._tasks: deque[tuple[RouteMailbox, float]] = deque()  # (box, queued at)
+        self._tasks: deque[tuple[Route, float]] = deque()  # (route, queued at)
         self._workers: list[_Worker] = []
         self._idle: list[_Worker] = []  # waiting for a task, the longest idle first
         self._coming = 0  # workers handed a task, not yet looking for it
@@ -488,33 +431,33 @@ class WorkerPool:
         self._blocked_looks = 0  # successive checks that found the workers blocked
         self._closing = False
 
-    def schedule(self, box: RouteMailbox) -> None:
-        """Run `box.run_batch()` soon; the caller holds the box's claim."""
+    def schedule(self, route: Route) -> None:
+        """Run `route.run_batch()` soon; the caller holds the route's claim."""
         worker = _thread_state.worker
         if worker is not None and worker.pool is self:
-            box, worker.next = worker.next, box
-            if box is None:
+            route, worker.next = worker.next, route
+            if route is None:
                 return
         with self._lock:
-            started = self._push(box)
+            started = self._push(route)
         if started is not None:
             started.start()
 
     def unpark(self, worker: _Worker) -> None:
         """Move the worker's next-slot task to the shared queue; the worker
         is about to block."""
-        box, worker.next = worker.next, None
-        if box is not None:
+        route, worker.next = worker.next, None
+        if route is not None:
             with self._lock:
-                started = self._push(box)
+                started = self._push(route)
             if started is not None:
                 started.start()
 
-    def _push(self, box: RouteMailbox) -> threading.Thread | None:
+    def _push(self, route: Route) -> threading.Thread | None:
         """Queue a task, under the lock; returns a new worker for the caller
         to start once the lock is released, when one is needed."""
         now = time.monotonic()
-        self._tasks.append((box, now))
+        self._tasks.append((route, now))
         if self._idle:
             self._hand(self._idle.pop())
         elif not self._workers:
@@ -581,24 +524,24 @@ class WorkerPool:
 
     def _run(self, worker: _Worker) -> None:
         _thread_state.worker = worker
-        box: RouteMailbox | None = None
+        route: Route | None = None
         try:
             while True:
                 started = None
                 with self._lock:
-                    if box is not None and box.release():
+                    if route is not None and route.release():
                         # Run again at once unless others wait their turn.
                         if worker.next is None and not self._tasks:
-                            worker.next = box
+                            worker.next = route
                         else:
-                            started = self._push(box)
-                    box, worker.next = worker.next, None
-                    while box is None:
+                            started = self._push(route)
+                    route, worker.next = worker.next, None
+                    while route is None:
                         if worker.woken:
                             worker.woken = False
                             self._coming -= 1
                         if self._tasks:
-                            box = self._tasks.popleft()[0]
+                            route = self._tasks.popleft()[0]
                         elif self._closing:
                             self._workers.remove(worker)
                             return
@@ -612,9 +555,9 @@ class WorkerPool:
                 if started is not None:
                     started.start()
                 try:
-                    box.run_batch()
+                    route.run_batch()
                 except Exception:
-                    log.exception("route mailbox drain failed")
+                    log.exception("route %s drain failed", route.id)
         finally:
             _thread_state.worker = None
 
@@ -767,16 +710,16 @@ def process(message: Message, processors: Iterable[Processor]) -> Message:
 
 
 class Consumer:
-    """Route source: buffers what arrives and tells the route's mailbox.
+    """Route source: buffers what arrives and tells the route.
 
-    `start` hands over the started route's `RouteMailbox`; the consumer then
-    calls its `ready()` as messages arrive, or sets a timer with its
-    `every()`, until `stop`, which may run on any thread. The mailbox takes
-    messages with `try_get()`, and `len()` counts those waiting. What
-    arrives while stopped stays buffered.
+    `start` hands over the started route; the consumer then calls its
+    `ready()` as messages arrive, or sets a timer with its `every()`, until
+    `stop`, which may run on any thread. The route takes messages with
+    `try_get()`, and `len()` counts those waiting. What arrives while
+    stopped stays buffered.
     """
 
-    def start(self, mailbox: RouteMailbox) -> None:
+    def start(self, route: "Route") -> None:
         raise NotImplementedError
 
     def stop(self) -> None:
@@ -794,24 +737,27 @@ class Consumer:
 
 class InboxConsumer(Consumer):
     """A route source over an Inbox: each push makes the route ready, so a
-    push on the loop runs the route there."""
+    push on the loop runs the route there. `close` closes the inbox."""
 
     def __init__(self, inbox: Inbox):
         self._inbox = inbox
-        self._mailbox: RouteMailbox | None = None
+        self._route: Route | None = None
 
-    def start(self, mailbox: RouteMailbox) -> None:
-        self._mailbox = mailbox
-        self._inbox.add_listener(mailbox.ready)
+    def start(self, route: "Route") -> None:
+        self._route = route
+        self._inbox.add_listener(route.ready)
 
     def stop(self) -> None:
-        self._inbox.remove_listener(self._mailbox.ready)
+        self._inbox.remove_listener(self._route.ready)
 
     def try_get(self) -> Message | None:
         return self._inbox.try_get()
 
     def __len__(self) -> int:
         return len(self._inbox)
+
+    def close(self) -> None:
+        self._inbox.close()
 
 
 class Producer:
@@ -876,30 +822,85 @@ class RouteStats:
     dead_lettered: int = 0
 
 
-@dataclass
-class Route(DeadLetters):
-    id: str
-    source: EndpointUri
-    processors: tuple[Processor, ...]
-    sink: EndpointUri
-    status: RouteStatus = RouteStatus.DEFINED
+class Route(DeadLetters, Mailbox):
+    """A route, and the serial mailbox that runs it over its consumer.
+
+    Started, the consumer tells the route about new messages through
+    `ready()`, often by adding it to an Inbox's listeners; `every()` sets a
+    periodic engine timer, which fires on the shared loop.
+
+    `ready()` drains at once when it is called on a loop thread outside any
+    operation: the two thread-locals it reads are the loop's marker and the
+    runtime's operation depth. So a route fed from a loop runs there, and no
+    route runs under an artifact lock. Such a route holds up the loop while
+    it runs, and must not wait for the loop.
+    """
+
     # Counted by the route's drain, which runs on one thread at a time.
-    _consumed: int = 0
-    _delivered: int = 0
-    _dead_lettered: int = 0
-    _consumer: Consumer | None = None
+    _consumed = _delivered = _dead_lettered = 0
+    _consumer: Consumer | None = None  # also the mailbox's source
     _producer: Producer | None = None
-    _mailbox: RouteMailbox | None = None
+
+    def __init__(self, route_id: str, source: EndpointUri, processors: tuple[Processor, ...],
+                 sink: EndpointUri, pool: WorkerPool):
+        super().__init__(None)
+        self.id = route_id
+        self.source = source
+        self.processors = processors
+        self.sink = sink
+        self.status = RouteStatus.DEFINED
+        self._pool = pool
+
+    def __repr__(self) -> str:
+        return f"Route({self.id!r}, {self.source} -> {self.sink}, {self.status.value})"
 
     @property
     def stats(self) -> RouteStats:
         return RouteStats(self._consumed, self._delivered, self._dead_lettered)
 
+    def ready(self) -> None:
+        """A message is waiting: drain it on this loop thread, or schedule a
+        drain on the pool, unless one is outstanding."""
+        if self.claim():
+            if loop_thread.reactor is not None and not thread_ops.depth:
+                self._drain_claimed()
+            else:
+                self._pool.schedule(self)
+
+    def every(self, period_s: float, fire: Callable[[], None], first: float | None = None) -> LoopTimer:
+        """Call `fire()` at `first` (default now), then every `period_s`
+        seconds on the grid `first` starts, on the shared loop; returns the
+        timer, whose `cancel()` from any thread stops it."""
+        return self._pool.timer_loop().call_at(
+            time.monotonic() if first is None else first, fire, period_s)
+
+    def run_batch(self) -> None:
+        """A pool task: drain at most what was waiting when it began."""
+        self.run(max(1, len(self._source)))
+
+    def _handle(self, message: Message) -> None:
+        self._consumed += 1
+        try:
+            # The consumer hands each message to this route alone, so an
+            # empty chain passes it on as is; a chain works on a copy, and
+            # a dead letter keeps the message as consumed.
+            outgoing = process(message, self.processors) if self.processors else message
+            self._producer.send(outgoing)
+            self._delivered += 1
+        except ProcessorEvalError as exc:
+            self._dead_lettered += 1
+            self.dead_letter(message, f"ProcessorEvalError: {exc}", exc)
+            log.warning("route %s dead-lettered a message: %s", self.id, exc)
+        except Exception as exc:
+            self._dead_lettered += 1
+            self.dead_letter(message, f"DeliveryFailed: {exc}", exc)
+            log.warning("route %s delivery failed: %s", self.id, exc)
+
 
 class RoutingEngine:
     """Defines routes against a component registry and runs them.
 
-    The engine owns the worker pool its routes' mailboxes run on, which
+    The engine owns the worker pool its routes run on, which
     starts threads only when a route needs them and holds the engine's
     reference on the shared loop for its timers; `shutdown` joins the
     workers and drops that reference.
@@ -929,7 +930,8 @@ class RoutingEngine:
             if component is None:
                 raise UnknownSchemeError(uri.scheme, side)
             component.validate(uri, side)
-        route = Route(route_id or f"route-{next(self._ids)}", src, tuple(processors), dst)
+        route = Route(route_id or f"route-{next(self._ids)}", src, tuple(processors), dst,
+                      self._pool)
         with self._lock:
             self._routes[route.id] = route
         return route
@@ -951,21 +953,17 @@ class RoutingEngine:
             if route.status == RouteStatus.STARTED:
                 raise InvalidTransitionError(f"{route.id} is already started")
             if route._consumer is None:
-                route._consumer = self.registry.get(route.source.scheme).create_consumer(
-                    route.source, route
-                )
+                route._consumer = route._source = self.registry.get(
+                    route.source.scheme).create_consumer(route.source, route)
             if route._producer is None:
                 route._producer = self.registry.get(route.sink.scheme).create_producer(
                     route.sink, route
                 )
-            if route._mailbox is None:
-                route._mailbox = RouteMailbox(route, self._pool)
-            mailbox = route._mailbox
-            mailbox.open = True
+            route.open = True
             route.status = RouteStatus.STARTED
-            route._consumer.start(mailbox)
-        if mailbox.pending():
-            mailbox.ready()  # what arrived while stopped
+            route._consumer.start(route)
+        if route.pending():
+            route.ready()  # what arrived while stopped
         log.debug("route %s started: %s -> %s", route.id, route.source, route.sink)
 
     def stop_route(self, route: Route, join_timeout: float = 10.0) -> None:
@@ -1005,8 +1003,8 @@ class RoutingEngine:
 
     def _stop(self, take: Callable[[], list[Route]],
               join_timeout: float) -> tuple[list[Route], list[Route]]:
-        """Under the engine lock, take the routes `take()` returns and close
-        the mailbox and stop the consumer of each started one; then wait for
+        """Under the engine lock, take the routes `take()` returns, and close
+        each started one and stop its consumer; then wait for
         a drain of each on another thread and mark it STOPPED. Returns the
         routes taken, and those whose drain still runs after `join_timeout`,
         which stay STARTED."""
@@ -1014,11 +1012,11 @@ class RoutingEngine:
             routes = take()
             started = [route for route in routes if route.status == RouteStatus.STARTED]
             for route in started:
-                route._mailbox.open = False
+                route.open = False
                 route._consumer.stop()
         late = []
         for route in started:
-            if route._mailbox.wait_idle(join_timeout):
+            if route.wait_idle(join_timeout):
                 route.status = RouteStatus.STOPPED
             else:
                 log.warning("route %s drain still running after %.1fs", route.id, join_timeout)
@@ -1033,6 +1031,5 @@ class RoutingEngine:
                     endpoint.close()
                 except Exception:
                     log.exception("closing endpoint of %s failed", route.id)
-        route._consumer = None
+        route._consumer = route._source = None
         route._producer = None
-        route._mailbox = None

@@ -23,21 +23,21 @@ def wait_until(predicate, timeout: float = 5.0, interval: float = 0.005) -> bool
     return predicate()
 
 
-# The thread that serves sockets: the loop every listener, connection and
-# engine timer shares.
-_SOCKET_THREADS = ("artifact-loop",)
+# The thread that serves sockets, the loop every listener, connection and
+# engine timer shares, and the routing engine's pool workers.
+_SOCKET_THREADS = ("artifact-loop", "route-worker")
 
 
 @pytest.fixture(autouse=True)
 def no_socket_thread_left():
-    """Fail a test that leaves a socket thread it started alive after its
-    teardown."""
+    """Fail a test that leaves a loop thread or a pool worker it started
+    alive after its teardown."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate()
             if t not in before and t.name.startswith(_SOCKET_THREADS)]
     if left:
-        pytest.fail(f"socket threads alive after teardown: {left}")
+        pytest.fail(f"runtime threads alive after teardown: {left}")
 
 
 class CounterArtifact(Artifact):

@@ -151,7 +151,7 @@ def test_a_full_subscriber_is_skipped_after_the_deadline(monkeypatch):
         assert wait_until(lambda: len(rec.seen) == count)
         assert rec.seen == list(range(count))
         assert tap.dropped == count - 2
-        assert route._consumer._sub.dropped == 0
+        assert route._consumer._inbox.dropped == 0
         assert [tap.poll(0.0).body for _ in range(2)] == [[0], [1]]
     finally:
         engine.shutdown()

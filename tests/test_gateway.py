@@ -772,7 +772,7 @@ def test_operation_stopping_its_own_gateway_from_a_pool_worker(env):
     gateway.send_msg(OpRequest("looped", "halt", []))
     assert gateway.halted.wait(5.0)
     assert gateway.halted_on.startswith("route-worker")
-    assert wait_until(lambda: not subscribe._mailbox.busy())
+    assert wait_until(lambda: not subscribe.busy())
     assert not gateway.started
     assert gateway.stats.invoked_self == 1
     assert [r.status for r in (publish, subscribe)] == [RouteStatus.STOPPED] * 2
@@ -796,7 +796,7 @@ def test_a_route_made_ready_on_a_loop_runs_there_unless_inside_an_operation(env)
     gateway.start_listening()
     relay = env.runtime.make_artifact("main", "relay", _Relay, [])
     ran_on = []
-    env.broker.subscribe("fed").queue.add_listener(
+    env.broker.subscribe("fed").add_listener(
         lambda: ran_on.append(threading.current_thread().name))  # told on the route's thread
     loop = shared_loop.acquire()
     try:
@@ -850,7 +850,7 @@ def test_loop_through_a_small_topic_queue_neither_deadlocks_nor_loses(monkeypatc
         assert gateway.seen == [str(i) for i in range(count)]
         assert gateway.stats.dead_lettered == 0
         assert out.stats.dead_lettered == back.stats.dead_lettered == 0
-        assert back._consumer._sub.dropped == 0
+        assert back._consumer._inbox.dropped == 0
     finally:
         env.close()
 

@@ -191,7 +191,7 @@ def test_a_full_source_queue_holds_up_neither_stop_nor_restart(monkeypatch):
         engine.stop_route(route)
         for i in range(3):
             broker.publish("full/in", Message(body=[i]))
-        assert route._consumer._sub.dropped == 1  # the third found no room
+        assert route._consumer._inbox.dropped == 1  # the third found no room
         started = time.monotonic()
         engine.start_route(route)
         assert [tap.poll(2.0).body for _ in range(2)] == ["0", "1"]
@@ -458,7 +458,7 @@ def test_stop_route_that_does_not_exit_stays_started(env):
     assert route.status == RouteStatus.STOPPED
     assert producer.sent == [[1]]
     assert len(route._consumer) == 1
-    assert wait_until(lambda: not route._mailbox.busy())
+    assert wait_until(lambda: not route.busy())
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,32 @@ def test_focus_then_single_change(runtime):
     assert (artifact_id, name, value, version) == (aid, "count", 1, 1)
 
 
+def test_unfocus_stops_later_events_for_that_observer_only(runtime):
+    aid = runtime.make_artifact("main", "c1", "counter", [])
+    leaving, staying = RecordingObserver(), RecordingObserver()
+    runtime.focus(leaving, aid)
+    runtime.focus(staying, aid)
+    runtime.exec_op(aid, OpRequest("c1", "inc", []))
+    assert wait_until(lambda: leaving.change_count() == 1)
+    runtime.unfocus(leaving, aid)
+    for _ in range(3):
+        runtime.exec_op(aid, OpRequest("c1", "inc", []))
+    assert wait_until(lambda: staying.change_count() == 4)
+    assert staying.changes == [(aid, "count", n, n) for n in range(1, 5)]
+    assert leaving.changes == [(aid, "count", 1, 1)]
+
+
+def test_unfocusing_an_observer_that_never_focused_changes_nothing(runtime):
+    aid = runtime.make_artifact("main", "c1", "counter", [])
+    observer, stranger = RecordingObserver(), RecordingObserver()
+    runtime.focus(observer, aid)
+    runtime.unfocus(stranger, aid)
+    runtime.exec_op(aid, OpRequest("c1", "inc", []))
+    assert wait_until(lambda: observer.change_count() == 1)
+    assert observer.changes == [(aid, "count", 1, 1)]
+    assert stranger.changes == []
+
+
 def test_focus_on_disposed_artifact(runtime):
     aid = runtime.make_artifact("main", "c1", "counter", [])
     runtime.dispose_artifact(aid)

@@ -422,14 +422,14 @@ def test_a_full_subscription_drops_pushes_and_replies_still_come(store):
     try:
         sub = client.subscribe("x")  # never polled
         over = 200
-        for i in range(sub.queue.capacity + over):
+        for i in range(sub.capacity + over):
             store.write("x", i)
         started = time.monotonic()
         client.write("y", 1)  # answered after every push
         # No push that finds no room waits for it.
         assert time.monotonic() - started < 0.5
         assert client.read("y") == (1, 0)
-        assert sub.queue.dropped == over
+        assert sub.dropped == over
     finally:
         client.close()
 
@@ -526,7 +526,7 @@ def test_a_read_or_subscribe_on_the_client_loop_raises_at_once(store):
 
     try:
         sub = client.subscribe("x")
-        sub.queue.add_listener(on_push)
+        sub.add_listener(on_push)
         store.write("x", 1)
         assert wait_until(lambda: len(outcomes) == 2)
         assert max(outcomes) < 0.1
