@@ -26,7 +26,9 @@ the microseconds of each of its steps that touches a socket, as the median
 
 It then builds ``--count-n`` gateways and as many targets once more and
 prints the GC-tracked objects each leaves and the generation-0 collections
-the build ran. The cyclic GC stays on throughout, as in a real build.
+the build ran, and under each total a census: the 10 types that leave the
+most objects, with the objects of each per gateway or target.
+The cyclic GC stays on throughout, as in a real build.
 
     PYTHONPATH=src python scripts/build_stages.py [--gateways N] [--targets N] [--builds B]
 """
@@ -35,6 +37,7 @@ from __future__ import annotations
 import argparse
 import gc
 import statistics
+from collections import Counter
 from time import perf_counter
 
 from artifact.bench.industry import DeviceChain
@@ -44,6 +47,7 @@ GATEWAY_STAGES = ("make_artifact", "define_route", "attach_route", "start_listen
 TARGET_STAGES = ("make_artifact", "link_artifacts")
 CHAIN_STAGES = ("VarStoreServer()", "RobotSimulator()", "vars_route_start", "tcp_route_start",
                 "VarClient()", "whole_build")
+CENSUS_TYPES = 10  # types listed under each count of objects
 
 
 def build_terminals(env: BenchEnv, count: int) -> list[float]:
@@ -130,8 +134,14 @@ def per_call_us(build, count: int, builds: int) -> list[list[float]]:
     return rows
 
 
-def footprint(build, count: int) -> tuple[float, int]:
-    """(GC-tracked objects left per unit, generation-0 collections) of one build."""
+def type_census() -> Counter:
+    """GC-tracked objects by type name."""
+    return Counter(type(o).__name__ for o in gc.get_objects())
+
+
+def footprint(build, count: int) -> tuple[float, int, Counter]:
+    """(GC-tracked objects left per unit, generation-0 collections, objects
+    left by type name) of one build."""
     collections = 0
 
     def on_gc(phase, info):
@@ -142,15 +152,27 @@ def footprint(build, count: int) -> tuple[float, int]:
     env = BenchEnv()
     try:
         gc.collect()
+        # Taken before the count, so the census itself is in both.
+        types_before = type_census()
+        gc.collect()
         before = len(gc.get_objects())
         gc.callbacks.append(on_gc)
         try:
             build(env, count)
         finally:
             gc.callbacks.remove(on_gc)
-        return (len(gc.get_objects()) - before) / count, collections
+        objects = (len(gc.get_objects()) - before) / count
+        return objects, collections, type_census() - types_before
     finally:
         env.close()
+
+
+def report_footprint(unit: str, build, count: int) -> None:
+    objects, collections, census = footprint(build, count)
+    print(f"tracked objects per {unit}: {objects:.1f}  "
+          f"(gen-0 collections in a build of {count}: {collections})")
+    for name, left in census.most_common(CENSUS_TYPES):
+        print(f"    {name:24s} {left / count:6.2f}")
 
 
 def report(title: str, stages, rows: list[list[float]]) -> None:
@@ -181,12 +203,8 @@ def main() -> int:
     chain_us(2)  # warm-up
     report("device chain (one per build)", CHAIN_STAGES, chain_us(args.builds))
 
-    objects, collections = footprint(build_terminals, args.count_n)
-    print(f"tracked objects per gateway: {objects:.1f}  "
-          f"(gen-0 collections in a build of {args.count_n}: {collections})")
-    objects, collections = footprint(build_router, args.count_n)
-    print(f"tracked objects per target:  {objects:.1f}  "
-          f"(gen-0 collections in a build of {args.count_n}: {collections})")
+    report_footprint("gateway", build_terminals, args.count_n)
+    report_footprint("target", build_router, args.count_n)
     return 0
 
 

@@ -120,10 +120,11 @@ def main() -> int:
 
     env = BenchEnv()
     router, names, hops = build(env, args.targets)
-    # send_msg and delivery only check that the router's mailbox is open;
-    # opening it instead of calling start_listening starts no route, so no
-    # send or publish schedules one and every stage runs on this thread.
-    router._mailbox.open = True
+    # send_msg and delivery only check that the router's incoming mailbox
+    # is open; opening it instead of calling start_listening starts no
+    # route, so no send or publish schedules one and every stage runs on
+    # this thread.
+    router.incoming.open = True
     rng = random.Random(args.seed)
     real_copy = Message.copy
     copies = 0
@@ -141,7 +142,7 @@ def main() -> int:
         run_round(router, names, hops, args.messages, rng)
     finally:
         Message.copy = real_copy
-        router._mailbox.open = False
+        router.incoming.open = False
         for endpoint in (hops[0], hops[2], hops[3], hops[5]):
             endpoint.close()
         env.close()

@@ -8,9 +8,9 @@ subscribers a published message is dropped (no retention). A subscriber
 that stays full for ENQUEUE_TIMEOUT_S misses the message, counted in its
 `dropped`.
 A subscription is an :class:`~artifact.routing.Inbox`: its listeners hear of
-each message it receives, and the "mq:" consumer, an
-:class:`~artifact.routing.InboxConsumer` over it, listens to make its route
-ready; closing that consumer unsubscribes.
+each message it receives. It is also the "mq:" consumer, which adds its route
+to those listeners and unsubscribes when closed; a topic is the "mq:"
+producer of every route that publishes to it.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from ..routing import (
     Component,
     Consumer,
     Inbox,
-    InboxConsumer,
     Producer,
     Route,
 )
@@ -36,9 +35,11 @@ from ..values import render_value
 log = logging.getLogger(__name__)
 
 
-class Subscription(Inbox):
-    """One subscriber's FIFO stream over a topic. Its `dropped` counts the
-    messages skipped because it stayed full."""
+class Subscription(Inbox, Consumer):
+    """One subscriber's FIFO stream over a topic, and its route's source. Its
+    `dropped` counts the messages skipped because it stayed full."""
+
+    _route: Route | None = None  # the started route it tells
 
     def __init__(self, broker: "TopicBroker", topic: str, sub_id: int, capacity: int):
         super().__init__(capacity, f"mq:{topic}#{sub_id}")
@@ -50,19 +51,34 @@ class Subscription(Inbox):
         """The next message, waiting up to `timeout` seconds; None if none."""
         return self.get(timeout=timeout)
 
+    def start(self, route: Route) -> None:
+        self._route = route
+        self.add_listener(route)
+
+    def stop(self) -> None:
+        self.remove_listener(self._route)
+
     def close(self) -> None:
         """Unsubscribe, and end the stream."""
         self._broker.unsubscribe(self)
 
 
-class _Topic:
-    def __init__(self, name: str):
+class _Topic(Producer):
+    """A topic, and the "mq:" producer of every route publishing to it;
+    `close` stays a no-op, as those routes share it."""
+
+    def __init__(self, broker: "TopicBroker", name: str):
+        self._broker = broker
         self.name = name
         self.lock = threading.Lock()
         self.subscribers: list[Subscription] = []
         # guarded by `lock`, which every publish to the topic holds anyway
         self.published = 0
         self.delivered = 0
+
+    def send(self, message: Message) -> None:
+        # publish gives each subscriber its own copy, headers included.
+        self._broker.publish(self, Message(message.headers, render_value(message.body)))
 
 
 class TopicBroker:
@@ -83,7 +99,7 @@ class TopicBroker:
             with self._lock:
                 t = self._topics.get(name)
                 if t is None:
-                    t = self._topics[name] = _Topic(name)
+                    t = self._topics[name] = _Topic(self, name)
         return t
 
     def subscribe(self, topic: str) -> Subscription:
@@ -164,16 +180,6 @@ class TopicBroker:
 # "mq:" endpoint component
 
 
-class _MqProducer(Producer):
-    def __init__(self, broker: TopicBroker, topic: str):
-        self._broker = broker
-        self._topic = broker._topic(topic)
-
-    def send(self, message: Message) -> None:
-        # publish gives each subscriber its own copy, headers included.
-        self._broker.publish(self._topic, Message(message.headers, render_value(message.body)))
-
-
 class MqComponent(Component):
     def __init__(self, broker: TopicBroker):
         self.broker = broker
@@ -183,7 +189,7 @@ class MqComponent(Component):
             raise ValueError("mq endpoint needs a topic name: mq:<topic>")
 
     def create_consumer(self, uri: EndpointUri, route: Route) -> Consumer:
-        return InboxConsumer(self.broker.subscribe(uri.path))
+        return self.broker.subscribe(uri.path)
 
     def create_producer(self, uri: EndpointUri, route: Route) -> Producer:
-        return _MqProducer(self.broker, uri.path)
+        return self.broker._topic(uri.path)

@@ -54,9 +54,9 @@ from .values import Value
 
 log = logging.getLogger(__name__)
 
-# A hand-off into a full incoming queue gives up after ENQUEUE_TIMEOUT_S: a
-# gateway forwarding dead-letters the message as QueueFull, a route producing
-# to "artifact:" dead-letters it as DeliveryFailed.
+# A hand-off into a full queue gives up after ENQUEUE_TIMEOUT_S: a gateway
+# forwarding dead-letters the message as QueueFull, a route producing to
+# "artifact:" dead-letters it as DeliveryFailed, send_msg raises QueueFullError.
 # How long stop_listening waits for another thread to finish the operation
 # it is delivering.
 STOP_TIMEOUT_S = 10.0
@@ -111,8 +111,8 @@ class GatewayStats:
 class _Channel(Listeners):
     """Writers hold the registry's lock and replace `members` with each
     change, so a reader looks up `gateways` or iterates `members` without it.
-    Its listeners are the `ready` of each started route consuming it; `users`
-    counts the route endpoints that hold it."""
+    Its listeners are the started routes consuming it; `users` counts the
+    route endpoints that hold it."""
 
     def __init__(self, name: str, lock: threading.Lock):
         self.name = name
@@ -127,16 +127,14 @@ class ChannelRegistry:
     names to their gateways.
 
     Writers hold `lock`, which also guards each channel's gateways,
-    listeners and users and whether each gateway listens; `find_gateway`
-    and `route_owner`, each one atomic dict read, take none.
-    A channel is dropped once no gateway is registered on it and no route
-    endpoint holds it.
+    listeners and users and whether each gateway listens; `find_gateway`,
+    one atomic dict read, takes none. A channel is dropped once no gateway
+    is registered on it and no route endpoint holds it.
     """
 
     def __init__(self):
         self.lock = threading.Lock()
         self._channels: dict[str, _Channel] = {}
-        self._route_owners: dict[str, "GatewayArtifact"] = {}
         # Gateways by name, in registration order; the first one answers.
         # Each entry is a gateway, or a tuple of two or more, replaced whole.
         self._by_name: dict[str, "GatewayArtifact | tuple[GatewayArtifact, ...]"] = {}
@@ -208,20 +206,6 @@ class ChannelRegistry:
         with self.lock:
             return [named[0] if type(named) is tuple else named for named in self._by_name.values()]
 
-    def set_route_owner(self, route_id: str, gateway: "GatewayArtifact") -> None:
-        with self.lock:
-            self._route_owners[route_id] = gateway
-
-    def route_owner(self, route_id: str) -> "GatewayArtifact | None":
-        # Read on every message a route produces to "artifact:"; a single
-        # dict read is atomic, so only writers take the lock.
-        return self._route_owners.get(route_id)
-
-    def forget_route_owner(self, route_id: str, gateway: "GatewayArtifact") -> None:
-        with self.lock:
-            if self._route_owners.get(route_id) is gateway:
-                del self._route_owners[route_id]
-
 
 def gateway_channels(runtime: Runtime) -> ChannelRegistry:
     """The per-runtime channel registry, created on first use."""
@@ -236,13 +220,14 @@ def gateway_channels(runtime: Runtime) -> ChannelRegistry:
 # the gateway artifact
 
 
-class _GatewayMailbox(Mailbox):
-    """A gateway's incoming queue as a serial mailbox, open while it listens.
-    Looks `deliver` up per message, so a wrapper set on the class later
-    still sees every delivery."""
+class _Incoming(MessageQueue, Mailbox):
+    """A gateway's incoming queue, and the serial mailbox, open while the
+    gateway listens, that drains it. Looks `deliver` up per message, so a
+    wrapper set on the class later still sees every delivery."""
 
     def __init__(self, gateway: "GatewayArtifact"):
-        super().__init__(gateway.incoming)
+        MessageQueue.__init__(self, DEFAULT_QUEUE_CAPACITY, f"{gateway.id.name}.incoming")
+        Mailbox.__init__(self, self)
         self._gateway = gateway
 
     def _handle(self, message: Message) -> None:
@@ -270,10 +255,9 @@ class GatewayArtifact(DeadLetters, Artifact):
     def init(self, channel: str | None = None):
         self.channel = channel or self.id.name
         self.outgoing = MessageQueue(DEFAULT_QUEUE_CAPACITY, f"{self.id.name}.outgoing")
-        self.incoming = MessageQueue(DEFAULT_QUEUE_CAPACITY, f"{self.id.name}.incoming")
+        self.incoming = _Incoming(self)
         self.routes: list[Route] = []
         self._engine: RoutingEngine | None = None
-        self._mailbox = _GatewayMailbox(self)
         # (runtime generation, name -> link to a linked plain artifact or
         # None); a table whose generation is not the runtime's is stale.
         self._links_table: tuple[int, dict[str, LinkRef | None]] = _NO_LINKS
@@ -292,13 +276,14 @@ class GatewayArtifact(DeadLetters, Artifact):
         """Forget the gateway: stop its routes, remove them from the engine,
         closing their endpoints, and drop its registrations."""
         self._channels.unregister(self.channel, self)
-        if self._mailbox.open:
+        if self.incoming.open:
             self.stop_listening()
         routes, self.routes = self.routes, []
         for route in routes:
             if self._engine is not None:
                 self._engine.remove_route(route)
-            self._channels.forget_route_owner(route.id, self)
+            if route.owner is self:
+                route.owner = None
         self.outgoing.close()
         self.incoming.close()
 
@@ -318,30 +303,30 @@ class GatewayArtifact(DeadLetters, Artifact):
                 f"route {route.id} does not name gateway {self.id.name} "
                 f"or channel {self.channel}"
             )
-        self._channels.set_route_owner(route.id, self)
+        route.owner = self
         self.routes.append(route)
 
     # -- lifecycle -------------------------------------------------------------
 
     @property
     def started(self) -> bool:
-        return self._mailbox.open
+        return self.incoming.open
 
     def start_listening(self) -> None:
         with self._channels.lock:
-            if self._mailbox.open:
+            if self.incoming.open:
                 raise InvalidTransitionError(f"gateway {self.id.name} is already listening")
             if self.routes and self._engine is None:
                 raise InvalidTransitionError(
                     f"gateway {self.id.name} has routes but no engine; pass one to attach_route"
                 )
-            self._mailbox.open = True
+            self.incoming.open = True
         for route in self.routes:
             if route.status != RouteStatus.STARTED:
                 self._engine.start_route(route)
         log.debug("gateway %s listening on channel %r", self.id.name, self.channel)
-        if self._mailbox.pending():
-            self._mailbox.drain()  # what queued while stopped
+        if self.incoming.pending():
+            self.incoming.drain()  # what queued while stopped
 
     def stop_listening(self) -> None:
         """Stop delivering and stop the attached routes.
@@ -351,7 +336,7 @@ class GatewayArtifact(DeadLetters, Artifact):
         is delivering, it returns without waiting for that operation. What
         is queued stays queued until start_listening.
         """
-        mailbox = self._mailbox
+        mailbox = self.incoming
         with self._channels.lock:
             running = [r for r in self.routes if r.status == RouteStatus.STARTED]
             if not mailbox.open and not running and not mailbox.busy():
@@ -376,14 +361,15 @@ class GatewayArtifact(DeadLetters, Artifact):
     ) -> Message:
         """Queue an operation request for the routes consuming this channel
         and make them ready (see the module docstring); returns the queued
-        message.
+        message. QueueFullError when the outgoing queue stays full for
+        `timeout` seconds, ENQUEUE_TIMEOUT_S when it is None.
 
         A route with an empty processor chain may deliver that very object,
         so the caller must not modify it."""
-        if not self._mailbox.open:
+        if not self.incoming.open:
             raise GatewayStoppedError(f"gateway {self.id.name} is not listening")
         message = request.to_message(extra_headers)
-        self.outgoing.put(message, timeout=timeout)
+        self.outgoing.put(message, ENQUEUE_TIMEOUT_S if timeout is None else timeout)
         self._sent += 1
         self._channel.notify_listeners()
         return message
@@ -404,7 +390,7 @@ class GatewayArtifact(DeadLetters, Artifact):
         when the queue stays full. An operation of this gateway that
         enqueues into it gets the message after it returns.
         """
-        self._mailbox.offer(message, timeout)
+        self.incoming.offer(message, timeout)
 
     def forwarding_table(self) -> dict[str, str]:
         """Name resolution in dispatch order: self, linked artifacts, gateways."""
@@ -528,10 +514,10 @@ class _ChannelConsumer(Consumer):
 
     def start(self, route: Route) -> None:
         self._route = route
-        self._channel.add_listener(route.ready)
+        self._channel.add_listener(route)
 
     def stop(self) -> None:
-        self._channel.remove_listener(self._route.ready)
+        self._channel.remove_listener(self._route)
 
     def try_get(self) -> Message | None:
         gateways = self._channel.members
@@ -553,8 +539,8 @@ class _ChannelConsumer(Consumer):
 
 class _ChannelProducer(Producer):
     """Delivers to the gateway named by the ArtifactName header on this
-    channel, falling back to the owning gateway of the producing route, then
-    to the channel's only gateway."""
+    channel, falling back to the producing route's owner (the gateway it is
+    attached to, `Route.owner`), then to the channel's only gateway."""
 
     def __init__(self, registry: ChannelRegistry, channel: _Channel, route: Route | None):
         self._registry = registry
@@ -566,7 +552,7 @@ class _ChannelProducer(Producer):
         name = message.headers.get(ARTIFACT_NAME_HEADER)
         gateway = self._channel.gateways.get(name) if isinstance(name, str) else None
         if gateway is None and self._route is not None:
-            owner = self._registry.route_owner(self._route.id)
+            owner = self._route.owner
             if owner is not None and owner.channel == self._channel.name:
                 gateway = owner
         if gateway is None:

@@ -186,8 +186,8 @@ class Listeners:
     `add_listener` and `remove_listener` replace the listeners under the
     source's `_lock`, so `notify_listeners` takes no lock. One listener is
     kept as is and more in a tuple, so a source with one listener carries no
-    object for it but the callable. A push-driven consumer adds its route's
-    `ready` when it starts and removes it when it stops.
+    object for it but the callable. A push-driven consumer adds its route,
+    a callable, when it starts and removes it when it stops.
     """
 
     _lock: threading.Lock
@@ -736,8 +736,9 @@ class Consumer:
 
 
 class InboxConsumer(Consumer):
-    """A route source over an Inbox: each push makes the route ready, so a
-    push on the loop runs the route there. `close` closes the inbox."""
+    """A route source over an Inbox another object owns (the `tcp:` hub's,
+    the `vars:` client's): each push makes the route ready, so a push on
+    the loop runs the route there. `close` closes the inbox."""
 
     def __init__(self, inbox: Inbox):
         self._inbox = inbox
@@ -745,10 +746,10 @@ class InboxConsumer(Consumer):
 
     def start(self, route: "Route") -> None:
         self._route = route
-        self._inbox.add_listener(route.ready)
+        self._inbox.add_listener(route)
 
     def stop(self) -> None:
-        self._inbox.remove_listener(self._route.ready)
+        self._inbox.remove_listener(self._route)
 
     def try_get(self) -> Message | None:
         return self._inbox.try_get()
@@ -825,9 +826,10 @@ class RouteStats:
 class Route(DeadLetters, Mailbox):
     """A route, and the serial mailbox that runs it over its consumer.
 
-    Started, the consumer tells the route about new messages through
-    `ready()`, often by adding it to an Inbox's listeners; `every()` sets a
-    periodic engine timer, which fires on the shared loop.
+    Started, the consumer adds the route to its source's listeners (calling
+    a route is calling `ready()`) or sets a periodic engine timer with
+    `every()`, which fires on the shared loop. `owner` is the gateway the
+    route is attached to, if any.
 
     `ready()` drains at once when it is called on a loop thread outside any
     operation: the two thread-locals it reads are the loop's marker and the
@@ -840,6 +842,7 @@ class Route(DeadLetters, Mailbox):
     _consumed = _delivered = _dead_lettered = 0
     _consumer: Consumer | None = None  # also the mailbox's source
     _producer: Producer | None = None
+    owner = None  # the GatewayArtifact that attached the route
 
     def __init__(self, route_id: str, source: EndpointUri, processors: tuple[Processor, ...],
                  sink: EndpointUri, pool: WorkerPool):
@@ -866,6 +869,8 @@ class Route(DeadLetters, Mailbox):
                 self._drain_claimed()
             else:
                 self._pool.schedule(self)
+
+    __call__ = ready
 
     def every(self, period_s: float, fire: Callable[[], None], first: float | None = None) -> LoopTimer:
         """Call `fire()` at `first` (default now), then every `period_s`

@@ -151,8 +151,34 @@ def test_a_full_subscriber_is_skipped_after_the_deadline(monkeypatch):
         assert wait_until(lambda: len(rec.seen) == count)
         assert rec.seen == list(range(count))
         assert tap.dropped == count - 2
-        assert route._consumer._inbox.dropped == 0
+        assert route._consumer.dropped == 0
         assert [tap.poll(0.0).body for _ in range(2)] == [[0], [1]]
+    finally:
+        engine.shutdown()
+        broker.stop()
+        runtime.shutdown()
+
+
+def test_removing_one_of_two_routes_publishing_to_a_topic_leaves_the_other_delivering():
+    runtime = Runtime()
+    broker = TopicBroker()
+    engine = RoutingEngine(standard_components(runtime, broker))
+    try:
+        a = engine.define_route("mq:a", [], "mq:t")
+        b = engine.define_route("mq:b", [], "mq:t")
+        reader = engine.define_route("mq:t", [], "mq:out")
+        tap = broker.subscribe("out")
+        for route in (a, b, reader):
+            engine.start_route(route)
+        assert a._producer is b._producer  # both routes send through the one topic
+        engine.remove_route(a)
+        count = 50
+        for i in range(count):
+            broker.publish("b", Message(body=[i]))
+        assert wait_until(lambda: len(tap) >= count)
+        assert [tap.poll(0.0).body for _ in range(count)] == [str(i) for i in range(count)]
+        assert tap.poll(0.2) is None  # and each arrived once
+        assert reader.stats.delivered == count
     finally:
         engine.shutdown()
         broker.stop()

@@ -28,7 +28,7 @@ from artifact.bench.scenarios import BenchEnv
 from artifact.endpoints import TopicBroker, standard_components
 from artifact.gateway import ArtifactComponent, gateway_channels
 from artifact.loop import shared_loop
-from artifact.routing import RouteStatus, RoutingEngine
+from artifact.routing import DEFAULT_QUEUE_CAPACITY, RouteStatus, RoutingEngine
 from artifact.runtime import ArtifactId
 from artifact.uri import parse_endpoint_uri
 
@@ -106,6 +106,25 @@ def test_send_queue_full_after_timeout(env):
     gateway.send_msg(OpRequest("s1", "recv", [2]))
     with pytest.raises(QueueFullError):
         gateway.send_msg(OpRequest("s1", "recv", [3]), timeout=0.05)
+
+
+def test_send_msg_into_a_full_outgoing_queue_gives_up_after_the_enqueue_timeout(env, monkeypatch):
+    monkeypatch.setattr(gateway_module, "ENQUEUE_TIMEOUT_S", 0.05)
+    gateway = _gateway(env, "s1")
+    out = env.engine.define_route("artifact:s1", [], "mq:s1")
+    gateway.attach_route(out, engine=env.engine)
+    gateway.attach_route(env.engine.define_route("mq:s1", [], "artifact:s1"))
+    gateway.start_listening()
+    env.engine.stop_route(out)  # nothing takes from the outgoing queue
+    for i in range(DEFAULT_QUEUE_CAPACITY):
+        gateway.send_msg(OpRequest("s1", "recv", [i]))
+    started = time.monotonic()
+    with pytest.raises(QueueFullError):
+        gateway.send_msg(OpRequest("s1", "recv", [-1]))
+    assert time.monotonic() - started < 2.0
+    env.engine.start_route(out)
+    assert wait_until(lambda: len(gateway.seen) == DEFAULT_QUEUE_CAPACITY, timeout=10.0)
+    assert gateway.seen == [str(i) for i in range(DEFAULT_QUEUE_CAPACITY)]
 
 
 def test_deliver_self_invokes_operation(env):
@@ -850,7 +869,7 @@ def test_loop_through_a_small_topic_queue_neither_deadlocks_nor_loses(monkeypatc
         assert gateway.seen == [str(i) for i in range(count)]
         assert gateway.stats.dead_lettered == 0
         assert out.stats.dead_lettered == back.stats.dead_lettered == 0
-        assert back._consumer._inbox.dropped == 0
+        assert back._consumer.dropped == 0
     finally:
         env.close()
 
@@ -975,6 +994,7 @@ def test_disposed_gateways_leave_no_route_channel_or_subscriber_behind(env, monk
     monkeypatch.setattr(broker_module, "ENQUEUE_TIMEOUT_S", 0.2)
     registry = gateway_channels(env.runtime)
     ids = []
+    routes = []
     for i in range(3):
         aid = env.runtime.make_artifact("main", f"gone{i}", Recorder, [])
         gateway = env.runtime.lookup(aid)
@@ -983,12 +1003,13 @@ def test_disposed_gateways_leave_no_route_channel_or_subscriber_behind(env, monk
         gateway.attach_route(env.engine.define_route("mq:gone", [], f"artifact:gone{i}"))
         gateway.start_listening()
         ids.append(aid)
+        routes += gateway.routes
     for i, aid in enumerate(ids):  # each reaches every gateway through the topic
         env.runtime.lookup(aid).send_msg(OpRequest(f"gone{i}", "recv", ["hi"]))
     assert wait_until(lambda: all(env.runtime.lookup(aid).seen == ["hi"] * 3 for aid in ids))
     for aid in ids:
         env.runtime.dispose_artifact(aid)
-    assert registry._route_owners == {}
+    assert all(route.owner is None for route in routes)
     assert registry._channels == {}
     assert env.engine.routes() == []
     assert env.broker._topic("gone").subscribers == []

@@ -191,7 +191,7 @@ def test_a_full_source_queue_holds_up_neither_stop_nor_restart(monkeypatch):
         engine.stop_route(route)
         for i in range(3):
             broker.publish("full/in", Message(body=[i]))
-        assert route._consumer._inbox.dropped == 1  # the third found no room
+        assert route._consumer.dropped == 1  # the third found no room
         started = time.monotonic()
         engine.start_route(route)
         assert [tap.poll(2.0).body for _ in range(2)] == ["0", "1"]
