@@ -27,7 +27,9 @@ the microseconds of each of its steps that touches a socket, as the median
 It then builds ``--count-n`` gateways and as many targets once more and
 prints the GC-tracked objects each leaves and the generation-0 collections
 the build ran, and under each total a census: the 10 types that leave the
-most objects, with the objects of each per gateway or target.
+most objects, with the objects of each per gateway or target. A terminal
+gateway's channel (``_Channel``) counts once: it is both the queue the
+gateway sends to and the consumer of its outbound route.
 The cyclic GC stays on throughout, as in a real build.
 
     PYTHONPATH=src python scripts/build_stages.py [--gateways N] [--targets N] [--builds B]

@@ -9,7 +9,9 @@ from their components and driven from here. Each message goes through
     send_msg -> channel take -> process -> mq send -> subscription take
     -> process -> artifact send (enqueue, deliver, exec_op)
 
-(the ``artifact:`` producer delivers on the thread that sends, so the last
+(``send_msg`` puts into the router's channel, which is also the outbound
+route's consumer, so ``channel take`` is one take from that queue; the
+``artifact:`` producer delivers on the thread that sends, so the last
 stage includes ``deliver``), and the script prints the microseconds per
 message each stage took, as the median over rounds, so a per-hop change can
 be sized without the threaded benchmark. Like a started route, a stage runs

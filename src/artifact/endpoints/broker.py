@@ -39,8 +39,6 @@ class Subscription(Inbox, Consumer):
     """One subscriber's FIFO stream over a topic, and its route's source. Its
     `dropped` counts the messages skipped because it stayed full."""
 
-    _route: Route | None = None  # the started route it tells
-
     def __init__(self, broker: "TopicBroker", topic: str, sub_id: int, capacity: int):
         super().__init__(capacity, f"mq:{topic}#{sub_id}")
         self._broker = broker
@@ -50,13 +48,6 @@ class Subscription(Inbox, Consumer):
     def poll(self, timeout: float = 0.0) -> Message | None:
         """The next message, waiting up to `timeout` seconds; None if none."""
         return self.get(timeout=timeout)
-
-    def start(self, route: Route) -> None:
-        self._route = route
-        self.add_listener(route)
-
-    def stop(self) -> None:
-        self.remove_listener(self._route)
 
     def close(self) -> None:
         """Unsubscribe, and end the stream."""

@@ -37,7 +37,7 @@ class _TimerConsumer(Consumer):
         self._fired = time.monotonic()
         self._route.ready()
 
-    def stop(self) -> None:
+    def stop(self, route: Route) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None

@@ -454,11 +454,11 @@ class _VarReadConsumer(InboxConsumer):
             body=[value],
         ))
 
-    def stop(self) -> None:
+    def stop(self, route: Route) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        super().stop()
+        super().stop(route)
 
     def close(self) -> None:
         super().close()  # wakes a reader blocked on the inbox

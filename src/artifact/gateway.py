@@ -1,9 +1,11 @@
-"""Gateway artifacts: artifacts owning message queues and routes.
+"""Gateway artifacts: artifacts owning an incoming queue and routes.
 
 A gateway bridges the artifact runtime to protocol endpoints through the
 "artifact:" URI scheme. Outbound, agents call :meth:`GatewayArtifact.send_msg`,
-which queues the message on the gateway's outgoing queue and makes the
-routes consuming ``artifact:<channel>`` ready: they run on their engine's
+which queues the message on the gateway's channel, the one bounded FIFO that
+every gateway serving the channel sends to and every route consuming
+``artifact:<channel>`` takes from (Camel's ``seda:``), and makes those
+routes ready: they run on their engine's
 worker pool, or at once when the agent's thread is a loop thread outside
 any operation (an observer of an operation a socket reached). Inbound, a route producing to
 ``artifact:<channel>`` hands the message to the addressed gateway and, like
@@ -54,9 +56,11 @@ from .values import Value
 
 log = logging.getLogger(__name__)
 
-# A hand-off into a full queue gives up after ENQUEUE_TIMEOUT_S: a gateway
-# forwarding dead-letters the message as QueueFull, a route producing to
-# "artifact:" dead-letters it as DeliveryFailed, send_msg raises QueueFullError.
+# Every hand-off into a full channel or incoming queue gives up after
+# ENQUEUE_TIMEOUT_S, read here at each call: a gateway forwarding
+# dead-letters the message as QueueFull, a route producing to "artifact:"
+# dead-letters it as DeliveryFailed, send_msg and enqueue_incoming raise
+# QueueFullError.
 # How long stop_listening waits for another thread to finish the operation
 # it is delivering.
 STOP_TIMEOUT_S = 10.0
@@ -108,28 +112,36 @@ class GatewayStats:
 # channel registry ("artifact:" scheme)
 
 
-class _Channel(Listeners):
-    """Writers hold the registry's lock and replace `members` with each
-    change, so a reader looks up `gateways` or iterates `members` without it.
-    Its listeners are the started routes consuming it; `users` counts the
-    route endpoints that hold it."""
+class _Channel(MessageQueue, Listeners, Consumer):
+    """A channel: the one queue its gateways send to, in send order, and
+    the consumer of every route that takes from it. Its listeners, under the
+    queue's lock, are those routes while started.
 
-    def __init__(self, name: str, lock: threading.Lock):
-        self.name = name
-        self._lock = lock
+    The registry's writers hold the registry's lock and replace `members`
+    with each change, so a reader looks up `gateways` or iterates `members`
+    without it. `users` counts the route endpoints that hold the channel;
+    `close` releases one."""
+
+    def __init__(self, registry: "ChannelRegistry", name: str):
+        super().__init__(DEFAULT_QUEUE_CAPACITY, name)
+        self._registry = registry
         self.gateways: dict[str, "GatewayArtifact"] = {}
         self.members: tuple["GatewayArtifact", ...] = ()  # gateways.values()
         self.users = 0
+
+    def close(self) -> None:
+        self._registry.release(self)
 
 
 class ChannelRegistry:
     """Maps channel names to the gateways registered on them, and gateway
     names to their gateways.
 
-    Writers hold `lock`, which also guards each channel's gateways,
-    listeners and users and whether each gateway listens; `find_gateway`,
-    one atomic dict read, takes none. A channel is dropped once no gateway
-    is registered on it and no route endpoint holds it.
+    Writers hold `lock`, which also guards each channel's gateways and
+    users and whether each gateway listens; a channel's listeners are under
+    its own queue's lock. `find_gateway`, one atomic dict read, takes none.
+    A channel is dropped, and its queue closed, once no gateway is
+    registered on it and no route endpoint holds it.
     """
 
     def __init__(self):
@@ -143,13 +155,14 @@ class ChannelRegistry:
         """The channel named `name`, made if need be; the caller holds the lock."""
         chan = self._channels.get(name)
         if chan is None:
-            chan = self._channels[name] = _Channel(name, self.lock)
+            chan = self._channels[name] = _Channel(self, name)
         return chan
 
     def _drop_if_unused(self, chan: _Channel) -> None:
         """The caller holds the lock."""
         if not chan.gateways and not chan.users and self._channels.get(chan.name) is chan:
             del self._channels[chan.name]
+            MessageQueue.close(chan)
 
     def use(self, name: str) -> _Channel:
         """The channel named `name`, held by a route endpoint until `release`."""
@@ -240,12 +253,14 @@ _NO_LINKS: tuple[int, dict] = (-1, {})
 
 
 class GatewayArtifact(DeadLetters, Artifact):
-    """Artifact owning incoming/outgoing FIFO queues and attached routes.
+    """Artifact owning an incoming FIFO queue and attached routes; its
+    `outgoing` queue is its channel's.
 
     ``init`` parameters: an optional channel name the gateway serves (defaults
-    to the artifact's own name). Gateways never share queues; several gateways
-    may serve one channel, distinguished by the ``ArtifactName`` header. The
-    dead-letter queue is made with the first dead letter.
+    to the artifact's own name). Several gateways may serve one channel: they
+    share its one outgoing FIFO, in send order, and each has its own incoming
+    queue, addressed by the ``ArtifactName`` header. The dead-letter queue is
+    made with the first dead letter.
     """
 
     # Counters read through `stats`; each instance counts from these.
@@ -254,7 +269,6 @@ class GatewayArtifact(DeadLetters, Artifact):
     @stages_nothing
     def init(self, channel: str | None = None):
         self.channel = channel or self.id.name
-        self.outgoing = MessageQueue(DEFAULT_QUEUE_CAPACITY, f"{self.id.name}.outgoing")
         self.incoming = _Incoming(self)
         self.routes: list[Route] = []
         self._engine: RoutingEngine | None = None
@@ -264,7 +278,7 @@ class GatewayArtifact(DeadLetters, Artifact):
 
     def on_created(self):
         self._channels = gateway_channels(self.runtime)
-        self._channel = self._channels.register(self.channel, self)
+        self.outgoing = self._channels.register(self.channel, self)
 
     @property
     def stats(self) -> GatewayStats:
@@ -284,7 +298,6 @@ class GatewayArtifact(DeadLetters, Artifact):
                 self._engine.remove_route(route)
             if route.owner is self:
                 route.owner = None
-        self.outgoing.close()
         self.incoming.close()
 
     # -- route attachment ----------------------------------------------------
@@ -354,43 +367,42 @@ class GatewayArtifact(DeadLetters, Artifact):
     # -- outbound ---------------------------------------------------------------
 
     def send_msg(
-        self,
-        request: OpRequest,
-        extra_headers: dict[str, Value] | None = None,
-        timeout: float | None = None,
+        self, request: OpRequest, extra_headers: dict[str, Value] | None = None
     ) -> Message:
-        """Queue an operation request for the routes consuming this channel
-        and make them ready (see the module docstring); returns the queued
-        message. QueueFullError when the outgoing queue stays full for
-        `timeout` seconds, ENQUEUE_TIMEOUT_S when it is None.
+        """Queue an operation request on this gateway's channel and make the
+        routes consuming it ready (see the module docstring); returns the
+        queued message. QueueFullError when the channel stays full for
+        ENQUEUE_TIMEOUT_S.
 
         A route with an empty processor chain may deliver that very object,
         so the caller must not modify it."""
         if not self.incoming.open:
             raise GatewayStoppedError(f"gateway {self.id.name} is not listening")
         message = request.to_message(extra_headers)
-        self.outgoing.put(message, ENQUEUE_TIMEOUT_S if timeout is None else timeout)
+        outgoing = self.outgoing
+        outgoing.put(message, ENQUEUE_TIMEOUT_S)
         self._sent += 1
-        self._channel.notify_listeners()
+        outgoing.notify_listeners()
         return message
 
     def poll_outgoing(self, max_wait: float = 0.0) -> Message | None:
-        """Remove and return the oldest outgoing message; exactly-once removal."""
+        """Remove and return the oldest message on this gateway's channel,
+        whichever gateway sent it; exactly-once removal."""
         return self.outgoing.get(timeout=max_wait)
 
     # -- inbound ------------------------------------------------------------------
 
-    def enqueue_incoming(self, message: Message, timeout: float | None = None) -> None:
+    def enqueue_incoming(self, message: Message) -> None:
         """Deliver the message on this thread when the gateway is listening,
         idle and has nothing queued; otherwise append it to the incoming
         queue and deliver what that holds on this thread, unless another
         thread already does or the gateway is stopped.
 
-        Accepted even while stopped; QueueFullError after `timeout` seconds
-        when the queue stays full. An operation of this gateway that
+        Accepted even while stopped; QueueFullError when the queue stays
+        full for ENQUEUE_TIMEOUT_S. An operation of this gateway that
         enqueues into it gets the message after it returns.
         """
-        self.incoming.offer(message, timeout)
+        self.incoming.offer(message, ENQUEUE_TIMEOUT_S)
 
     def forwarding_table(self) -> dict[str, str]:
         """Name resolution in dispatch order: self, linked artifacts, gateways."""
@@ -438,7 +450,7 @@ class GatewayArtifact(DeadLetters, Artifact):
         gateway = self._channels.find_gateway(name)
         if gateway is not None:
             try:
-                gateway.enqueue_incoming(message, timeout=ENQUEUE_TIMEOUT_S)
+                gateway.enqueue_incoming(message)
             except Exception:
                 return DeadLettered(REASON_QUEUE_FULL)
             return Forwarded(gateway.id)
@@ -502,48 +514,12 @@ class _Call:
 # "artifact:" endpoint component
 
 
-class _ChannelConsumer(Consumer):
-    """Takes from the outgoing queues of every gateway registered on a
-    channel, round robin; each send makes the route ready."""
-
-    def __init__(self, registry: ChannelRegistry, channel: _Channel):
-        self._registry = registry
-        self._channel = channel
-        self._rr = 0
-        self._route: Route | None = None
-
-    def start(self, route: Route) -> None:
-        self._route = route
-        self._channel.add_listener(route)
-
-    def stop(self) -> None:
-        self._channel.remove_listener(self._route)
-
-    def try_get(self) -> Message | None:
-        gateways = self._channel.members
-        count = len(gateways)
-        for offset in range(count):
-            gateway = gateways[(self._rr + offset) % count]
-            message = gateway.outgoing.try_get()
-            if message is not None:
-                self._rr = (self._rr + offset + 1) % count
-                return message
-        return None
-
-    def __len__(self) -> int:
-        return sum(len(gateway.outgoing) for gateway in self._channel.members)
-
-    def close(self) -> None:
-        self._registry.release(self._channel)
-
-
 class _ChannelProducer(Producer):
     """Delivers to the gateway named by the ArtifactName header on this
     channel, falling back to the producing route's owner (the gateway it is
     attached to, `Route.owner`), then to the channel's only gateway."""
 
-    def __init__(self, registry: ChannelRegistry, channel: _Channel, route: Route | None):
-        self._registry = registry
+    def __init__(self, channel: _Channel, route: Route | None):
         self._channel = channel
         self._route = route
 
@@ -563,10 +539,10 @@ class _ChannelProducer(Producer):
             raise DeliveryError(
                 f"no gateway on channel {self._channel.name!r} accepts this message"
             )
-        gateway.enqueue_incoming(message, timeout=ENQUEUE_TIMEOUT_S)
+        gateway.enqueue_incoming(message)
 
     def close(self) -> None:
-        self._registry.release(self._channel)
+        self._channel.close()
 
 
 class ArtifactComponent(Component):
@@ -580,7 +556,7 @@ class ArtifactComponent(Component):
             raise ValueError("artifact endpoint needs a channel name: artifact:<channel>")
 
     def create_consumer(self, uri: EndpointUri, route: Route) -> Consumer:
-        return _ChannelConsumer(self._registry, self._registry.use(uri.path))
+        return self._registry.use(uri.path)
 
     def create_producer(self, uri: EndpointUri, route: Route) -> Producer:
-        return _ChannelProducer(self._registry, self._registry.use(uri.path), route)
+        return _ChannelProducer(self._registry.use(uri.path), route)

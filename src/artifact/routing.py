@@ -186,8 +186,9 @@ class Listeners:
     `add_listener` and `remove_listener` replace the listeners under the
     source's `_lock`, so `notify_listeners` takes no lock. One listener is
     kept as is and more in a tuple, so a source with one listener carries no
-    object for it but the callable. A push-driven consumer adds its route,
-    a callable, when it starts and removes it when it stops.
+    object for it but the callable. A source that is also its route's
+    consumer gets `start` and `stop` from here: they add and remove the
+    route, a callable.
     """
 
     _lock: threading.Lock
@@ -218,6 +219,12 @@ class Listeners:
                 call()
         elif calls is not None:
             calls()
+
+    def start(self, route: "Route") -> None:
+        self.add_listener(route)
+
+    def stop(self, route: "Route") -> None:
+        self.remove_listener(route)
 
 
 class Inbox(MessageQueue, Listeners):
@@ -714,15 +721,15 @@ class Consumer:
 
     `start` hands over the started route; the consumer then calls its
     `ready()` as messages arrive, or sets a timer with its `every()`, until
-    `stop`, which may run on any thread. The route takes messages with
-    `try_get()`, and `len()` counts those waiting. What arrives while
-    stopped stays buffered.
+    `stop` hands the same route back, which may happen on any thread. The
+    route takes messages with `try_get()`, and `len()` counts those
+    waiting. What arrives while stopped stays buffered.
     """
 
     def start(self, route: "Route") -> None:
         raise NotImplementedError
 
-    def stop(self) -> None:
+    def stop(self, route: "Route") -> None:
         pass
 
     def try_get(self) -> Message | None:
@@ -742,14 +749,12 @@ class InboxConsumer(Consumer):
 
     def __init__(self, inbox: Inbox):
         self._inbox = inbox
-        self._route: Route | None = None
 
     def start(self, route: "Route") -> None:
-        self._route = route
         self._inbox.add_listener(route)
 
-    def stop(self) -> None:
-        self._inbox.remove_listener(self._route)
+    def stop(self, route: "Route") -> None:
+        self._inbox.remove_listener(route)
 
     def try_get(self) -> Message | None:
         return self._inbox.try_get()
@@ -1018,7 +1023,7 @@ class RoutingEngine:
             started = [route for route in routes if route.status == RouteStatus.STARTED]
             for route in started:
                 route.open = False
-                route._consumer.stop()
+                route._consumer.stop(route)
         late = []
         for route in started:
             if route.wait_idle(join_timeout):

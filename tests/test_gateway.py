@@ -98,14 +98,15 @@ def test_send_on_stopped_gateway(env):
         gateway.send_msg(OpRequest("s1", "temp", [1.0]))
 
 
-def test_send_queue_full_after_timeout(env):
+def test_send_queue_full_after_timeout(env, monkeypatch):
+    monkeypatch.setattr(gateway_module, "ENQUEUE_TIMEOUT_S", 0.05)
     gateway = _gateway(env, "s1")
     gateway.start_listening()
     gateway.outgoing.capacity = 2
     gateway.send_msg(OpRequest("s1", "recv", [1]))
     gateway.send_msg(OpRequest("s1", "recv", [2]))
     with pytest.raises(QueueFullError):
-        gateway.send_msg(OpRequest("s1", "recv", [3]), timeout=0.05)
+        gateway.send_msg(OpRequest("s1", "recv", [3]))
 
 
 def test_send_msg_into_a_full_outgoing_queue_gives_up_after_the_enqueue_timeout(env, monkeypatch):
@@ -439,6 +440,44 @@ def test_channel_shared_by_two_gateways_dispatches_by_header(env):
     s1.send_msg(OpRequest("s2", "recv", ["for-two"]))
     assert wait_until(lambda: s2.seen == ["for-two"])
     assert s1.seen == []
+
+
+def test_gateways_sharing_a_channel_each_get_their_own_messages_once_in_send_order(env):
+    senders = [_gateway(env, name, Recorder, ["hub"]) for name in ("a", "b")]
+    route = env.engine.define_route("artifact:hub", [], "artifact:hub")
+    senders[0].attach_route(route, engine=env.engine)
+    for gateway in senders:
+        gateway.start_listening()
+
+    def send(gateway):
+        for i in range(300):
+            gateway.send_msg(OpRequest(gateway.id.name, "recv", [i]))
+
+    threads = [threading.Thread(target=send, args=(gateway,)) for gateway in senders]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert wait_until(lambda: route.stats.delivered == 600)
+    for gateway in senders:
+        assert gateway.seen == list(range(300))
+
+
+def test_a_disposed_gateways_sent_messages_still_reach_the_channels_route(env):
+    a = _gateway(env, "a", Recorder, ["hub"])
+    b = _gateway(env, "b", Recorder, ["hub"])
+    route = env.engine.define_route("artifact:hub", [], "mq:hub/out")
+    tap = env.broker.subscribe("hub/out")
+    b.attach_route(route, engine=env.engine)
+    a.start_listening()
+    b.start_listening()
+    env.engine.stop_route(route)
+    for i in range(3):
+        a.send_msg(OpRequest("b", "recv", [i]))
+    env.runtime.dispose_artifact(a.id)
+    env.engine.start_route(route)
+    arrived = [tap.poll(2.0) for _ in range(3)]
+    assert [None if m is None else int(m.body) for m in arrived] == [0, 1, 2]
 
 
 def test_stopping_an_idle_channel_route_returns_at_once(env):

@@ -479,7 +479,7 @@ class _HandOver(Consumer, Producer):
         self._mailbox = mailbox
         self.inbox.add_listener(mailbox.ready)
 
-    def stop(self):
+    def stop(self, route):
         self.inbox.remove_listener(self._mailbox.ready)
 
     def try_get(self):
